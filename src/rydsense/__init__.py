@@ -49,6 +49,7 @@ from .dipolar import (
     readout_expectation_mc,
     volumetric_rate_q,
 )
+from .errors import NumericalError
 from .multiparticle import (
     LOSS_AFTER,
     LOSS_BEFORE,

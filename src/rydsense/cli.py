@@ -6,8 +6,8 @@ CSV or JSON table.  Outputs are pure functions of (config, seed): re-runs
 produce byte-identical files.  Relative output paths resolve under
 ``$RYDSENSE_OUTPUT_DIR`` (default: current directory).
 
-Exit codes: 0 success, 2 config validation error, 3 numerical convergence
-failure.
+Exit codes: 0 success, 2 config validation error, 3 numerical failure
+(quadrature convergence, Poisson-mixture truncation, zero ML variance).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import dipolar, error_prevention, estimation, multiparticle
 from .dipolar import CloudGeometry, ConvergenceError, DipolarParams, QuadratureSpec
+from .errors import NumericalError
 from .multiparticle import LOSS_AFTER, LOSS_BEFORE, ProtocolParams
 
 __all__ = ["main", "ConfigError", "SCHEMA_VERSION"]
@@ -504,6 +505,9 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
+        return 3
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(path)
     return 0

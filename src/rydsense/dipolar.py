@@ -22,8 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import warnings
+
 import numpy as np
 from scipy.integrate import quad
+
+from .errors import NumericalError
 
 __all__ = [
     "ConvergenceError",
@@ -47,7 +51,7 @@ CLOUD_KINDS = ("box", "gaussian")
 MIN_MC_SAMPLES = 10_000
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError):
     """Quadrature failed to meet its accuracy contract."""
 
     def __init__(self, message: str, achieved: float | None = None):
@@ -303,6 +307,8 @@ def readout_expectation_mc(
     quadrature value of A(t); ``method="direct"`` samples all control
     positions and averages the exact pair phases, which is unbiased for the
     independent-control model.  Decays approximately as exp(-n_p gamma t).
+    The LDA warns where a factor |1 - p(x) A(t)| exceeds 1, which an
+    average of unit phases cannot.
 
     Sampling is sharded with seeds spawned from ``seed`` so that shards are
     reproducible and independent of evaluation order.
@@ -327,6 +333,7 @@ def readout_expectation_mc(
     seed_seq = np.random.SeedSequence(seed)
     total = 0.0
     total_sq = 0.0
+    lda_factor_max = 0.0
     remaining = samples
     shards = seed_seq.spawn(math.ceil(samples / shard_size))
     for child in shards:
@@ -335,7 +342,9 @@ def readout_expectation_mc(
         rng = np.random.default_rng(child)
         x = rng.normal(scale=sigma, size=(n, 3))
         if method == "lda":
-            est = np.abs(1.0 - _gaussian_pdf(x, sigma) * a_t) ** (2 * n_p)
+            factor = np.abs(1.0 - _gaussian_pdf(x, sigma) * a_t)
+            lda_factor_max = max(lda_factor_max, float(factor.max()))
+            est = factor ** (2 * n_p)
         else:
             w = np.ones(n, dtype=complex)
             for _ in range(n_p):
@@ -347,6 +356,13 @@ def readout_expectation_mc(
             est = w.real
         total += float(np.sum(est))
         total_sq += float(np.sum(est**2))
+    if lda_factor_max > 1.0:
+        warnings.warn(
+            f"LDA factor |1 - p(x) A(t)| reaches {lda_factor_max:.3g}, but a read-out "
+            "averaging unit phases cannot exceed 1; the LDA is invalid here",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     stderr = math.sqrt(var / samples)

@@ -16,16 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
 
-from .multiparticle import (
-    LOSS_AFTER,
-    ProtocolParams,
-    _mixture_means,
-    count_pmf,
-    fisher_information,
-)
+from .errors import NumericalError
+from .multiparticle import ProtocolParams, _mixture_table, count_pmf, fisher_information
 
 __all__ = [
     "HBAR",
@@ -110,46 +103,12 @@ def default_theta_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, math.pi, points + 2)[1:-1]
 
 
-def _pmf_table(params: ProtocolParams, thetas: np.ndarray, n_cut: int) -> np.ndarray:
-    """P(n | theta) for n = 0..n_cut on every grid angle, shape (T, n_cut+1)."""
-    thetas = np.asarray(thetas, dtype=float)
-    pop_read = np.cos(thetas / 2.0) ** 2
-    d = params.eta * params.n0 * pop_read
-    b_scale = params.n0 if params.loss_order == LOSS_AFTER else params.eta * params.n0
-    b = b_scale * (1.0 - pop_read)
-    b_max = float(b.max(initial=0.0))
-    if b_max > 0:
-        k_cut = min(int(poisson.isf(1e-12, b_max)) + 1, 200)
-    else:
-        k_cut = 0
-    k = np.arange(k_cut + 1)
-    n = np.arange(n_cut + 1)
-    table = np.empty((thetas.size, n_cut + 1))
-    chunk = 256
-    log_n_fact = gammaln(n + 1)
-    for start in range(0, thetas.size, chunk):
-        sl = slice(start, min(start + chunk, thetas.size))
-        bb = b[sl][:, None]
-        dd = d[sl][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_w = np.where(
-                bb > 0,
-                k[None, :] * np.log(np.where(bb > 0, bb, 1.0)) - bb - gammaln(k + 1)[None, :],
-                np.where(k[None, :] == 0, 0.0, -np.inf),
-            )
-        mu = dd * np.exp(-params.gamma_tau * k)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_mu = np.where(mu > 0, np.log(np.where(mu > 0, mu, 1.0)), -np.inf)
-            log_pois = (
-                n[None, None, :] * log_mu[:, :, None]
-                - mu[:, :, None]
-                - log_n_fact[None, None, :]
-            )
-        log_pois = np.where(
-            (mu[:, :, None] == 0) & (n[None, None, :] == 0), 0.0, log_pois
-        )
-        table[sl] = np.einsum("tk,tkn->tn", np.exp(log_w), np.exp(log_pois))
-    return table
+def _draw_counts(
+    params: ProtocolParams, theta: float, n_shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Inverse-CDF draws of ``n_shots`` detected mode-d counts."""
+    pmf = count_pmf(params, theta, "d")
+    return np.searchsorted(np.cumsum(pmf), rng.random(n_shots)).clip(max=pmf.size - 1)
 
 
 def sample_shots(
@@ -162,32 +121,38 @@ def sample_shots(
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
-    _, d = _mixture_means(params, theta, "d")
-    n_cut = _sampling_cut(d)
-    pmf = count_pmf(params, theta, "d", n_cut=n_cut)
-    cdf = np.cumsum(pmf)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = rng.random(n_shots)
-    counts = np.searchsorted(cdf, u).clip(max=n_cut)
-    return ShotBatch(counts, theta, params, seed)
+    return ShotBatch(_draw_counts(params, theta, n_shots, rng), theta, params, seed)
 
 
-def _sampling_cut(d: float) -> int:
-    return max(int(poisson.isf(1e-12, max(d, 1e-12))) + 2, 4)
+def _refine_argmax(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Grid argmax of each row of ``values``, refined by a local parabola.
 
-
-def _refine_argmax(grid: np.ndarray, loglik: np.ndarray) -> float:
-    """Quadratic refinement of the grid argmax; ties break to smaller theta."""
-    i = int(np.argmax(loglik))
-    if i == 0 or i == loglik.size - 1:
-        return float(grid[i])
-    lm, l0, lp = loglik[i - 1], loglik[i], loglik[i + 1]
+    Ties break to the smaller angle; edge or non-concave maxima stay on the grid.
+    """
+    values = np.atleast_2d(values)
+    i = np.argmax(values, axis=1)
+    theta = grid[i].astype(float)
+    rows = np.nonzero((i > 0) & (i < grid.size - 1))[0]
+    ii = i[rows]
+    lm, l0, lp = values[rows, ii - 1], values[rows, ii], values[rows, ii + 1]
     denom = lm - 2.0 * l0 + lp
-    if denom >= 0:
-        return float(grid[i])
-    delta = 0.5 * (lm - lp) / denom
-    step = grid[i + 1] - grid[i]
-    return float(np.clip(grid[i] + delta * step, grid[i - 1], grid[i + 1]))
+    concave = denom < 0
+    delta = np.zeros_like(lm)
+    delta[concave] = 0.5 * (lm[concave] - lp[concave]) / denom[concave]
+    step = grid[ii + 1] - grid[ii]
+    theta[rows] = np.clip(grid[ii] + delta * step, grid[ii - 1], grid[ii + 1])
+    return theta
+
+
+def _log_likelihood_table(
+    params: ProtocolParams, grid: np.ndarray, n_cut: int
+) -> np.ndarray:
+    """log P(n | theta) for n = 0..n_cut on every grid angle."""
+    table = _mixture_table(params, grid, n_cut=n_cut)
+    if not table.min() > 0.0:
+        raise ValueError("likelihood vanished on the angle grid; requires eta > 0")
+    return np.log(table)
 
 
 def ml_estimate(
@@ -204,35 +169,31 @@ def ml_estimate(
         raise ValueError("counts must be a non-empty 1-d array")
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
     n_cut = int(counts.max())
-    table = _pmf_table(params, grid, n_cut)
-    assert table.min() > 0.0, "likelihood vanished; requires eta > 0"
+    log_table = _log_likelihood_table(params, grid, n_cut)
     hist = np.bincount(counts, minlength=n_cut + 1).astype(float)
-    loglik = np.log(table) @ hist
-    return _refine_argmax(grid, loglik)
+    return float(_refine_argmax(grid, log_table @ hist)[0])
 
 
-def _estimates_for_partition(counts_matrix, grid, log_table, n_cut):
+def _estimates_for_partition(counts_matrix, grid, log_table):
     """Vectorized per-realization ML estimates for rows of a (k, N) matrix."""
-    k, _ = counts_matrix.shape
-    idx = np.arange(k)[:, None] * (n_cut + 1) + counts_matrix
-    hists = np.bincount(idx.ravel(), minlength=k * (n_cut + 1)).reshape(k, n_cut + 1)
-    loglik = hists @ log_table.T  # (k, grid)
-    i = np.argmax(loglik, axis=1)
-    theta = grid[i].copy()
-    interior = (i > 0) & (i < grid.size - 1)
-    ii = i[interior]
-    rows = np.nonzero(interior)[0]
-    lm = loglik[rows, ii - 1]
-    l0 = loglik[rows, ii]
-    lp = loglik[rows, ii + 1]
-    denom = lm - 2.0 * l0 + lp
-    ok = denom < 0
-    delta = np.zeros_like(lm)
-    delta[ok] = 0.5 * (lm[ok] - lp[ok]) / denom[ok]
-    step = grid[1] - grid[0]
-    refined = np.clip(grid[ii] + delta * step, grid[ii - 1], grid[ii + 1])
-    theta[rows] = refined
-    return theta
+    k = counts_matrix.shape[0]
+    width = log_table.shape[1]
+    idx = np.arange(k)[:, None] * width + counts_matrix
+    hists = np.bincount(idx.ravel(), minlength=k * width).reshape(k, width)
+    return _refine_argmax(grid, hists @ log_table.T)
+
+
+def _variance(theta_hats: np.ndarray) -> float:
+    """Sample variance of the estimates, which must not all be equal.
+
+    Tested by equality: ``np.var`` of equal values can round to a tiny positive.
+    """
+    if np.all(theta_hats == theta_hats[0]):
+        raise NumericalError(
+            "ML estimates are identical in every realization; zero variance "
+            "gives no Fisher information"
+        )
+    return float(np.var(theta_hats, ddof=1))
 
 
 def run_estimation(
@@ -253,7 +214,9 @@ def run_estimation(
     realizations is bootstrapped (random re-assignments, ``n_bootstrap``
     draws) to attach an error bar to F.  Bit-identical results under a
     fixed seed; per-stage random streams are spawned from the master seed,
-    so the outcome does not depend on evaluation order.
+    so the outcome does not depend on evaluation order.  Raises
+    :class:`NumericalError` if the estimates of the realizations, or of
+    any bootstrap re-partition, are all equal (zero variance).
     """
     n = shots_per_realization
     if n < 1 or n_total < 1 or n_total % n != 0:
@@ -266,30 +229,21 @@ def run_estimation(
         )
     seed_seq = np.random.SeedSequence(seed)
     shot_seq, boot_seq = seed_seq.spawn(2)
-
-    _, d = _mixture_means(params, theta_true, "d")
-    n_cut = _sampling_cut(d)
-    pmf = count_pmf(params, theta_true, "d", n_cut=n_cut)
-    cdf = np.cumsum(pmf)
-    rng = np.random.default_rng(shot_seq)
-    counts = np.searchsorted(cdf, rng.random(n_total)).clip(max=n_cut)
+    counts = _draw_counts(params, theta_true, n_total, np.random.default_rng(shot_seq))
 
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
-    table = _pmf_table(params, grid, n_cut)
-    log_table = np.log(table)
+    log_table = _log_likelihood_table(params, grid, int(counts.max()))
 
-    theta_hats = _estimates_for_partition(counts.reshape(k, n), grid, log_table, n_cut)
-    variance = float(np.var(theta_hats, ddof=1))
+    theta_hats = _estimates_for_partition(counts.reshape(k, n), grid, log_table)
+    variance = _variance(theta_hats)
     fi_per_shot = 1.0 / (n * variance)
 
     boot_rng = np.random.default_rng(boot_seq)
     boot_fis = np.empty(n_bootstrap)
     for b in range(n_bootstrap):
         perm = boot_rng.permutation(n_total)
-        hats = _estimates_for_partition(
-            counts[perm].reshape(k, n), grid, log_table, n_cut
-        )
-        boot_fis[b] = 1.0 / (n * float(np.var(hats, ddof=1)))
+        hats = _estimates_for_partition(counts[perm].reshape(k, n), grid, log_table)
+        boot_fis[b] = 1.0 / (n * _variance(hats))
     fi_error = float(np.std(boot_fis, ddof=1))
 
     return EstimationResult(
@@ -367,17 +321,8 @@ def sensitivity_from_model(
         raise ValueError("rabi_frequency must be positive")
     grid = default_theta_grid(grid_points)
     fis = np.array([fisher_information(params, t, step) for t in grid])
-    i = int(np.argmax(fis))
-    theta_star = float(grid[i])
-    fi_star = float(fis[i])
-    if 0 < i < grid.size - 1:
-        lm, l0, lp = fis[i - 1], fis[i], fis[i + 1]
-        denom = lm - 2.0 * l0 + lp
-        if denom < 0:
-            delta = 0.5 * (lm - lp) / denom
-            theta_star = float(
-                np.clip(grid[i] + delta * (grid[1] - grid[0]), grid[i - 1], grid[i + 1])
-            )
+    theta_star = float(_refine_argmax(grid, fis)[0])
+    fi_star = float(fis.max())
     fi_used = fisher_override if fisher_override is not None else fi_star
     pulse_time = theta_star / rabi_frequency
     return field_precision(

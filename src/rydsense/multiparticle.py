@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, xlogy
 
+from .errors import NumericalError
 from .fockspace import CountDistribution, FockBasis, KrausChannel, classical_fi
 
 __all__ = [
@@ -47,8 +47,10 @@ __all__ = [
 LOSS_AFTER = "after_interaction"
 LOSS_BEFORE = "before_interaction"
 
-POISSON_TAIL = 1e-12
-N_TRUNC_CAP = 200
+# Largest probability mass a truncated Poisson-mixture sum may neglect.
+TAIL_MASS_MAX = 1e-12
+# Elements of the (angle, k, n) term array evaluated at once.
+BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,13 @@ class ProtocolParams:
 
     n0 is the intrinsic mean excitation number, eta the detection
     efficiency, gamma_tau the decay-time product, loss_order the placement
-    of the detection loss relative to the interaction.  n_trunc optionally
-    overrides the summation cutoff over the decay-driving mode; it must
-    leave a Poisson tail mass below 1e-10.
+    of the detection loss relative to the interaction.
     """
 
     n0: float
     eta: float
     gamma_tau: float
     loss_order: str = LOSS_AFTER
-    n_trunc: int | None = None
 
     def __post_init__(self):
         if self.n0 < 0:
@@ -80,19 +79,17 @@ class ProtocolParams:
                 f"loss_order must be {LOSS_AFTER!r} or {LOSS_BEFORE!r}, "
                 f"got {self.loss_order!r}"
             )
-        if self.n_trunc is not None and self.n_trunc < 0:
-            raise ValueError("n_trunc must be non-negative")
 
     @property
     def detected_mean(self) -> float:
         return self.n0 * self.eta
 
 
-def _mixture_means(params: ProtocolParams, theta: float, mode: str):
-    """(B, D): mean of the decay-driving mode and detected read-out mean."""
+def _mixture_means(params: ProtocolParams, theta, mode: str):
+    """(B, D) at scalar or array ``theta``: decay-driving and detected read-out means."""
     if mode not in ("d", "p"):
         raise ValueError(f"mode must be 'd' or 'p', got {mode!r}")
-    pop_read = math.cos(theta / 2.0) ** 2 if mode == "d" else math.sin(theta / 2.0) ** 2
+    pop_read = np.cos(theta / 2.0) ** 2 if mode == "d" else np.sin(theta / 2.0) ** 2
     pop_ctrl = 1.0 - pop_read
     d = params.eta * params.n0 * pop_read
     if params.loss_order == LOSS_AFTER:
@@ -132,49 +129,74 @@ def super_rabi_means_approx(params: ProtocolParams, theta: float) -> tuple[float
     return tuple(out)
 
 
-def _control_cutoff(params: ProtocolParams, b: float) -> int:
-    if params.n_trunc is not None:
-        tail = float(poisson.sf(params.n_trunc, b)) if b > 0 else 0.0
-        if tail > 1e-10:
-            raise ValueError(
-                f"n_trunc={params.n_trunc} leaves Poisson tail mass {tail:.3e} > 1e-10"
-            )
-        return params.n_trunc
-    if b <= 0:
-        return 0
-    cut = int(poisson.isf(POISSON_TAIL, b)) + 1
-    return min(cut, N_TRUNC_CAP)
+def _window(mean: float) -> int:
+    """Last index kept of a sum over a Poisson(mean) variable."""
+    return math.ceil(mean + 8.0 * math.sqrt(mean) + 10.0)
 
 
-def _count_cutoff(d: float) -> int:
-    if d <= 0:
-        return 1
-    return min(int(poisson.isf(POISSON_TAIL, d)) + 1, N_TRUNC_CAP)
+def _tail_bound(mean: float, cut: int) -> float:
+    """Upper bound on P(X > cut) for X ~ Poisson(mean).
+
+    Beyond cut + 1 consecutive terms shrink by at least mean / (cut + 2),
+    so the tail is at most Poisson(cut + 1; mean) / (1 - mean / (cut + 2)).
+    """
+    if mean <= 0:
+        return 0.0
+    if cut + 2 <= mean:
+        return math.inf
+    log_head = (cut + 1) * math.log(mean) - mean - math.lgamma(cut + 2)
+    return math.exp(log_head) / (1.0 - mean / (cut + 2))
+
+
+def _mixture_table(
+    params: ProtocolParams, thetas, mode: str = "d", n_cut: int | None = None
+) -> np.ndarray:
+    """P(n | theta) for n = 0..n_cut on every angle, shape (T, n_cut + 1).
+
+    k runs to the window of the largest B and, without ``n_cut``, n to that
+    of the largest D; :class:`NumericalError` if the neglected mass could
+    exceed ``TAIL_MASS_MAX``.  Terms log Pois(k; B) - mu_k + n log D
+    - n gamma_tau k - log n! (mu_k = D e^(-gamma_tau k)) stay finite or
+    -inf, so D = 0 or B = 0 give exact point masses.
+    """
+    b, d = _mixture_means(params, np.atleast_1d(np.asarray(thetas, dtype=float)), mode)
+    b_max = float(b.max(initial=0.0))
+    k_cut = _window(b_max)
+    neglected = _tail_bound(b_max, k_cut)
+    if n_cut is None:
+        d_max = float(d.max(initial=0.0))
+        n_cut = _window(d_max)
+        neglected += _tail_bound(d_max, n_cut)
+    if neglected > TAIL_MASS_MAX:
+        raise NumericalError(
+            f"Poisson-mixture truncation at k <= {k_cut}, n <= {n_cut} may "
+            f"neglect mass {neglected:.3e} > {TAIL_MASS_MAX:.0e}"
+        )
+    gt = params.gamma_tau
+    k = np.arange(k_cut + 1)
+    n = np.arange(n_cut + 1)
+    b, d = b[:, None], d[:, None]
+    head = xlogy(k, b) - b - gammaln(k + 1) - d * np.exp(-gt * k)
+    tail = xlogy(n, d) - gammaln(n + 1)
+    table = np.zeros((b.shape[0], n.size))
+    rows = max(1, BLOCK_ELEMENTS // (k.size * n.size))
+    k_step = max(1, BLOCK_ELEMENTS // (rows * n.size))
+    for k0 in range(0, k.size, k_step):
+        ks = slice(k0, k0 + k_step)
+        decay = np.outer(gt * k[ks], n)
+        for r0 in range(0, table.shape[0], rows):
+            rs = slice(r0, r0 + rows)
+            terms = head[rs, ks, None] + tail[rs, None, :]
+            terms -= decay
+            table[rs] += np.exp(terms, out=terms).sum(axis=1)
+    return table
 
 
 def count_pmf(
     params: ProtocolParams, theta: float, mode: str = "d", n_cut: int | None = None
 ) -> np.ndarray:
     """Dense pmf over detected counts 0..n_cut (inclusive) in one mode."""
-    b, d = _mixture_means(params, theta, mode)
-    k_cut = _control_cutoff(params, b)
-    if n_cut is None:
-        n_cut = _count_cutoff(d)
-    k = np.arange(k_cut + 1)
-    n = np.arange(n_cut + 1)
-    if b > 0:
-        log_w = k * math.log(b) - b - gammaln(k + 1)
-    else:
-        log_w = np.where(k == 0, 0.0, -np.inf)
-    mu = d * np.exp(-params.gamma_tau * k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mu = np.where(mu > 0, np.log(np.where(mu > 0, mu, 1.0)), -np.inf)
-        # log Poisson(n; mu) for every (k, n) pair; mu = 0 handled below
-        log_pois = n[None, :] * log_mu[:, None] - mu[:, None] - gammaln(n + 1)[None, :]
-    log_pois = np.where((mu[:, None] == 0) & (n[None, :] == 0), 0.0, log_pois)
-    log_pois = np.where((mu[:, None] == 0) & (n[None, :] > 0), -np.inf, log_pois)
-    pmf = np.exp(log_w)[:, None] * np.exp(log_pois)
-    return pmf.sum(axis=0)
+    return _mixture_table(params, theta, mode, n_cut)[0]
 
 
 def count_distribution(
@@ -183,15 +205,15 @@ def count_distribution(
     """Distribution of the detected photon number in ``mode`` at ``theta``.
 
     Truncated so that the neglected Poisson tails stay below 1e-12 in both
-    the count and the decay-driving sums; the result is normalized within
-    1e-9.  Raises if a user-supplied ``n_trunc`` leaves more tail mass.
+    the count and the decay-driving sums; raises :class:`NumericalError`
+    if the result is not normalized within 1e-9.
     """
     pmf = count_pmf(params, theta, mode)
     dist = CountDistribution({int(n): float(p) for n, p in enumerate(pmf)}, theta=theta)
     defect = abs(dist.total() - 1.0)
     if defect > 1e-9:
-        raise ValueError(
-            f"count distribution truncation insufficient: tail mass {defect:.3e}"
+        raise NumericalError(
+            f"count distribution not normalized: total mass defect {defect:.3e}"
         )
     return dist
 

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rydsense import multiparticle
 from rydsense.cli import main
 
 
@@ -202,6 +205,24 @@ class TestFiScan:
                 assert nfi <= 1.0 + 1e-6
         after = [float(r[4]) for r in rows if r[1] == "after_interaction" and float(r[0]) > 0]
         assert max(after) > 1.0
+
+    LARGE_N0 = {"n0": 400.0, "eta": 0.5, "gamma_taus": [0.034], "theta_points": 3}
+
+    def test_large_n0_runs(self, tmp_path):
+        # theta = 3.0 puts B near 400, beyond any fixed cap on the k-sum
+        out = tmp_path / "fi.csv"
+        cfg = write_config(tmp_path / "c.json", {**self.LARGE_N0, "output_path": str(out)})
+        assert run_cli("fi-scan", cfg) == 0
+        _, rows = read_csv(out)
+        assert all(math.isfinite(float(r[3])) and float(r[3]) > 0 for r in rows)
+
+    def test_truncation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(multiparticle, "_window", lambda mean: int(mean))
+        cfg = write_config(
+            tmp_path / "c.json", {**self.LARGE_N0, "output_path": str(tmp_path / "x.csv")}
+        )
+        assert run_cli("fi-scan", cfg) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_bad_loss_order_rejected(self, tmp_path):
         cfg = write_config(
@@ -432,6 +453,25 @@ class TestCommonMachinery:
     def test_missing_config_file(self, capsys):
         assert run_cli("toy-fi", "/nonexistent/path.json") == 2
         assert "config" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the package's one truncation rule is closed-form; scipy.stats
+        # would only add its import time to every run
+        src = Path(multiparticle.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, rydsense, rydsense.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_invocation_smoke(self, tmp_path):
         out = tmp_path / "toy.csv"

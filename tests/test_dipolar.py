@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,20 @@ class TestMonteCarloReadout:
         r2 = readout_expectation_mc(0.3, 1, MC_PARAMS, samples=100_000, seed=9)
         ratio = r2.stderr / r1.stderr
         assert abs(ratio - 1 / math.sqrt(2)) < 0.2 / math.sqrt(2)
+
+    def test_lda_warns_where_factor_exceeds_one(self):
+        # the exact read-out averages unit phases; this dense cloud drives
+        # the LDA estimate to about 3.5
+        dense = DipolarParams.from_tabulated(
+            TABULATED_C3_GHZ_UM3, CloudGeometry("gaussian", (10.0, 10.0, 20.0))
+        )
+        with pytest.warns(RuntimeWarning, match="cannot exceed 1"):
+            readout_expectation_mc(2.0, 2, dense, seed=1)
+
+    def test_lda_silent_on_dilute_cloud(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            readout_expectation_mc(0.3, 10, MC_PARAMS, samples=10_000, seed=5)
 
     def test_deterministic_under_seed(self):
         a = readout_expectation_mc(0.2, 2, MC_PARAMS, samples=20_000, seed=42)

@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from rydsense.errors import NumericalError
 from rydsense.estimation import (
     BOHR_RADIUS,
     ELEMENTARY_CHARGE,
     HBAR,
+    _variance,
     default_theta_grid,
     dipole_moment_si,
     electric_field_to_rabi,
@@ -92,6 +95,12 @@ class TestMlEstimate:
         with pytest.raises(ValueError):
             ml_estimate(np.array([]), EXPERIMENT)
 
+    def test_vanished_likelihood_raises_value_error(self):
+        # with eta = 0 a detected photon has probability zero at every angle;
+        # the check must not be an assert, which python -O strips
+        with pytest.raises(ValueError, match="likelihood vanished"):
+            ml_estimate(np.array([0, 1]), ProtocolParams(55.0, 0.0, 0.03))
+
 
 class TestRunEstimation:
     def test_fi_within_three_bootstrap_sigma(self):
@@ -132,6 +141,26 @@ class TestRunEstimation:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             run_estimation(EXPERIMENT, 1.0, 1000, 300, seed=1)
+
+    def test_zero_variance_raises_numerical_error(self):
+        # n0 eta = 1e-3: every shot detects nothing, so every realization
+        # gives the same estimate
+        params = ProtocolParams(1.0, 0.001, 0.034)
+        with pytest.raises(NumericalError, match="zero variance"):
+            run_estimation(params, 2.5, 1000, 100, seed=1, n_bootstrap=2)
+
+    def test_zero_variance_in_bootstrap_draw_raises_numerical_error(self):
+        with pytest.raises(NumericalError, match="zero variance"):
+            _variance(np.full(10, 1.2))
+
+    def test_large_n0_gives_finite_fi_without_warnings(self):
+        # B reaches 400 on the grid, far above the k <= 200 a fixed cap allowed
+        params = ProtocolParams(400.0, 0.5, 0.034)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_estimation(params, 1.2, 1000, 100, seed=1, n_bootstrap=2)
+        assert math.isfinite(result.fi_per_shot) and result.fi_per_shot > 0
+        assert abs(result.bias) < 0.1
 
     def test_few_realizations_warn(self):
         with pytest.warns(UserWarning, match="realizations"):

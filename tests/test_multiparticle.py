@@ -1,16 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from rydsense import multiparticle
 from rydsense.error_prevention import error_prevention_channel
+from rydsense.errors import NumericalError
 from rydsense.fockspace import FockBasis, apply_channel, mode_operator
 from rydsense.multiparticle import (
     LOSS_AFTER,
     LOSS_BEFORE,
     ProtocolParams,
     count_distribution,
+    count_pmf,
     fisher_information,
     fit_exponential_decay,
     interaction_channel_kraus,
@@ -93,10 +99,10 @@ class TestCountDistribution:
         assert dist.total() == pytest.approx(1.0, abs=1e-9)
         assert dist.mean() == pytest.approx(super_rabi_means(params, theta)[0], abs=1e-8)
 
-    def test_insufficient_user_truncation_reports_tail(self):
-        params = ProtocolParams(20.0, 0.5, 0.3, n_trunc=3)
-        with pytest.raises(ValueError, match="tail"):
-            count_distribution(params, math.pi / 2)
+    def test_too_narrow_window_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(multiparticle, "_window", lambda mean: int(mean))
+        with pytest.raises(NumericalError, match="neglect"):
+            count_distribution(ProtocolParams(20.0, 0.5, 0.3), math.pi / 2)
 
     def test_mode_symmetry_against_oracle(self):
         # p-mode counts at theta equal d-mode counts at pi - theta, and both
@@ -108,6 +114,61 @@ class TestCountDistribution:
         assert dist_p.tv_distance(dist_d_swapped) < 1e-12
         oracle = kraus_pipeline_distribution(1.5, 0.3, 0.6, theta, mode="p")
         assert dist_p.tv_distance(oracle) < 1e-6
+
+
+def reference_pmf(n0, eta, gamma_tau, theta, mode, order, n_cut):
+    """Double sum of scipy Poisson pmfs over k and n = 0..n_cut."""
+    read, ctrl = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
+    if mode == "p":
+        read, ctrl = ctrl, read
+    b = n0 * ctrl * (eta if order == LOSS_BEFORE else 1.0)
+    d = eta * n0 * read
+    k = np.arange(int(b + 12 * math.sqrt(b) + 40))[:, None]
+    n = np.arange(n_cut + 1)[None, :]
+    return (poisson.pmf(k, b) * poisson.pmf(n, d * np.exp(-gamma_tau * k))).sum(axis=0)
+
+
+class TestMixtureKernel:
+    @given(
+        n0=st.floats(min_value=0.0, max_value=1000.0),
+        eta=st.floats(min_value=0.0, max_value=1.0),
+        gamma_tau=st.floats(min_value=0.0, max_value=0.5),
+        theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+        mode=st.sampled_from(["d", "p"]),
+        order=st.sampled_from([LOSS_AFTER, LOSS_BEFORE]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy_double_sum(self, n0, eta, gamma_tau, theta, mode, order):
+        params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
+        pmf = count_pmf(params, theta, mode)
+        assert pmf.min() >= 0.0
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
+        expected = reference_pmf(n0, eta, gamma_tau, theta, mode, order, pmf.size - 1)
+        assert np.max(np.abs(pmf - expected)) <= 1e-12
+
+    def test_no_detection_is_point_mass(self):
+        pmf = count_pmf(ProtocolParams(50.0, 0.0, 0.2), 1.0)
+        assert pmf[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(pmf[1:] == 0.0)
+
+    def test_rows_match_single_angle_calls(self):
+        params = ProtocolParams(30.0, 0.4, 0.1)
+        thetas = [0.0, 0.8, 2.0, math.pi]
+        table = multiparticle._mixture_table(params, thetas, n_cut=25)
+        for row, theta in zip(table, thetas):
+            assert np.max(np.abs(row - count_pmf(params, theta, n_cut=25))) <= 1e-14
+
+    def test_large_n0_memory_bounded_by_block_budget(self):
+        # one (k, n) slab at n0 = 2000, eta = 1 holds 5.6e6 terms (45 MB) per angle
+        params = ProtocolParams(2000.0, 1.0, 0.034)
+        tracemalloc.start()
+        try:
+            table = multiparticle._mixture_table(params, [0.0, math.pi / 2, math.pi])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-9
+        assert peak <= 4 * multiparticle.BLOCK_ELEMENTS * 8
 
 
 class TestInteractionChannel:
