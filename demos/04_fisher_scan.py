@@ -21,19 +21,16 @@ gamma_taus = (0.0, 0.04, 0.15, 0.3)
 
 for order in (LOSS_AFTER, LOSS_BEFORE):
     print(f"loss order: {order}")
+    # one batched call per column: the exact FI of every angle at once
+    columns = [
+        normalized_fi(ProtocolParams(55.0, 0.02, gamma_tau, loss_order=order), thetas)
+        for gamma_tau in gamma_taus
+    ]
     header = "theta".rjust(7) + "".join(f"  gt={g:<5}" for g in gamma_taus)
     print(header)
-    for theta in thetas:
-        cells = []
-        for gamma_tau in gamma_taus:
-            params = ProtocolParams(55.0, 0.02, gamma_tau, loss_order=order)
-            cells.append(f"{normalized_fi(params, theta):8.3f}")
-        print(f"{theta:7.2f}" + "".join(cells))
-    peaks = []
-    for gamma_tau in gamma_taus:
-        params = ProtocolParams(55.0, 0.02, gamma_tau, loss_order=order)
-        peaks.append(max(normalized_fi(params, t) for t in thetas))
-    print("peak per column: " + "  ".join(f"{p:.3f}" for p in peaks))
+    for i, theta in enumerate(thetas):
+        print(f"{theta:7.2f}" + "".join(f"{column[i]:8.3f}" for column in columns))
+    print("peak per column: " + "  ".join(f"{column.max():.3f}" for column in columns))
     print()
 
 print("with losses after the interaction the normalized information exceeds")

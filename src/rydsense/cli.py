@@ -7,7 +7,8 @@ produce byte-identical files.  Relative output paths resolve under
 ``$RYDSENSE_OUTPUT_DIR`` (default: current directory).
 
 Exit codes: 0 success, 2 config validation error, 3 numerical failure
-(quadrature convergence, Poisson-mixture truncation, zero ML variance).
+(quadrature convergence, Poisson-mixture truncation, zero ML variance,
+exact and finite-difference F(theta*) disagreeing).
 """
 
 from __future__ import annotations
@@ -304,11 +305,9 @@ def cmd_fi_scan(cfg: dict) -> Path:
     for gamma_tau in cfg["gamma_taus"]:
         for order in cfg["loss_orders"]:
             params = ProtocolParams(cfg["n0"], cfg["eta"], gamma_tau, loss_order=order)
-            for theta in thetas:
-                fi = multiparticle.fisher_information(params, float(theta))
-                rows.append(
-                    (gamma_tau, order, float(theta), fi, fi / params.detected_mean)
-                )
+            fis = multiparticle.fisher_information(params, thetas)
+            for theta, fi in zip(thetas.tolist(), fis.tolist()):
+                rows.append((gamma_tau, order, theta, fi, fi / params.detected_mean))
     return write_table(cfg, "rydsense.fi_scan", columns, rows)
 
 

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .multiparticle import ProtocolParams, _mixture_table, count_pmf, fisher_information
+from .fockspace import classical_fi
+from .multiparticle import (
+    ProtocolParams,
+    _mixture_table,
+    count_distribution,
+    count_pmf,
+    fisher_information,
+)
 
 __all__ = [
     "HBAR",
@@ -45,6 +52,8 @@ BOHR_RADIUS = 5.29177210903e-11  # m
 
 DEFAULT_GRID_POINTS = 2000
 DEFAULT_BOOTSTRAP = 200
+# Largest relative gap between the exact F(theta*) and its finite difference.
+FI_CROSS_CHECK_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -307,22 +316,34 @@ def sensitivity_from_model(
     rabi_frequency: float,
     dipole_moment: float,
     grid_points: int = 512,
-    step: float = 1e-5,
     fisher_override: float | None = None,
 ) -> SensitivityReport:
     """Sensitivity at the Fisher-information-optimal angle of the model.
 
-    Scans the analytic per-shot FI over an interior grid of (0, pi), picks
-    the best angle theta*, sets the per-shot precision to 1/sqrt(F) and the
-    pulse time to T = theta* / Omega.  ``fisher_override`` substitutes an
+    Scans the exact per-shot FI over an interior grid of (0, pi) in one
+    batched call, picks the best angle theta*, sets the per-shot precision
+    to 1/sqrt(F) and the pulse time to T = theta* / Omega.  The F it
+    reports, read at the best grid angle, is checked once against the
+    finite-difference FI there; a relative gap above ``FI_CROSS_CHECK_MAX``
+    raises :class:`NumericalError`.  ``fisher_override`` substitutes an
     externally measured F while keeping the model's theta*.
     """
     if rabi_frequency <= 0:
         raise ValueError("rabi_frequency must be positive")
     grid = default_theta_grid(grid_points)
-    fis = np.array([fisher_information(params, t, step) for t in grid])
+    fis = fisher_information(params, grid)
+    best = int(np.argmax(fis))
     theta_star = float(_refine_argmax(grid, fis)[0])
-    fi_star = float(fis.max())
+    fi_star = float(fis[best])
+    fi_fd = classical_fi(
+        lambda t: count_distribution(params, t), float(grid[best]), degenerate="limit"
+    )
+    gap = abs(fi_star - fi_fd) / fi_fd if fi_fd > 0 else math.inf
+    if not gap <= FI_CROSS_CHECK_MAX:
+        raise NumericalError(
+            f"exact F = {fi_star:.12g} and finite-difference F = {fi_fd:.12g} at "
+            f"theta = {grid[best]:.6g} differ by {gap:.2e} relative"
+        )
     fi_used = fisher_override if fisher_override is not None else fi_star
     pulse_time = theta_star / rabi_frequency
     return field_precision(

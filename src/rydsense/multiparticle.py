@@ -28,14 +28,13 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import NumericalError
-from .fockspace import CountDistribution, FockBasis, KrausChannel, classical_fi
+from .fockspace import CountDistribution, FockBasis, KrausChannel
 
 __all__ = [
     "LOSS_AFTER",
     "LOSS_BEFORE",
     "ProtocolParams",
     "super_rabi_means",
-    "super_rabi_means_approx",
     "count_distribution",
     "count_pmf",
     "interaction_channel_kraus",
@@ -49,8 +48,8 @@ LOSS_BEFORE = "before_interaction"
 
 # Largest probability mass a truncated Poisson-mixture sum may neglect.
 TAIL_MASS_MAX = 1e-12
-# Elements of the (angle, k, n) term array evaluated at once.
-BLOCK_ELEMENTS = 1 << 20
+# Elements of the (angle, k, n) term block evaluated at once.
+BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,21 @@ class ProtocolParams:
         return self.n0 * self.eta
 
 
-def _mixture_means(params: ProtocolParams, theta, mode: str):
-    """(B, D) at scalar or array ``theta``: decay-driving and detected read-out means."""
+def _mixture_means(params: ProtocolParams, theta, mode: str, order: int = 0):
+    """(B, D) at scalar or array ``theta``: decay-driving and detected read-out means.
+
+    ``order`` 1 or 2 gives their first or second theta-derivative instead.
+    """
     if mode not in ("d", "p"):
         raise ValueError(f"mode must be 'd' or 'p', got {mode!r}")
-    pop_read = np.cos(theta / 2.0) ** 2 if mode == "d" else np.sin(theta / 2.0) ** 2
-    pop_ctrl = 1.0 - pop_read
+    if order == 0:
+        pop_read = np.cos(theta / 2.0) ** 2 if mode == "d" else np.sin(theta / 2.0) ** 2
+        pop_ctrl = 1.0 - pop_read
+    else:
+        # cos^2(theta/2) = (1 + cos theta) / 2 and sin^2(theta/2) = (1 - cos theta) / 2
+        slope = 0.5 * (np.sin(theta) if order == 1 else np.cos(theta))
+        pop_read = -slope if mode == "d" else slope
+        pop_ctrl = -pop_read
     d = params.eta * params.n0 * pop_read
     if params.loss_order == LOSS_AFTER:
         b = params.n0 * pop_ctrl
@@ -116,19 +124,6 @@ def super_rabi_means(params: ProtocolParams, theta: float) -> tuple[float, float
     return tuple(out)
 
 
-def super_rabi_means_approx(params: ProtocolParams, theta: float) -> tuple[float, float]:
-    """First-order variant with exp(-B gamma_tau) decay, for comparison only.
-
-    Valid for gamma_tau << 1; the exact form from
-    :func:`super_rabi_means` is used everywhere else in the package.
-    """
-    out = []
-    for mode in ("d", "p"):
-        b, d = _mixture_means(params, theta, mode)
-        out.append(d * math.exp(-b * params.gamma_tau))
-    return tuple(out)
-
-
 def _window(mean: float) -> int:
     """Last index kept of a sum over a Poisson(mean) variable."""
     return math.ceil(mean + 8.0 * math.sqrt(mean) + 10.0)
@@ -149,8 +144,12 @@ def _tail_bound(mean: float, cut: int) -> float:
 
 
 def _mixture_table(
-    params: ProtocolParams, thetas, mode: str = "d", n_cut: int | None = None
-) -> np.ndarray:
+    params: ProtocolParams,
+    thetas,
+    mode: str = "d",
+    n_cut: int | None = None,
+    derivatives: bool = False,
+):
     """P(n | theta) for n = 0..n_cut on every angle, shape (T, n_cut + 1).
 
     k runs to the window of the largest B and, without ``n_cut``, n to that
@@ -158,6 +157,14 @@ def _mixture_table(
     exceed ``TAIL_MASS_MAX``.  Terms log Pois(k; B) - mu_k + n log D
     - n gamma_tau k - log n! (mu_k = D e^(-gamma_tau k)) stay finite or
     -inf, so D = 0 or B = 0 give exact point masses.
+
+    Angles and k are processed in blocks of at most ``BLOCK_ELEMENTS`` terms
+    that reuse one buffer.  With ``derivatives`` the block holds
+    Pois(n; mu_k) alone and three reductions over k return (P, dP/dB,
+    dP/dD), each (T, n_cut + 1), from the shift forms
+    dP/dB = sum_k [Pois(k - 1; B) - Pois(k; B)] Pois(n; mu_k) and
+    dP/dD(n) = Q(n - 1) - Q(n), Q(n) = sum_k Pois(k; B) e^(-gamma_tau k)
+    Pois(n; mu_k), which divide by neither B nor D.
     """
     b, d = _mixture_means(params, np.atleast_1d(np.asarray(thetas, dtype=float)), mode)
     b_max = float(b.max(initial=0.0))
@@ -176,20 +183,39 @@ def _mixture_table(
     k = np.arange(k_cut + 1)
     n = np.arange(n_cut + 1)
     b, d = b[:, None], d[:, None]
-    head = xlogy(k, b) - b - gammaln(k + 1) - d * np.exp(-gt * k)
+    log_fact = gammaln(k + 1)
+    damp = np.exp(-gt * k)
     tail = xlogy(n, d) - gammaln(n + 1)
-    table = np.zeros((b.shape[0], n.size))
-    rows = max(1, BLOCK_ELEMENTS // (k.size * n.size))
-    k_step = max(1, BLOCK_ELEMENTS // (rows * n.size))
-    for k0 in range(0, k.size, k_step):
-        ks = slice(k0, k0 + k_step)
-        decay = np.outer(gt * k[ks], n)
-        for r0 in range(0, table.shape[0], rows):
-            rs = slice(r0, r0 + rows)
-            terms = head[rs, ks, None] + tail[rs, None, :]
-            terms -= decay
-            table[rs] += np.exp(terms, out=terms).sum(axis=1)
-    return table
+    angles = b.shape[0]
+    sums = np.zeros((angles, 3, n.size) if derivatives else (angles, n.size))
+    rows = min(angles, max(1, BLOCK_ELEMENTS // (k.size * n.size)))
+    k_step = min(k.size, max(1, BLOCK_ELEMENTS // (rows * n.size)))
+    block = np.empty((rows, k_step, n.size))
+    for r0 in range(0, angles, rows):
+        rs = slice(r0, r0 + rows)
+        log_w = xlogy(k, b[rs]) - b[rs] - log_fact
+        mu = d[rs] * damp
+        if derivatives:
+            head = -mu
+            w = np.exp(log_w)
+            dw = -np.diff(w, prepend=0.0, axis=1)  # Pois(k - 1; B) - Pois(k; B)
+            weights = np.stack((w, dw, w * damp), axis=1)
+        else:
+            head = log_w - mu
+        for k0 in range(0, k.size, k_step):
+            ks = slice(k0, k0 + k_step)
+            terms = block[: head.shape[0], : k[ks].size]
+            np.add(head[:, ks, None], tail[rs, None, :], out=terms)
+            terms -= np.outer(gt * k[ks], n)
+            np.exp(terms, out=terms)
+            if derivatives:
+                sums[rs] += weights[:, :, ks] @ terms
+            else:
+                sums[rs] += terms.sum(axis=1)
+    if not derivatives:
+        return sums
+    p, dp_db, q = sums[:, 0], sums[:, 1], sums[:, 2]
+    return p, dp_db, -np.diff(q, prepend=0.0, axis=1)
 
 
 def count_pmf(
@@ -304,22 +330,34 @@ def interaction_channel_kraus(
     return KrausChannel(basis, tuple(ops), trace_preserving=True)
 
 
-def fisher_information(
-    params: ProtocolParams, theta: float, step: float = 1e-5, mode: str = "d"
-) -> float:
-    """Per-shot Fisher information of the detected-count distribution."""
-    return classical_fi(
-        lambda t: count_distribution(params, t, mode), theta, step, degenerate="limit"
-    )
+def fisher_information(params: ProtocolParams, theta, mode: str = "d"):
+    """Per-shot Fisher information of the detected counts, exact and angle-batched.
+
+    F(theta) = sum_n (dP/dtheta)^2 / P with dP/dtheta = B' dP/dB + D' dP/dD
+    from one kernel pass over all angles.  Outcomes with P = 0 at an angle
+    where B' = D' = 0 (mode p at theta = 0) contribute their limit
+    2 d^2P/dtheta^2 = 2 (B'' dP/dB + D'' dP/dD).  A scalar ``theta`` gives a
+    float, an array an array of its shape.
+    """
+    thetas = np.asarray(theta, dtype=float)
+    column = thetas.reshape(-1, 1)
+    p, dp_db, dp_dd = _mixture_table(params, column[:, 0], mode, derivatives=True)
+    db, dd = _mixture_means(params, column, mode, order=1)
+    d2b, d2d = _mixture_means(params, column, mode, order=2)
+    live = p > 0.0
+    grad = db * dp_db + dd * dp_dd
+    fi = np.sum(np.divide(grad**2, p, out=np.zeros_like(p), where=live), axis=1)
+    stationary = (db == 0.0) & (dd == 0.0)
+    limit = 2.0 * (d2b * dp_db + d2d * dp_dd)
+    fi += np.sum(limit, axis=1, where=~live & stationary)
+    return float(fi[0]) if thetas.ndim == 0 else fi.reshape(thetas.shape)
 
 
-def normalized_fi(
-    params: ProtocolParams, theta: float, step: float = 1e-5, mode: str = "d"
-) -> float:
+def normalized_fi(params: ProtocolParams, theta, mode: str = "d"):
     """Fisher information per mean detected photon, F / (n0 eta)."""
     if params.detected_mean <= 0:
         raise ValueError("normalized FI undefined for zero mean photon number")
-    return fisher_information(params, theta, step, mode) / params.detected_mean
+    return fisher_information(params, theta, mode) / params.detected_mean
 
 
 def fit_exponential_decay(times, values) -> tuple[float, float]:

@@ -12,24 +12,37 @@ from rydsense.fockspace import (
 from rydsense.multiparticle import LOSS_AFTER, LOSS_BEFORE, interaction_channel_kraus
 
 
-def kraus_pipeline_distribution(n0, eta, gamma_tau, theta, n_max=14, loss_order=LOSS_AFTER, mode="d"):
-    """Brute-force count distribution via the full Fock-space pipeline.
+def kraus_pipeline_family(n0, eta, gamma_tau, n_max=14, loss_order=LOSS_AFTER, mode="d"):
+    """Angle -> brute-force count distribution via the full Fock-space pipeline.
 
     Coherent input, mutual-decay Kraus channel, binomial detection loss and
     a projective number measurement, marginalized onto one mode.  Serves as
-    the independent oracle for the analytic Poisson-mixture model.
+    the independent oracle for the analytic Poisson-mixture model.  The
+    channels and the measurement are built once for all angles.
     """
     basis = FockBasis(n_max)
-    alpha_d = np.sqrt(n0) * np.cos(theta / 2.0)
-    alpha_p = 1j * np.sqrt(n0) * np.sin(theta / 2.0)
-    if loss_order == LOSS_BEFORE:
-        alpha_d *= np.sqrt(eta)
-        alpha_p *= np.sqrt(eta)
-    rho = coherent_state(basis, alpha_d, alpha_p).to_density()
-    rho = apply_channel(rho, interaction_channel_kraus(basis, gamma_tau, symmetric=True))
+    channels = [interaction_channel_kraus(basis, gamma_tau, symmetric=True)]
     if loss_order == LOSS_AFTER:
-        rho = apply_channel(rho, detection_loss_channel(basis, eta))
-    return measure(rho, number_povm(basis)).marginal(mode)
+        channels.append(detection_loss_channel(basis, eta))
+    povm = number_povm(basis)
+
+    def distribution(theta):
+        alpha_d = np.sqrt(n0) * np.cos(theta / 2.0)
+        alpha_p = 1j * np.sqrt(n0) * np.sin(theta / 2.0)
+        if loss_order == LOSS_BEFORE:
+            alpha_d *= np.sqrt(eta)
+            alpha_p *= np.sqrt(eta)
+        rho = coherent_state(basis, alpha_d, alpha_p).to_density()
+        for channel in channels:
+            rho = apply_channel(rho, channel)
+        return measure(rho, povm).marginal(mode)
+
+    return distribution
+
+
+def kraus_pipeline_distribution(n0, eta, gamma_tau, theta, n_max=14, loss_order=LOSS_AFTER, mode="d"):
+    """Brute-force count distribution at one angle; see :func:`kraus_pipeline_family`."""
+    return kraus_pipeline_family(n0, eta, gamma_tau, n_max, loss_order, mode)(theta)
 
 
 @pytest.fixture

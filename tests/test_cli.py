@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydsense import multiparticle
+from rydsense import estimation, multiparticle
 from rydsense.cli import main
+from rydsense.fockspace import classical_fi
 
 
 def write_config(path, payload):
@@ -310,6 +311,17 @@ class TestSensitivity:
         payload = json.loads(out.read_text())
         assert payload["fisher_information"] == pytest.approx(3.6)
         assert payload["delta_theta_rad"] == pytest.approx(1 / math.sqrt(3.6))
+
+    def test_finite_difference_disagreement_exit_code(self, tmp_path, capsys, monkeypatch):
+        def shifted(family, theta, **kwargs):
+            return classical_fi(family, theta, **kwargs) * (1.0 + 2e-6)
+
+        monkeypatch.setattr(estimation, "classical_fi", shifted)
+        cfg = write_config(
+            tmp_path / "c.json", {**self.BASE, "output_path": str(tmp_path / "x.json")}
+        )
+        assert run_cli("sensitivity", cfg) == 3
+        assert "finite-difference" in capsys.readouterr().err
 
     def test_missing_dipole_rejected(self, tmp_path, capsys):
         cfg_dict = {**self.BASE, "output_path": str(tmp_path / "x.json")}

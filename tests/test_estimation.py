@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from rydsense import estimation
 from rydsense.errors import NumericalError
 from rydsense.estimation import (
     BOHR_RADIUS,
@@ -21,6 +22,7 @@ from rydsense.estimation import (
     sample_shots,
     sensitivity_from_model,
 )
+from rydsense.fockspace import classical_fi
 from rydsense.multiparticle import (
     ProtocolParams,
     count_pmf,
@@ -247,6 +249,16 @@ class TestSensitivityPipeline:
         f_star = fisher_information(EXPERIMENT, report.theta_star)
         for theta in np.linspace(0.1, 3.0, 30):
             assert fisher_information(EXPERIMENT, theta) <= f_star * (1 + 1e-3)
+
+    def test_finite_difference_disagreement_raises(self, monkeypatch):
+        def shifted(family, theta, **kwargs):
+            return classical_fi(family, theta, **kwargs) * (1.0 + 2e-6)
+
+        monkeypatch.setattr(estimation, "classical_fi", shifted)
+        with pytest.raises(NumericalError, match="finite-difference"):
+            sensitivity_from_model(
+                EXPERIMENT, REFERENCE_RABI, REFERENCE_DIPOLE, grid_points=128
+            )
 
     def test_fisher_override_is_used(self):
         report = sensitivity_from_model(

@@ -10,7 +10,7 @@ from scipy.stats import poisson
 from rydsense import multiparticle
 from rydsense.error_prevention import error_prevention_channel
 from rydsense.errors import NumericalError
-from rydsense.fockspace import FockBasis, apply_channel, mode_operator
+from rydsense.fockspace import FockBasis, apply_channel, classical_fi, mode_operator
 from rydsense.multiparticle import (
     LOSS_AFTER,
     LOSS_BEFORE,
@@ -22,12 +22,20 @@ from rydsense.multiparticle import (
     interaction_channel_kraus,
     normalized_fi,
     super_rabi_means,
-    super_rabi_means_approx,
 )
 
-from conftest import kraus_pipeline_distribution
+from conftest import kraus_pipeline_distribution, kraus_pipeline_family
 
 EXPERIMENT = ProtocolParams(n0=55.0, eta=0.02, gamma_tau=0.028)
+
+
+def super_rabi_means_approx(params, theta):
+    """First-order variant of the means with exp(-B gamma_tau) decay."""
+    out = []
+    for mode in ("d", "p"):
+        b, d = multiparticle._mixture_means(params, theta, mode)
+        out.append(d * math.exp(-b * params.gamma_tau))
+    return tuple(out)
 
 
 class TestProtocolParams:
@@ -241,7 +249,104 @@ class TestOracleEquivalence:
         assert analytic.tv_distance(oracle) < 1e-6
 
 
+def reference_fi(n0, eta, gamma_tau, theta, mode, order):
+    """Per-shot FI from P and dP/dtheta built with scipy Poisson pmfs.
+
+    Ladder identity d/dmu Pois(n; mu) = Pois(n - 1; mu) - Pois(n; mu), in B
+    and in mu_k = D exp(-gamma_tau k).  Outcomes with P = 0 at an angle
+    where B' = D' = 0 contribute 2 d^2P/dtheta^2.
+    """
+    read, ctrl = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
+    slope, curve = -math.sin(theta) / 2, -math.cos(theta) / 2  # of cos^2(theta/2)
+    if mode == "p":
+        read, ctrl, slope, curve = ctrl, read, -slope, -curve
+    scale = n0 * (eta if order == LOSS_BEFORE else 1.0)
+    b, db, d2b = scale * ctrl, -scale * slope, -scale * curve
+    d, dd, d2d = eta * n0 * read, eta * n0 * slope, eta * n0 * curve
+    k = np.arange(int(b + 12 * math.sqrt(b) + 40))[:, None]
+    n = np.arange(int(d + 12 * math.sqrt(d) + 40))[None, :]
+    damp = np.exp(-gamma_tau * k)
+    w = poisson.pmf(k, b)
+    pk = poisson.pmf(n, d * damp)
+    p = (w * pk).sum(axis=0)
+    dp_db = ((poisson.pmf(k - 1, b) - w) * pk).sum(axis=0)
+    dp_dd = (w * damp * (poisson.pmf(n - 1, d * damp) - pk)).sum(axis=0)
+    grad = db * dp_db + dd * dp_dd
+    live = p > 0
+    fi = np.sum(grad[live] ** 2 / p[live])
+    if db == 0 and dd == 0:
+        fi += np.sum(2 * (d2b * dp_db + d2d * dp_dd)[~live])
+    return fi
+
+
 class TestFisherInformation:
+    @given(
+        n0=st.floats(min_value=0.0, max_value=200.0),
+        eta=st.floats(min_value=1e-3, max_value=1.0),
+        gamma_tau=st.floats(min_value=0.0, max_value=0.5),
+        theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+        mode=st.sampled_from(["d", "p"]),
+        order=st.sampled_from([LOSS_AFTER, LOSS_BEFORE]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_ladder_identity_reference(self, n0, eta, gamma_tau, theta, mode, order):
+        # the 1e-20 absolute floor sits far above the rounding noise of the
+        # k-sums, about (n0 1e-16)^2, where the FI itself nearly vanishes
+        params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
+        expected = reference_fi(n0, eta, gamma_tau, theta, mode, order)
+        assert fisher_information(params, theta, mode) == pytest.approx(
+            expected, rel=1e-10, abs=1e-20
+        )
+
+    def test_stationary_zero_probability_limit(self):
+        # mode p at theta = 0: D = 0, so P(n >= 1) = 0 and only the
+        # 2 D'' dP/dD limit of n = 1 remains, D'' = n0 eta / 2
+        params = ProtocolParams(55.0, 0.02, 0.034)
+        expected = 1.1 * math.exp(-55.0 * (1.0 - math.exp(-0.034)))
+        assert fisher_information(params, 0.0, mode="p") == pytest.approx(expected, rel=1e-12)
+
+    def test_array_call_matches_scalar_calls(self):
+        thetas = np.array([[0.0, 0.7], [2.0, math.pi]])
+        values = fisher_information(EXPERIMENT, thetas)
+        assert values.shape == thetas.shape
+        for theta, value in zip(thetas.ravel(), values.ravel()):
+            scalar = fisher_information(EXPERIMENT, float(theta))
+            assert isinstance(scalar, float)
+            assert value == pytest.approx(scalar, rel=1e-12, abs=1e-300)
+        normalized = normalized_fi(EXPERIMENT, thetas)
+        np.testing.assert_allclose(normalized, values / EXPERIMENT.detected_mean, rtol=1e-15)
+
+    @pytest.mark.parametrize("gamma_tau,order,thetas", [
+        *[(g, LOSS_AFTER, np.linspace(0.05, math.pi - 0.01, 160)) for g in (0.028, 0.034, 0.04)],
+        *[(g, o, np.linspace(0.3, 2.8, 15))
+          for g in (0.0, 0.04, 0.08, 0.15, 0.3) for o in (LOSS_AFTER, LOSS_BEFORE)],
+    ])
+    def test_matches_finite_difference_on_criterion_grids(self, gamma_tau, order, thetas):
+        # the criterion 6 and 7 grids at n0 = 55, eta = 0.02
+        params = ProtocolParams(55.0, 0.02, gamma_tau, loss_order=order)
+        exact = fisher_information(params, thetas)
+        for theta, value in zip(thetas, exact):
+            fd = classical_fi(
+                lambda t: count_distribution(params, t), theta, degenerate="limit"
+            )
+            assert value == pytest.approx(fd, rel=1e-7, abs=1e-12)
+
+    @pytest.mark.parametrize("n0,n_max", [(0.5, 11), (1.0, 12), (2.0, 14)])
+    @pytest.mark.parametrize("gamma_tau", [0.0, 0.5, 2.0])
+    def test_matches_kraus_pipeline_finite_difference(self, n0, n_max, gamma_tau):
+        # the criterion 5 grid, against the dense Fock-space oracle on the
+        # smallest basis whose coherent tail check passes
+        thetas = (0.0, math.pi / 4, math.pi / 2, math.pi)
+        exact = fisher_information(ProtocolParams(n0, 0.3, gamma_tau), np.array(thetas))
+        family = kraus_pipeline_family(n0, 0.3, gamma_tau, n_max=n_max)
+        for theta, value in zip(thetas, exact):
+            fd = classical_fi(family, theta, degenerate="limit")
+            assert value == pytest.approx(fd, rel=1e-7, abs=1e-12)
+
+    def test_module_does_not_bind_finite_difference_fi(self):
+        assert not hasattr(multiparticle, "classical_fi")
+        assert not hasattr(multiparticle, "super_rabi_means_approx")
+
     def test_reduces_to_poisson_for_both_orders(self):
         for order in (LOSS_AFTER, LOSS_BEFORE):
             params = ProtocolParams(55.0, 0.02, 0.0, loss_order=order)
