@@ -17,13 +17,11 @@ from .fockspace import (
     apply_channel,
     classical_fi,
     coherent_state,
-    compose_channels,
     detection_loss_channel,
     lossy_number_povm,
     measure,
     mode_operator,
     number_povm,
-    povm_fi,
     qfi,
     rabi_rotation,
 )

@@ -119,10 +119,12 @@ SCHEMAS = {
         "cloud_kind": _Key("str", default="box", choices=("box", "gaussian")),
         "cloud_dimensions_um": _Key("float_list", required=True),
         "t_values_us": _Key("float_list", required=True),
-        "angular_panels": _Key("int", default=256),
-        "panel_order": _Key("int", default=10),
-        "s_max": _Key("float", default=1200.0),
-        "max_rel_error": _Key("float", default=5e-3),
+        # giving any quadrature key evaluates A(t) by quadrature instead of
+        # its closed form; keys left out take the QuadratureSpec defaults
+        "angular_panels": _Key("int"),
+        "panel_order": _Key("int"),
+        "s_max": _Key("float"),
+        "max_rel_error": _Key("float"),
     },
 }
 
@@ -398,12 +400,12 @@ def cmd_dipolar(cfg: dict) -> Path:
         raise ConfigError("t_values_us must be non-empty with positive entries")
     try:
         cloud = CloudGeometry(cfg["cloud_kind"], tuple(cfg["cloud_dimensions_um"]))
-        spec = QuadratureSpec(
-            angular_panels=cfg["angular_panels"],
-            panel_order=cfg["panel_order"],
-            s_max=cfg["s_max"],
-            max_rel_error=cfg["max_rel_error"],
-        )
+        quadrature = {
+            key: cfg[key]
+            for key in ("angular_panels", "panel_order", "s_max", "max_rel_error")
+            if cfg[key] is not None
+        }
+        spec = QuadratureSpec(**quadrature) if quadrature else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     params = DipolarParams.from_tabulated(cfg["c3_over_2pi_hbar_ghz_um3"], cloud)

@@ -7,7 +7,9 @@ excitation is the complex excluded volume
 
     A(t) = integral over space of [1 - exp(-i t V(x) / hbar)] d^3x.
 
-Its real part grows linearly, Re A(t) = Q t with the closed form
+It is exactly linear in t and has a closed form (see
+:func:`excluded_volume_integral`; the adaptive quadrature that checks it
+runs only on request).  Its real part is Re A(t) = Q t with
 Q = (4 pi^2 / 9 sqrt(3)) C3/hbar, and the per-control-excitation decay rate
 of the phase-matched read-out is gamma = 2 Q / V_eff for an ensemble of
 effective volume V_eff.
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalError
 
@@ -46,6 +47,11 @@ __all__ = [
 
 # Q = Q_COEFF * C3/hbar; exact coefficient of the closed form.
 Q_COEFF = 4.0 * math.pi**2 / (9.0 * math.sqrt(3.0))
+# Dimensionless excluded-volume constant J of A(t) = (2 pi / 3) t (C3/hbar) J.
+J_CLOSED_FORM = complex(
+    2.0 * math.pi / (3.0 * math.sqrt(3.0)),
+    (2.0 * math.sqrt(3.0) / 9.0) * math.log(2.0 + math.sqrt(3.0)) - 2.0 / 3.0,
+)
 
 CLOUD_KINDS = ("box", "gaussian")
 MIN_MC_SAMPLES = 10_000
@@ -170,34 +176,10 @@ def angular_abs_integral(spec: QuadratureSpec | None = None) -> float:
     return 2.0 * math.pi * float(np.sum(w * np.abs(f)))
 
 
-def excluded_volume_integral(
-    t: float,
-    params: DipolarParams,
-    quadrature: QuadratureSpec | None = None,
-    full_output: bool = False,
-):
-    """Complex excluded volume A(t) in um^3 for interaction time t (us).
+def _quadrature_j(spec: QuadratureSpec):
+    """J = int_0^inf g(s)/s^2 ds by quadrature: (J, Re rel. error, Im abs. error, tail)."""
+    from scipy.integrate import quad
 
-    The integral is evaluated in spherical coordinates with the angular
-    integration performed inside the radial one: the signed angular lobes
-    cancel the conditionally convergent (logarithmic) imaginary tail, which
-    is the principal-value handling the bare per-angle radial integral
-    would need near the angular zeros.  The radial variable is substituted
-    as u ~ 1/r^3, which regularizes the oscillatory tail; the pure 1/r^3
-    potential then makes both parts of A exactly linear in t, with the
-    remaining quadrature living on a universal dimensionless profile.
-
-    Only the real part carries an accuracy contract (0.5% relative by
-    default); the imaginary part is reported as computed.
-
-    Raises
-    ------
-    ConvergenceError
-        If the estimated relative error of Re A exceeds the contract.
-    """
-    if t <= 0:
-        raise ValueError("interaction time t must be positive")
-    spec = quadrature or QuadratureSpec()
     c_nodes, c_weights = _angular_nodes(spec)
     f_nodes = (3.0 * c_nodes**2 - 1.0) / 2.0
 
@@ -223,25 +205,65 @@ def excluded_volume_integral(
     # Tail beyond s_max: g -> 2 plus an oscillatory remainder bounded by
     # stationary-phase decay ~ sqrt(2 pi / 3 s).
     tail_bound = math.sqrt(2.0 * math.pi / 3.0) * (2.0 / 3.0) * spec.s_max**-1.5
-    j_re = pieces["re"] + 2.0 / spec.s_max
-    j_im = pieces["im"]
-    err_re = errs["re"] + tail_bound
-    err_im = errs["im"] + tail_bound
-
-    rel = err_re / abs(j_re)
+    j = complex(pieces["re"] + 2.0 / spec.s_max, pieces["im"])
+    rel = (errs["re"] + tail_bound) / abs(j.real)
     if rel > spec.max_rel_error:
         raise ConvergenceError(
             f"excluded volume quadrature reached relative error {rel:.2e} "
             f"on the real part, contract is {spec.max_rel_error:.1e}",
             achieved=rel,
         )
+    return j, rel, errs["im"] + tail_bound, tail_bound
 
+
+def excluded_volume_integral(
+    t: float,
+    params: DipolarParams,
+    quadrature: QuadratureSpec | None = None,
+    full_output: bool = False,
+):
+    """Complex excluded volume A(t) in um^3 for interaction time t (us).
+
+    The pure 1/r^3 potential makes A exactly linear in t:
+    A(t) = (2 pi / 3) t (C3/hbar) J with the dimensionless constant
+    J = int_0^inf g(s)/s^2 ds, g(s) = int_{-1}^{1} [1 - exp(-i s f(c))] dc and
+    f(c) = (3 c^2 - 1)/2 the angular factor over c = cos(vartheta).  J has
+    the closed form
+
+        J = 2 pi / (3 sqrt 3) + i [(2 sqrt 3 / 9) ln(2 + sqrt 3) - 2/3],
+
+    whose real part gives Re A = Q t and whose imaginary part is
+    -int_{-1}^{1} f ln|f| dc.  By default A uses it, and the error entries
+    of ``full_output`` are 0.
+
+    An explicit ``quadrature`` spec evaluates J numerically instead, as an
+    independent check: the angular integration runs inside the radial one,
+    so the signed angular lobes cancel the conditionally convergent
+    (logarithmic) imaginary tail, which is the principal-value handling the
+    bare per-angle radial integral would need near the angular zeros; the
+    radial variable is substituted as u ~ 1/r^3, which regularizes the
+    oscillatory tail.  Only the real part carries an accuracy contract
+    (``max_rel_error``, 0.5% relative by default); the imaginary part is
+    reported as computed.
+
+    Raises
+    ------
+    ConvergenceError
+        If the quadrature's estimated relative error of Re A exceeds the
+        contract.
+    """
+    if t <= 0:
+        raise ValueError("interaction time t must be positive")
+    if quadrature is None:
+        j, rel, err_im, tail_bound = J_CLOSED_FORM, 0.0, 0.0, 0.0
+    else:
+        j, rel, err_im, tail_bound = _quadrature_j(quadrature)
     phase_volume = t * params.c3_over_hbar * 1e-6  # rad um^3 at time t in us
-    a = (2.0 * math.pi / 3.0) * phase_volume * complex(j_re, j_im)
+    a = (2.0 * math.pi / 3.0) * phase_volume * j
     if full_output:
         info = {
-            "j_re": j_re,
-            "j_im": j_im,
+            "j_re": j.real,
+            "j_im": j.imag,
             "re_rel_error": rel,
             "im_abs_error": (2.0 * math.pi / 3.0) * phase_volume * err_im,
             "tail_bound": tail_bound,
@@ -304,7 +326,8 @@ def readout_expectation_mc(
     Estimates the dephasing integral for a gaussian cloud by Monte Carlo.
     ``method="lda"`` samples the outer position from the density and uses
     the local-density approximation |1 - p(x) A(t)|^(2 n_p) with the
-    quadrature value of A(t); ``method="direct"`` samples all control
+    closed-form A(t), or its quadrature value when ``quadrature`` is
+    given; ``method="direct"`` samples all control
     positions and averages the exact pair phases, which is unbiased for the
     independent-control model.  Decays approximately as exp(-n_p gamma t).
     The LDA warns where a factor |1 - p(x) A(t)| exceeds 1, which an

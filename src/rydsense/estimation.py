@@ -326,10 +326,16 @@ def sensitivity_from_model(
     reports, read at the best grid angle, is checked once against the
     finite-difference FI there; a relative gap above ``FI_CROSS_CHECK_MAX``
     raises :class:`NumericalError`.  ``fisher_override`` substitutes an
-    externally measured F while keeping the model's theta*.
+    externally measured F while keeping the model's theta*.  A zero
+    detected mean n0 eta raises ``ValueError``.
     """
     if rabi_frequency <= 0:
         raise ValueError("rabi_frequency must be positive")
+    if params.detected_mean <= 0:
+        raise ValueError(
+            "sensitivity undefined: the detected mean n0 * eta is zero, so the "
+            "counts carry no information"
+        )
     grid = default_theta_grid(grid_points)
     fis = fisher_information(params, grid)
     best = int(np.argmax(fis))

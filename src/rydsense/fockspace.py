@@ -8,6 +8,15 @@ so everything is dense and exact; this module serves as the brute-force
 oracle for the analytic photon statistics implemented elsewhere in the
 package.
 
+Kraus operators and POVM elements stay dense matrices, but the algebra
+runs on their support.  If r lists the nonzero rows of K, then
+K rho K^dag is K[r,:] rho K[r,:]^dag scattered onto the (r, r) block and
+K^dag K = K[r,:]^dag K[r,:]; a POVM element vanishing outside the index set
+s has tr(rho M) = sum over i, j in s of rho_ij M_ji and the eigenvalues of
+M[s,s] plus zeros.  These identities hold for any matrix, so the results
+are those of the dense formulas; a dense operator simply has full support.
+Channels and POVMs compute their supports once, on construction.
+
 All values are immutable after construction and all operations are pure
 functions, so parameter sweeps can be evaluated in parallel without shared
 state.
@@ -32,16 +41,13 @@ __all__ = [
     "mode_operator",
     "rabi_rotation",
     "apply_channel",
-    "compose_channels",
     "detection_loss_channel",
     "number_povm",
     "lossy_number_povm",
     "measure",
-    "povm_fi",
     "classical_fi",
     "qfi",
     "coherent_state",
-    "creation_overflow_norm",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -181,6 +187,8 @@ class KrausChannel:
 
     If ``trace_preserving`` the completeness sum K^dag K must equal the
     identity within 1e-10; otherwise it must not exceed the identity.
+    ``row_blocks`` holds, per operator, its nonzero row indices r and the
+    rows K[r,:]; the completeness sum and :func:`apply_channel` use them.
     """
 
     basis: FockBasis
@@ -195,7 +203,12 @@ class KrausChannel:
         for k in ops:
             if k.shape != (d, d):
                 raise ValueError(f"Kraus operator shape {k.shape} does not match dim {d}")
-        total = sum(k.conj().T @ k for k in ops)
+        row_blocks = []
+        for k in ops:
+            rows = np.flatnonzero(np.any(k != 0, axis=1))
+            row_blocks.append((rows, k[rows]))
+        stacked = np.concatenate([block for _, block in row_blocks])
+        total = stacked.conj().T @ stacked
         defect = float(np.max(np.abs(total - np.eye(d))))
         if self.trace_preserving:
             if defect > TRACE_TOL:
@@ -209,6 +222,7 @@ class KrausChannel:
                     f"non-trace-preserving channel exceeds identity by {top - 1.0:.3e}"
                 )
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "row_blocks", tuple(row_blocks))
         object.__setattr__(self, "completeness_defect", defect)
 
     def __len__(self):
@@ -220,7 +234,9 @@ class PovmSet:
     """Positive operator valued measure with labelled outcomes.
 
     Positivity of each element and completeness of the sum are checked on
-    construction.
+    construction.  ``supports`` holds, per element, the indices s of its
+    nonzero rows and columns and the block M[s,s]; the positivity check and
+    :func:`measure` use them.
     """
 
     basis: FockBasis
@@ -233,18 +249,24 @@ class PovmSet:
             raise ValueError("one label per POVM element required")
         d = self.basis.dim
         total = np.zeros((d, d), dtype=complex)
+        supports = []
         for m in els:
             if m.shape != (d, d):
                 raise ValueError(f"POVM element shape {m.shape} does not match dim {d}")
             if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
                 raise ValueError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(m).min() < -PSD_TOL:
+            nonzero = m != 0
+            idx = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+            block = m[np.ix_(idx, idx)]
+            if idx.size and np.linalg.eigvalsh(block).min() < -PSD_TOL:
                 raise ValueError("POVM element is not positive semidefinite within 1e-10")
-            total = total + m
+            supports.append((idx, block))
+            total += m
         if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity within 1e-10")
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "supports", tuple(supports))
 
     def items(self):
         return zip(self.labels, self.elements)
@@ -359,12 +381,16 @@ def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
 
 
 def apply_channel(rho: DensityOperator, channel: KrausChannel) -> DensityOperator:
-    """Apply a Kraus channel: rho -> sum_k K rho K^dag."""
+    """Apply a Kraus channel: rho -> sum_k K rho K^dag.
+
+    Each term is K[r,:] rho K[r,:]^dag added onto the (r, r) block, with r
+    the nonzero rows of K.
+    """
     if channel.basis != rho.basis:
         raise ValueError("channel and state are defined on different bases")
-    ops = np.stack(channel.operators)
-    tmp = ops @ rho.matrix
-    out = np.tensordot(tmp, ops.conj(), axes=([0, 2], [0, 2]))
+    out = np.zeros_like(rho.matrix)
+    for rows, block in channel.row_blocks:
+        out[np.ix_(rows, rows)] += block @ rho.matrix @ block.conj().T
     out = 0.5 * (out + out.conj().T)  # suppress roundoff asymmetry
     return DensityOperator(rho.basis, out)
 
@@ -378,6 +404,26 @@ def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
         outer.basis, tuple(ops),
         trace_preserving=outer.trace_preserving and inner.trace_preserving,
     )
+
+
+def _lowering_operators(basis: FockBasis, lowered, coeffs) -> tuple:
+    """Dense operators K_j |n_d, n_p> = coeffs[j, i] |n_d - a_j, n_p - b_j>.
+
+    ``lowered`` is a (J, 2) integer array of the pairs (a_j, b_j) and
+    ``coeffs`` a (J, dim) array over the basis index i of |n_d, n_p>.  A
+    nonzero coefficient on a state with n_d < a_j or n_p < b_j raises
+    ``ValueError``.  Operators without a nonzero coefficient are left out.
+    """
+    occ = np.array(basis.occupations)
+    index = np.zeros((basis.n_max + 1,) * 2, dtype=int)
+    index[occ[:, 0], occ[:, 1]] = np.arange(basis.dim)
+    op, src = np.nonzero(coeffs)
+    dest = occ[src] - lowered[op]
+    if dest.min(initial=0) < 0:
+        raise ValueError("nonzero coefficient on a state that cannot be lowered")
+    ops = np.zeros((len(lowered), basis.dim, basis.dim), dtype=complex)
+    ops[op, index[dest[:, 0], dest[:, 1]], src] = coeffs[op, src]
+    return tuple(ops[j] for j in np.unique(op))
 
 
 def _binom_sqrt(n: int, k: int, eta: float) -> float:
@@ -395,21 +441,16 @@ def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    ops = []
-    for ld in range(basis.n_max + 1):
-        for lp in range(basis.n_max + 1 - ld):
-            k = np.zeros((basis.dim, basis.dim), dtype=complex)
-            nonzero = False
-            for i, (nd, np_) in enumerate(basis.occupations):
-                if nd < ld or np_ < lp:
-                    continue
-                coeff = _binom_sqrt(nd, ld, eta) * _binom_sqrt(np_, lp, eta)
-                if coeff != 0.0:
-                    k[basis.index_of(nd - ld, np_ - lp), i] = coeff
-                    nonzero = True
-            if nonzero:
-                ops.append(k)
-    return KrausChannel(basis, tuple(ops), trace_preserving=True)
+    n = np.arange(basis.n_max + 1)
+    comb = np.array([[math.comb(a, b) for b in n] for a in n], dtype=float)
+    kept = np.maximum(n[:, None] - n[None, :], 0)
+    # amp[n, l] = sqrt(C(n, l) eta^(n - l) (1 - eta)^l), zero for l > n
+    amp = np.sqrt(comb * eta**kept * (1.0 - eta) ** n[None, :])
+    # the operators are indexed by the lost pairs (l_d, l_p), which run over
+    # the occupation pairs of the basis
+    occ = np.array(basis.occupations)
+    coeffs = amp[occ[None, :, 0], occ[:, None, 0]] * amp[occ[None, :, 1], occ[:, None, 1]]
+    return KrausChannel(basis, _lowering_operators(basis, occ, coeffs), trace_preserving=True)
 
 
 def number_povm(basis: FockBasis) -> PovmSet:
@@ -452,8 +493,10 @@ def measure(rho: DensityOperator, povm: PovmSet) -> CountDistribution:
     if povm.basis != rho.basis:
         raise ValueError("POVM and state are defined on different bases")
     probs = {}
-    for label, m in povm.items():
-        p = float(np.real(np.trace(rho.matrix @ m)))
+    for label, (idx, block) in zip(povm.labels, povm.supports):
+        # row sums of rho[s,s] * M[s,s]^T are the diagonal of rho M on s
+        terms = rho.matrix[np.ix_(idx, idx)] * block.T
+        p = float(np.real(np.sum(np.sum(terms, axis=1))))
         probs[label] = max(p, 0.0) if p > -1e-12 else p
     return CountDistribution(probs)
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import NumericalError
-from .fockspace import CountDistribution, FockBasis, KrausChannel
+from .fockspace import CountDistribution, FockBasis, KrausChannel, _lowering_operators
 
 __all__ = [
     "LOSS_AFTER",
@@ -266,68 +266,50 @@ def interaction_channel_kraus(
     (gt = gamma_tau, number operators evaluated on the input state).  The
     symmetric variant K_{k,m} damps both modes mutually and recovers the
     two-excitation error-prevention pair in the limit gamma_tau -> inf.
-    All operators only lower occupations, so the channel is exactly trace
-    preserving on the truncated space; operators with negligible weight
-    are dropped and the resulting completeness defect is available on the
-    returned channel.
+    All operators only lower occupations, so the channel is trace
+    preserving on the truncated space up to the weights below 1e-14 that
+    are dropped.  Its completeness defect is checked once, on the returned
+    channel (built as not trace preserving, so it is checked not to exceed
+    the identity): above 1e-6 it raises ``ValueError``.
     """
     if gamma_tau < 0:
         raise ValueError("gamma_tau must be non-negative")
     gt = float(gamma_tau)
-    dim = basis.dim
-
-    def log_fall(n: int, l: int) -> float:
-        # log of the falling factorial n!/(n-l)!
-        return gammaln(n + 1) - gammaln(n - l + 1)
-
-    ops = []
-    if not symmetric:
-        for l in range(basis.n_max + 1):
-            if l > 0 and gt == 0.0:
-                break
-            k = np.zeros((dim, dim), dtype=complex)
-            for i, (nd, np_) in enumerate(basis.occupations):
-                if nd < l or (l > 0 and np_ == 0):
-                    continue
-                log_amp2 = -gt * np_ * nd
-                if l > 0:
-                    log_amp2 += l * _log_expm1(gt * np_) - gammaln(l + 1)
-                    log_amp2 += log_fall(nd, l)
-                coeff = math.exp(0.5 * log_amp2)
-                if coeff > 1e-14:
-                    k[basis.index_of(nd - l, np_), i] = coeff
-            if np.any(k):
-                ops.append(k)
+    occ = np.array(basis.occupations)
+    n = np.arange(basis.n_max + 1)
+    if gt == 0.0:
+        lowered = np.zeros((1, 2), dtype=int)
+    elif symmetric:
+        # K_{k,m} lowers (n_d, n_p) by (m, k); (k, m) runs in basis order
+        lowered = occ[:, ::-1]
     else:
-        for kk in range(basis.n_max + 1):
-            for mm in range(basis.n_max + 1 - kk):
-                if (kk > 0 or mm > 0) and gt == 0.0:
-                    continue
-                k = np.zeros((dim, dim), dtype=complex)
-                for i, (nd, np_) in enumerate(basis.occupations):
-                    if np_ < kk or nd < mm:
-                        continue
-                    if (kk > 0 and nd == 0) or (mm > 0 and np_ == 0):
-                        continue
-                    log_amp2 = -2.0 * gt * nd * np_
-                    if kk > 0:
-                        log_amp2 += kk * _log_expm1(gt * nd) - gammaln(kk + 1)
-                        log_amp2 += log_fall(np_, kk)
-                    if mm > 0:
-                        log_amp2 += mm * _log_expm1(gt * np_) - gammaln(mm + 1)
-                        log_amp2 += log_fall(nd, mm)
-                    coeff = math.exp(0.5 * log_amp2)
-                    if coeff > 1e-14:
-                        k[basis.index_of(nd - mm, np_ - kk), i] = coeff
-                if np.any(k):
-                    ops.append(k)
-    total = sum(op.conj().T @ op for op in ops)
-    defect = float(np.max(np.abs(total - np.eye(dim))))
-    if defect > 1e-6:
+        lowered = np.stack((n, np.zeros_like(n)), axis=1)
+    log_fact = np.array([math.lgamma(i + 1) for i in n])
+    log_rate = np.array([_log_expm1(gt * i) for i in n])
+    nd, np_ = occ[:, 0], occ[:, 1]
+    lost_d, lost_p = lowered[:, :1], lowered[:, 1:]
+    feasible = (nd >= lost_d) & (np_ >= lost_p)
+    feasible &= ((lost_p == 0) | (nd > 0)) & ((lost_d == 0) | (np_ > 0))
+    j, i = np.nonzero(feasible)
+    log_amp2 = -(2.0 if symmetric else 1.0) * gt * nd[i] * np_[i]
+    # lose l of the m excitations of one mode at the rate driven by the
+    # other mode's occupation c: (e^(gt c) - 1)^l / l! * m! / (m - l)!
+    for lost, pool, other in ((lost_p[j, 0], np_[i], nd[i]), (lost_d[j, 0], nd[i], np_[i])):
+        rate = np.multiply(lost, log_rate[other], out=np.zeros(lost.shape), where=lost > 0)
+        log_amp2 += rate - log_fact[lost]
+        log_amp2 += log_fact[pool] - log_fact[pool - lost]
+    amp = np.exp(0.5 * log_amp2)
+    coeffs = np.zeros((len(lowered), basis.dim))
+    coeffs[j, i] = np.where(amp > 1e-14, amp, 0.0)
+    channel = KrausChannel(
+        basis, _lowering_operators(basis, lowered, coeffs), trace_preserving=False
+    )
+    if channel.completeness_defect > 1e-6:
         raise ValueError(
-            f"basis too small for gamma_tau={gamma_tau}: leakage {defect:.3e}"
+            f"basis too small for gamma_tau={gamma_tau}: "
+            f"leakage {channel.completeness_defect:.3e}"
         )
-    return KrausChannel(basis, tuple(ops), trace_preserving=True)
+    return channel
 
 
 def fisher_information(params: ProtocolParams, theta, mode: str = "d"):
@@ -337,19 +319,27 @@ def fisher_information(params: ProtocolParams, theta, mode: str = "d"):
     from one kernel pass over all angles.  Outcomes with P = 0 at an angle
     where B' = D' = 0 (mode p at theta = 0) contribute their limit
     2 d^2P/dtheta^2 = 2 (B'' dP/dB + D'' dP/dD).  A scalar ``theta`` gives a
-    float, an array an array of its shape.
+    float, an array an array of its shape.  With n0 eta = 0 nothing is
+    detected and F is exactly 0.
+
+    Rounding sets a floor: the n = 0 term of dP/dB is a telescoping sum that
+    cancels to rounding noise once mu_k is below an ulp, so F is accurate
+    to near machine precision only above about 1e-20 per shot.
     """
     thetas = np.asarray(theta, dtype=float)
     column = thetas.reshape(-1, 1)
-    p, dp_db, dp_dd = _mixture_table(params, column[:, 0], mode, derivatives=True)
-    db, dd = _mixture_means(params, column, mode, order=1)
-    d2b, d2d = _mixture_means(params, column, mode, order=2)
-    live = p > 0.0
-    grad = db * dp_db + dd * dp_dd
-    fi = np.sum(np.divide(grad**2, p, out=np.zeros_like(p), where=live), axis=1)
-    stationary = (db == 0.0) & (dd == 0.0)
-    limit = 2.0 * (d2b * dp_db + d2d * dp_dd)
-    fi += np.sum(limit, axis=1, where=~live & stationary)
+    db, dd = _mixture_means(params, column, mode, order=1)  # also checks mode
+    if params.detected_mean == 0:
+        fi = np.zeros(column.shape[0])
+    else:
+        p, dp_db, dp_dd = _mixture_table(params, column[:, 0], mode, derivatives=True)
+        d2b, d2d = _mixture_means(params, column, mode, order=2)
+        live = p > 0.0
+        grad = db * dp_db + dd * dp_dd
+        fi = np.sum(np.divide(grad**2, p, out=np.zeros_like(p), where=live), axis=1)
+        stationary = (db == 0.0) & (dd == 0.0)
+        limit = 2.0 * (d2b * dp_db + d2d * dp_dd)
+        fi += np.sum(limit, axis=1, where=~live & stationary)
     return float(fi[0]) if thetas.ndim == 0 else fi.reshape(thetas.shape)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydsense import estimation, multiparticle
+from rydsense import dipolar, estimation, multiparticle
 from rydsense.cli import main
 from rydsense.fockspace import classical_fi
 
@@ -301,6 +301,14 @@ class TestSensitivity:
             payload["delta_e_v_per_cm"] * math.sqrt(payload["pulse_time_s"]), rel=1e-12
         )
 
+    def test_zero_detected_mean_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {**self.BASE, "output_path": str(tmp_path / "s.json"), "eta": 0.0},
+        )
+        assert run_cli("sensitivity", cfg) == 2
+        assert "detected mean" in capsys.readouterr().err
+
     def test_fisher_override(self, tmp_path):
         out = tmp_path / "sens.json"
         cfg = write_config(
@@ -375,6 +383,26 @@ class TestDipolar:
             {**self.BASE, "output_path": str(tmp_path / "x.csv"), "t_values_us": [0.0]},
         )
         assert run_cli("dipolar", cfg) == 2
+
+    def test_quadrature_key_selects_quadrature(self, tmp_path):
+        tables = {}
+        for name, extra in (("closed", {}), ("quadrature", {"s_max": 1200.0})):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_config(
+                tmp_path / f"{name}.json",
+                {**self.BASE, "output_path": str(out), "t_values_us": [1.0], **extra},
+            )
+            assert run_cli("dipolar", cfg) == 0
+            tables[name] = [float(v) for v in read_csv(out)[1][0][1:3]]
+        params = dipolar.DipolarParams.from_tabulated(
+            3.709, dipolar.CloudGeometry("box", (80.0, 80.0, 4000.0))
+        )
+        closed = dipolar.excluded_volume_integral(1.0, params)
+        assert tables["closed"] == [float(f"{closed.real:.12g}"), float(f"{closed.imag:.12g}")]
+        re_q, im_q = tables["quadrature"]
+        assert re_q != tables["closed"][0]
+        assert re_q == pytest.approx(closed.real, rel=1e-6)
+        assert im_q == pytest.approx(closed.imag, rel=1e-5)
 
     def test_convergence_failure_exit_code(self, tmp_path, capsys):
         cfg = write_config(
@@ -466,9 +494,9 @@ class TestCommonMachinery:
         assert run_cli("toy-fi", "/nonexistent/path.json") == 2
         assert "config" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # the package's one truncation rule is closed-form; scipy.stats
-        # would only add its import time to every run
+    @staticmethod
+    def loaded_after_import(module):
+        """Whether ``module`` is loaded after a fresh ``import rydsense, rydsense.cli``."""
         src = Path(multiparticle.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
@@ -476,14 +504,23 @@ class TestCommonMachinery:
             [
                 sys.executable,
                 "-c",
-                "import sys, rydsense, rydsense.cli; print('scipy.stats' in sys.modules)",
+                f"import sys, rydsense, rydsense.cli; print({module!r} in sys.modules)",
             ],
             capture_output=True,
             text=True,
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip() == "True"
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the package's one truncation rule is closed-form; scipy.stats
+        # would only add its import time to every run
+        assert not self.loaded_after_import("scipy.stats")
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # only the excluded-volume quadrature, run on request, needs it
+        assert not self.loaded_after_import("scipy.integrate")
 
     def test_module_invocation_smoke(self, tmp_path):
         out = tmp_path / "toy.csv"

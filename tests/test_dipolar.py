@@ -170,6 +170,29 @@ class TestExcludedVolume:
         assert info["re_rel_error"] < 5e-3
         assert info["j_re"] == pytest.approx(2 * math.pi / (3 * math.sqrt(3)), rel=1e-4)
 
+    def test_closed_form_matches_default_quadrature(self):
+        closed, info = excluded_volume_integral(2.0, PARAMS, full_output=True)
+        numeric, numeric_info = excluded_volume_integral(
+            2.0, PARAMS, QuadratureSpec(), full_output=True
+        )
+        assert abs(closed.real - numeric.real) <= 1e-6 * abs(numeric.real)
+        assert abs(closed.imag - numeric.imag) <= 1e-5 * abs(numeric.imag)
+        assert numeric_info["re_rel_error"] > 0
+        assert info["re_rel_error"] == info["im_abs_error"] == info["tail_bound"] == 0.0
+
+    def test_closed_form_imaginary_part_is_log_moment(self):
+        # Im J = -int_{-1}^{1} f ln|f| dc with f = (3 c^2 - 1) / 2, which
+        # vanishes at c = +-1/sqrt(3)
+        def integrand(c):
+            f = (3 * c**2 - 1) / 2
+            return f * math.log(abs(f)) if f != 0 else 0.0
+
+        root = 1 / math.sqrt(3)
+        value, err = quad(integrand, -1.0, 1.0, points=[-root, root], limit=200)
+        assert err < 1e-10
+        _, info = excluded_volume_integral(1.0, PARAMS, full_output=True)
+        assert info["j_im"] == pytest.approx(-value, rel=1e-12)
+
 
 class TestMonteCarloReadout:
     def test_time_zero_is_exactly_one(self):

@@ -267,6 +267,12 @@ class TestSensitivityPipeline:
         assert report.fisher_information == 3.6
         assert report.delta_theta == pytest.approx(1.0 / math.sqrt(3.6))
 
+    def test_zero_detected_mean_is_rejected(self):
+        with pytest.raises(ValueError, match="detected mean"):
+            sensitivity_from_model(
+                ProtocolParams(55.0, 0.0, 0.03), REFERENCE_RABI, REFERENCE_DIPOLE
+            )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sensitivity_from_model(EXPERIMENT, -1.0, REFERENCE_DIPOLE)

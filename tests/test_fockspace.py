@@ -204,6 +204,73 @@ class TestApplyChannel:
         assert abs(apply_channel(rho, channel).trace() - 1.0) < 1e-10
 
 
+def random_density(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat)
+
+
+def random_kraus_ops(rng, d, count, sparse):
+    """Random complex operators scaled so that sum K^dag K <= identity.
+
+    Dense operators have every row nonzero; sparse ones keep about a fifth
+    of their entries and lose about half of their rows.
+    """
+    ops = []
+    for _ in range(count):
+        k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        if sparse:
+            k *= rng.random((d, d)) < 0.2
+            k[rng.random(d) < 0.5] = 0.0
+        ops.append(k)
+    top = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ops)).max()
+    return [k / np.sqrt(top) for k in ops]
+
+
+class TestSupportRestriction:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_apply_channel_and_defect_match_dense_sums(self, rng, sparse):
+        basis = FockBasis(5)
+        d = basis.dim
+        for _ in range(5):
+            ops = random_kraus_ops(rng, d, 7, sparse)
+            channel = KrausChannel(basis, tuple(ops), trace_preserving=False)
+            rho = DensityOperator(basis, random_density(rng, d))
+            dense = sum(k @ rho.matrix @ k.conj().T for k in ops)
+            assert np.max(np.abs(apply_channel(rho, channel).matrix - dense)) < 1e-14
+            total = sum(k.conj().T @ k for k in ops)
+            defect = np.max(np.abs(total - np.eye(d)))
+            assert abs(channel.completeness_defect - defect) < 1e-14
+
+    def test_measure_matches_dense_trace(self, rng):
+        # sparse, non-diagonal elements: M_j = A^(-1/2) G_j A^(-1/2) with
+        # G_j = B_j B_j^dag and A = sum G_j
+        basis = FockBasis(4)
+        d = basis.dim
+        raw = [b @ b.conj().T for b in random_kraus_ops(rng, d, 5, sparse=True)]
+        w, v = np.linalg.eigh(sum(raw) + 1e-3 * np.eye(d))
+        inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+        els = [inv_sqrt @ g @ inv_sqrt for g in raw]
+        els.append(np.eye(d) - sum(els))
+        povm = PovmSet(basis, tuple(els), tuple(range(len(els))))
+        rho = DensityOperator(basis, random_density(rng, d))
+        dist = measure(rho, povm)
+        for label, m in povm.items():
+            assert abs(dist.get(label) - np.trace(rho.matrix @ m).real) < 1e-14
+
+    def test_povm_rejects_negative_elements(self):
+        basis = FockBasis(1)
+        eye = np.eye(basis.dim, dtype=complex)
+        negative_diagonal = np.diag([0.0, -0.1, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            PovmSet(basis, (negative_diagonal, eye - negative_diagonal), ("a", "b"))
+        # eigenvalues 1.3 and -0.3 on the support {0, 1}; index 2 is outside
+        indefinite = np.zeros((3, 3), dtype=complex)
+        indefinite[:2, :2] = [[0.5, 0.8], [0.8, 0.5]]
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            PovmSet(basis, (indefinite, eye - indefinite), ("a", "b"))
+
+
 class TestDetectionLoss:
     def test_eta_one_is_identity(self, rng):
         basis = FockBasis(3)

@@ -384,6 +384,13 @@ class TestFisherInformation:
         ]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
+    def test_zero_detected_mean_gives_exact_zero(self):
+        thetas = np.linspace(0.0, math.pi, 33)
+        for params in (ProtocolParams(55.0, 0.0, 0.03), ProtocolParams(0.0, 0.5, 0.03)):
+            for mode in ("d", "p"):
+                assert np.all(fisher_information(params, thetas, mode) == 0.0)
+                assert fisher_information(params, 1.2, mode) == 0.0
+
     def test_normalized_fi_rejects_zero_mean(self):
         with pytest.raises(ValueError):
             normalized_fi(ProtocolParams(0.0, 0.5, 0.1), 1.0)
