@@ -5,7 +5,10 @@ distribution, estimate the rotation angle by maximizing the log-likelihood
 over a grid with quadratic refinement, extract the per-shot Fisher
 information from the variance across realizations (F = 1 / (N var)), and
 bootstrap the partition of shots into realizations for its error bar.  The
-angle variance finally converts into a microwave field precision through
+log-likelihood table comes from the kernel's log domain, so it stays finite
+where P(n | theta) underflows a double; the realizations of every bootstrap
+draw are histogrammed first, and each distinct histogram is evaluated once.
+The angle variance finally converts into a microwave field precision through
 Delta E = (sqrt(var) / T) (hbar / d) and a sensitivity S = Delta E sqrt(T).
 """
 
@@ -20,6 +23,7 @@ import numpy as np
 from .errors import NumericalError
 from .fockspace import classical_fi
 from .multiparticle import (
+    BLOCK_ELEMENTS,
     ProtocolParams,
     _mixture_table,
     count_distribution,
@@ -157,11 +161,11 @@ def _refine_argmax(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _log_likelihood_table(
     params: ProtocolParams, grid: np.ndarray, n_cut: int
 ) -> np.ndarray:
-    """log P(n | theta) for n = 0..n_cut on every grid angle."""
-    table = _mixture_table(params, grid, n_cut=n_cut)
-    if not table.min() > 0.0:
+    """log P(n | theta) for n = 0..n_cut on every grid angle, from the log-domain kernel."""
+    table = _mixture_table(params, grid, n_cut=n_cut, log=True)
+    if not table.min() > -np.inf:
         raise ValueError("likelihood vanished on the angle grid; requires eta > 0")
-    return np.log(table)
+    return table
 
 
 def ml_estimate(
@@ -183,13 +187,29 @@ def ml_estimate(
     return float(_refine_argmax(grid, log_table @ hist)[0])
 
 
-def _estimates_for_partition(counts_matrix, grid, log_table):
-    """Vectorized per-realization ML estimates for rows of a (k, N) matrix."""
-    k = counts_matrix.shape[0]
-    width = log_table.shape[1]
-    idx = np.arange(k)[:, None] * width + counts_matrix
-    hists = np.bincount(idx.ravel(), minlength=k * width).reshape(k, width)
-    return _refine_argmax(grid, hists @ log_table.T)
+def _histograms(bins: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """(rows, width) count histograms of shots already offset into their row's bins."""
+    return np.bincount(bins, minlength=rows * width).reshape(rows, width)
+
+
+def _estimates_for_histograms(hists, grid, log_table):
+    """ML estimate for each row of an integer (rows, n_cut + 1) histogram matrix.
+
+    Each distinct histogram is evaluated once, in near-equal matmul blocks
+    of at most ``BLOCK_ELEMENTS`` log-likelihood values, and the estimates
+    are scattered back to every row that holds it.
+    """
+    keys = hists.view(np.dtype((np.void, hists.dtype.itemsize * hists.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = hists[first]
+    blocks = -(-distinct.shape[0] * grid.size // BLOCK_ELEMENTS)
+    hats = np.concatenate(
+        [
+            _refine_argmax(grid, block @ log_table.T)
+            for block in np.array_split(distinct, max(1, blocks))
+        ]
+    )
+    return hats[inverse]
 
 
 def _variance(theta_hats: np.ndarray) -> float:
@@ -221,11 +241,13 @@ def run_estimation(
     angle in each, and converts the variance across realizations into a
     per-shot Fisher information F = 1 / (N var).  The split of shots into
     realizations is bootstrapped (random re-assignments, ``n_bootstrap``
-    draws) to attach an error bar to F.  Bit-identical results under a
-    fixed seed; per-stage random streams are spawned from the master seed,
-    so the outcome does not depend on evaluation order.  Raises
-    :class:`NumericalError` if the estimates of the realizations, or of
-    any bootstrap re-partition, are all equal (zero variance).
+    draws) to attach an error bar to F; the draws' realization histograms
+    are collected first and each distinct one is evaluated once, with the
+    same results as one likelihood evaluation per draw.  Bit-identical
+    results under a fixed seed; per-stage random streams are spawned from
+    the master seed, so the outcome does not depend on evaluation order.
+    Raises :class:`NumericalError` if the estimates of the realizations, or
+    of any bootstrap re-partition, are all equal (zero variance).
     """
     n = shots_per_realization
     if n < 1 or n_total < 1 or n_total % n != 0:
@@ -242,17 +264,24 @@ def run_estimation(
 
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
     log_table = _log_likelihood_table(params, grid, int(counts.max()))
+    width = log_table.shape[1]
+    # shot i of a realization-ordered sequence lands in the bins of row i // n
+    offsets = np.repeat(np.arange(k) * width, n)
 
-    theta_hats = _estimates_for_partition(counts.reshape(k, n), grid, log_table)
+    theta_hats = _estimates_for_histograms(
+        _histograms(counts + offsets, k, width), grid, log_table
+    )
     variance = _variance(theta_hats)
     fi_per_shot = 1.0 / (n * variance)
 
     boot_rng = np.random.default_rng(boot_seq)
-    boot_fis = np.empty(n_bootstrap)
+    hists = np.empty((n_bootstrap, k, width), dtype=np.int64)
     for b in range(n_bootstrap):
-        perm = boot_rng.permutation(n_total)
-        hats = _estimates_for_partition(counts[perm].reshape(k, n), grid, log_table)
-        boot_fis[b] = 1.0 / (n * _variance(hats))
+        hists[b] = _histograms(counts[boot_rng.permutation(n_total)] + offsets, k, width)
+    boot_hats = _estimates_for_histograms(hists.reshape(-1, width), grid, log_table)
+    boot_fis = np.array(
+        [1.0 / (n * _variance(hats)) for hats in boot_hats.reshape(n_bootstrap, k)]
+    )
     fi_error = float(np.std(boot_fis, ddof=1))
 
     return EstimationResult(

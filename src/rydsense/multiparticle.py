@@ -15,6 +15,14 @@ be placed after the interaction (experimental situation: B stays intrinsic,
 only D is thinned) or before it (B is thinned too, destroying the
 advantage).
 
+One angle-batched kernel evaluates the mixture in the factored form
+(D^n / n!) sum_k Pois(k; B) e^(-mu_k) e^(-gamma_tau k n): one exp of the k
+weights per block of angles, one matmul with the shared e^(-gamma_tau k n)
+per block of counts.  It returns the pmf, its B and D derivatives for the
+exact Fisher information, or log P for likelihood tables, and raises
+:class:`NumericalError` when a truncation or a full-window row could lose
+probability mass.
+
 The same physics is available as explicit Kraus channels on the truncated
 Fock space, which the analytic formulas are tested against.
 """
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln
 
 from .errors import NumericalError
 from .fockspace import CountDistribution, FockBasis, KrausChannel, _lowering_operators
@@ -48,8 +56,13 @@ LOSS_BEFORE = "before_interaction"
 
 # Largest probability mass a truncated Poisson-mixture sum may neglect.
 TAIL_MASS_MAX = 1e-12
-# Elements of the (angle, k, n) term block evaluated at once.
+# Elements of each (angle, k) or (angle, n) block the kernel evaluates at once.
 BLOCK_ELEMENTS = 1 << 17
+# Largest shortfall below 1 of the mass of a pmf row on its full count window.
+ROW_MASS_DEFECT_MAX = 1e-10
+# Largest exponent gamma_tau k j spanned within one block of counts (about
+# half the normal double range, so the kernel's sums never underflow).
+_EXP_SPAN = -0.5 * math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -149,28 +162,42 @@ def _mixture_table(
     mode: str = "d",
     n_cut: int | None = None,
     derivatives: bool = False,
+    log: bool = False,
 ):
     """P(n | theta) for n = 0..n_cut on every angle, shape (T, n_cut + 1).
 
     k runs to the window of the largest B and, without ``n_cut``, n to that
     of the largest D; :class:`NumericalError` if the neglected mass could
-    exceed ``TAIL_MASS_MAX``.  Terms log Pois(k; B) - mu_k + n log D
-    - n gamma_tau k - log n! (mu_k = D e^(-gamma_tau k)) stay finite or
-    -inf, so D = 0 or B = 0 give exact point masses.
+    exceed ``TAIL_MASS_MAX``.  The sum is factored as
 
-    Angles and k are processed in blocks of at most ``BLOCK_ELEMENTS`` terms
-    that reuse one buffer.  With ``derivatives`` the block holds
-    Pois(n; mu_k) alone and three reductions over k return (P, dP/dB,
-    dP/dD), each (T, n_cut + 1), from the shift forms
-    dP/dB = sum_k [Pois(k - 1; B) - Pois(k; B)] Pois(n; mu_k) and
-    dP/dD(n) = Q(n - 1) - Q(n), Q(n) = sum_k Pois(k; B) e^(-gamma_tau k)
-    Pois(n; mu_k), which divide by neither B nor D.
+        P(n) = (D^n / n!) sum_k Pois(k; B) e^(-mu_k) e^(-gamma_tau k n),
+
+    mu_k = D e^(-gamma_tau k).  For a block of angles and a block of counts
+    from n_b on, the weights a_k = log Pois(k; B) - mu_k - gamma_tau k n_b
+    are exponentiated once, shifted by their row maximum alpha, and one
+    matmul with the shared e^(-gamma_tau k j), j = n - n_b, gives S; then
+    log P = alpha + n log D - log n! + log S.  Count blocks are narrow
+    enough that gamma_tau k j stays below ``_EXP_SPAN``, so the largest
+    term of S never underflows, and D = 0 or B = 0 give exact point
+    masses.  ``log`` returns log P, which is -inf only where P is exactly 0.
+    Without ``n_cut`` each row must hold its mass: a shortfall beyond
+    ``ROW_MASS_DEFECT_MAX`` raises :class:`NumericalError`.
+
+    Blocks keep every (angle, k) and (angle, n) temporary within
+    ``BLOCK_ELEMENTS``.  With ``derivatives`` the matmul takes three weight
+    rows, Pois(k; B), Pois(k - 1; B) - Pois(k; B) and Pois(k; B)
+    e^(-gamma_tau k), each times e^(-mu_k - gamma_tau k n_b - alpha), into
+    S1, S2, S3, and the call returns (P, dP/dB, dP/dD), each
+    (T, n_cut + 1), from the shift forms dP/dB = P S2 / S1 and
+    dP/dD(n) = Q(n - 1) - Q(n), Q = P S3 / S1, which divide by neither B
+    nor D.
     """
     b, d = _mixture_means(params, np.atleast_1d(np.asarray(thetas, dtype=float)), mode)
     b_max = float(b.max(initial=0.0))
     k_cut = _window(b_max)
     neglected = _tail_bound(b_max, k_cut)
-    if n_cut is None:
+    full_window = n_cut is None
+    if full_window:
         d_max = float(d.max(initial=0.0))
         n_cut = _window(d_max)
         neglected += _tail_bound(d_max, n_cut)
@@ -182,40 +209,74 @@ def _mixture_table(
     gt = params.gamma_tau
     k = np.arange(k_cut + 1)
     n = np.arange(n_cut + 1)
-    b, d = b[:, None], d[:, None]
     log_fact = gammaln(k + 1)
     damp = np.exp(-gt * k)
-    tail = xlogy(n, d) - gammaln(n + 1)
-    angles = b.shape[0]
-    sums = np.zeros((angles, 3, n.size) if derivatives else (angles, n.size))
-    rows = min(angles, max(1, BLOCK_ELEMENTS // (k.size * n.size)))
-    k_step = min(k.size, max(1, BLOCK_ELEMENTS // (rows * n.size)))
-    block = np.empty((rows, k_step, n.size))
-    for r0 in range(0, angles, rows):
+    with np.errstate(divide="ignore"):
+        log_b, log_d = np.log(b)[:, None], np.log(d)[:, None]
+    # n log D - log n!, with n log D = 0 at n = 0 also where D = 0
+    head = np.zeros((b.size, n.size))
+    np.multiply(log_d, n[1:], out=head[:, 1:])
+    head -= gammaln(n + 1)
+    width = min(n.size, max(1, BLOCK_ELEMENTS // k.size))
+    if gt * k_cut * (width - 1) > _EXP_SPAN:
+        width = 1 + int(_EXP_SPAN / (gt * k_cut))
+    shared = np.exp(-gt * np.outer(k, np.arange(width)))
+    weights = 3 if derivatives else 1
+    # log Pois and the weights of one angle block share the budget
+    rows = max(1, BLOCK_ELEMENTS // ((weights + 1) * max(k.size, width)))
+    table = np.empty((b.size, n.size))
+    if derivatives:
+        ratio_b, ratio_q = np.empty_like(table), np.empty_like(table)
+    pois_buffer = np.empty((min(rows, b.size), k.size))
+    weight_buffer = np.empty((min(rows, b.size), weights, k.size))
+    for r0 in range(0, b.size, rows):
         rs = slice(r0, r0 + rows)
-        log_w = xlogy(k, b[rs]) - b[rs] - log_fact
-        mu = d[rs] * damp
-        if derivatives:
-            head = -mu
-            w = np.exp(log_w)
-            dw = -np.diff(w, prepend=0.0, axis=1)  # Pois(k - 1; B) - Pois(k; B)
-            weights = np.stack((w, dw, w * damp), axis=1)
-        else:
-            head = log_w - mu
-        for k0 in range(0, k.size, k_step):
-            ks = slice(k0, k0 + k_step)
-            terms = block[: head.shape[0], : k[ks].size]
-            np.add(head[:, ks, None], tail[rs, None, :], out=terms)
-            terms -= np.outer(gt * k[ks], n)
-            np.exp(terms, out=terms)
+        # log Pois(k; B), with k log B = 0 at k = 0 also where B = 0
+        log_pois = pois_buffer[: b[rs].size]
+        log_pois[:, 0] = 0.0
+        np.multiply(log_b[rs], k[1:], out=log_pois[:, 1:])
+        log_pois -= b[rs, None]
+        log_pois -= log_fact
+        w = weight_buffer[: log_pois.shape[0]]
+        for n0 in range(0, n.size, width):
+            cs = slice(n0, n0 + width)
+            a = w[:, 0]
+            np.multiply(d[rs, None], -damp, out=a)
+            a -= (gt * n0) * k
             if derivatives:
-                sums[rs] += weights[:, :, ks] @ terms
-            else:
-                sums[rs] += terms.sum(axis=1)
-    if not derivatives:
-        return sums
-    p, dp_db, q = sums[:, 0], sums[:, 1], sums[:, 2]
-    return p, dp_db, -np.diff(q, prepend=0.0, axis=1)
+                w[:, 1] = a
+            a += log_pois
+            alpha = a.max(axis=1, keepdims=True)
+            a -= alpha
+            np.exp(a, out=a)
+            if derivatives:
+                prev = w[:, 1]  # Pois(k - 1; B) times the same factors, 0 at k = 0
+                prev[:, 1:] += log_pois[:, :-1]
+                prev -= alpha
+                prev[:, 0] = -np.inf
+                np.exp(prev, out=prev)
+                prev -= a
+                np.multiply(a, damp, out=w[:, 2])
+            s = (w.reshape(-1, k.size) @ shared[:, : n[cs].size]).reshape(
+                w.shape[0], weights, -1
+            )
+            table[rs, cs] = alpha + head[rs, cs] + np.log(s[:, 0])
+            if derivatives:
+                ratio_b[rs, cs] = s[:, 1] / s[:, 0]
+                ratio_q[rs, cs] = s[:, 2] / s[:, 0]
+    if log and not full_window:
+        return table
+    p = np.exp(table)
+    if full_window:
+        defect = float(np.max(1.0 - p.sum(axis=1), initial=0.0))
+        if defect > ROW_MASS_DEFECT_MAX:
+            raise NumericalError(
+                f"Poisson-mixture rows lost mass {defect:.3e} > "
+                f"{ROW_MASS_DEFECT_MAX:.0e} on the full count window"
+            )
+    if derivatives:
+        return p, p * ratio_b, -np.diff(p * ratio_q, prepend=0.0, axis=1)
+    return table if log else p
 
 
 def count_pmf(

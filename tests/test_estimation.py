@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from rydsense.estimation import (
 )
 from rydsense.fockspace import classical_fi
 from rydsense.multiparticle import (
+    BLOCK_ELEMENTS,
     ProtocolParams,
     count_pmf,
     fisher_information,
@@ -96,6 +98,12 @@ class TestMlEstimate:
     def test_validation(self):
         with pytest.raises(ValueError):
             ml_estimate(np.array([]), EXPERIMENT)
+
+    def test_likelihood_far_below_double_range_stays_usable(self):
+        # 200 counts at a detected mean of 55: near pi, P(200 | theta) is far
+        # below the smallest double, yet every log-likelihood is finite
+        grid = default_theta_grid()
+        assert ml_estimate(np.array([200]), ProtocolParams(55.0, 1.0, 0.0)) == grid[0]
 
     def test_vanished_likelihood_raises_value_error(self):
         # with eta = 0 a detected photon has probability zero at every angle;
@@ -180,6 +188,70 @@ class TestRunEstimation:
             )
             hits += abs(result.fi_per_shot - fi) <= result.fi_error
         assert hits >= 25
+
+
+def per_draw_estimation(params, theta, n_total, n, seed, n_bootstrap):
+    """run_estimation as one likelihood matmul per partition, with its streams."""
+    k = n_total // n
+    shot_seq, boot_seq = np.random.SeedSequence(seed).spawn(2)
+    counts = estimation._draw_counts(params, theta, n_total, np.random.default_rng(shot_seq))
+    grid = default_theta_grid()
+    log_table = estimation._log_likelihood_table(params, grid, int(counts.max()))
+    width = log_table.shape[1]
+
+    def estimates(counts_matrix):
+        idx = np.arange(k)[:, None] * width + counts_matrix
+        hists = np.bincount(idx.ravel(), minlength=k * width).reshape(k, width)
+        return estimation._refine_argmax(grid, hists @ log_table.T)
+
+    theta_hats = estimates(counts.reshape(k, n))
+    variance = _variance(theta_hats)
+    boot_rng = np.random.default_rng(boot_seq)
+    boot_fis = np.empty(n_bootstrap)
+    for b in range(n_bootstrap):
+        hats = estimates(counts[boot_rng.permutation(n_total)].reshape(k, n))
+        boot_fis[b] = 1.0 / (n * _variance(hats))
+    return theta_hats, variance, float(np.std(boot_fis, ddof=1))
+
+
+class TestBootstrapEquivalence:
+    @pytest.mark.parametrize(
+        "theta, n_total, n, seed",
+        [(1.2, 10_000, 100, 3), (0.7, 10_000, 100, 4), (2.4, 6000, 200, 5), (1.6, 900, 100, 6)],
+    )
+    def test_bit_identical_to_per_draw_loop(self, theta, n_total, n, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # k = 9 realizations
+            result = run_estimation(EXPERIMENT, theta, n_total, n, seed=seed, n_bootstrap=50)
+        theta_hats, variance, fi_error = per_draw_estimation(
+            EXPERIMENT, theta, n_total, n, seed, 50
+        )
+        assert np.array_equal(result.theta_hats, theta_hats)
+        assert result.variance == variance
+        assert result.fi_error == fi_error
+        assert result.bias == float(np.mean(theta_hats) - theta)
+
+    def test_zero_variance_draw_still_raises(self, monkeypatch):
+        # realizations (0, 0) and (1, 1) differ; a draw that pairs (0, 1)
+        # twice gives equal estimates
+        assert ml_estimate(np.array([0, 0]), EXPERIMENT) != ml_estimate(
+            np.array([1, 1]), EXPERIMENT
+        )
+        monkeypatch.setattr(estimation, "_draw_counts", lambda *args: np.array([0, 0, 1, 1]))
+        with pytest.warns(UserWarning), pytest.raises(NumericalError, match="zero variance"):
+            run_estimation(EXPERIMENT, 1.2, 4, 2, seed=7, n_bootstrap=20)
+        with pytest.raises(NumericalError, match="zero variance"):
+            per_draw_estimation(EXPERIMENT, 1.2, 4, 2, 7, 20)
+
+    def test_memory_bounded_by_block_budget(self):
+        params = ProtocolParams(65.0, 0.03, 0.04)
+        tracemalloc.start()
+        try:
+            run_estimation(params, 0.5, 10_000, 100, seed=1, n_bootstrap=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * BLOCK_ELEMENTS * 8
 
 
 class TestFieldPrecision:

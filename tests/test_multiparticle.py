@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import poisson
 
 from rydsense import multiparticle
@@ -136,6 +137,16 @@ def reference_pmf(n0, eta, gamma_tau, theta, mode, order, n_cut):
     return (poisson.pmf(k, b) * poisson.pmf(n, d * np.exp(-gamma_tau * k))).sum(axis=0)
 
 
+def reference_log_pmf(params, theta, mode, n_cut):
+    """logsumexp over the kernel's k window of scipy Poisson log-pmf terms."""
+    b, d = multiparticle._mixture_means(params, theta, mode)
+    k = np.arange(multiparticle._window(b) + 1)[:, None]
+    n = np.arange(n_cut + 1)[None, :]
+    mu = d * np.exp(-params.gamma_tau * k)
+    with np.errstate(divide="ignore"):
+        return logsumexp(poisson.logpmf(k, b) + poisson.logpmf(n, mu), axis=0)
+
+
 class TestMixtureKernel:
     @given(
         n0=st.floats(min_value=0.0, max_value=1000.0),
@@ -153,6 +164,43 @@ class TestMixtureKernel:
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
         expected = reference_pmf(n0, eta, gamma_tau, theta, mode, order, pmf.size - 1)
         assert np.max(np.abs(pmf - expected)) <= 1e-12
+
+    @given(
+        n0=st.floats(min_value=0.0, max_value=1000.0),
+        eta=st.floats(min_value=0.0, max_value=1.0),
+        gamma_tau=st.floats(min_value=0.0, max_value=0.5),
+        theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+        mode=st.sampled_from(["d", "p"]),
+        order=st.sampled_from([LOSS_AFTER, LOSS_BEFORE]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_log_table_matches_scipy_logsumexp(self, n0, eta, gamma_tau, theta, mode, order):
+        # same k window as the kernel, so only the log-domain arithmetic is
+        # compared; entries far below the linear table's range stay finite
+        params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
+        log_p = multiparticle._mixture_table(params, theta, mode, log=True)[0]
+        expected = reference_log_pmf(params, theta, mode, log_p.size - 1)
+        assert np.array_equal(np.isneginf(log_p), np.isneginf(expected))
+        finite = np.isfinite(expected)
+        assert log_p[finite] == pytest.approx(expected[finite], rel=1e-12, abs=1e-12)
+
+    def test_log_table_keeps_entries_the_linear_table_underflows(self):
+        params = ProtocolParams(55.0, 1.0, 0.0)
+        thetas = [0.1, math.pi - 1e-3]
+        log_p = multiparticle._mixture_table(params, thetas, n_cut=200, log=True)
+        assert np.all(np.isfinite(log_p))
+        assert np.exp(log_p[1, 200]) == 0.0
+        expected = reference_log_pmf(params, thetas[1], "d", 200)
+        assert log_p[1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_row_losing_mass_to_underflow_raises(self, monkeypatch):
+        # with one count block over the whole window the k = 0 weight, which
+        # carries the mass near n = D, underflows against the row maximum
+        params = ProtocolParams(1000.0, 1.0, 0.5)
+        assert count_pmf(params, 0.05).sum() == pytest.approx(1.0, abs=1e-10)
+        monkeypatch.setattr(multiparticle, "_EXP_SPAN", math.inf)
+        with np.errstate(divide="ignore"), pytest.raises(NumericalError, match="lost mass"):
+            count_pmf(params, 0.05)
 
     def test_no_detection_is_point_mass(self):
         pmf = count_pmf(ProtocolParams(50.0, 0.0, 0.2), 1.0)
