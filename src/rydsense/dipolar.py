@@ -303,12 +303,13 @@ def _gaussian_pdf(points: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def _pair_phase(delta: np.ndarray, t: float, c3_int: float) -> np.ndarray:
-    # accumulated phase t V/hbar for separation vectors delta (um), t in us
-    r2 = np.sum(delta**2, axis=-1)
-    r = np.sqrt(r2)
-    cos_t = delta[..., 2] / r
-    f = (3.0 * cos_t**2 - 1.0) / 2.0
-    return t * c3_int * f / (r2 * r)
+    # accumulated phase t V/hbar for separations with components as rows
+    # (delta[0], delta[1], delta[2] in um), t in us; the angular factor is
+    # (3 cos^2 - 1)/2 with cos^2 = z^2 / r^2
+    z2 = delta[2] ** 2
+    r2 = delta[0] ** 2 + delta[1] ** 2 + z2
+    f = 1.5 * z2 / r2 - 0.5
+    return t * c3_int * f / (r2 * np.sqrt(r2))
 
 
 def readout_expectation_mc(
@@ -350,6 +351,7 @@ def readout_expectation_mc(
         raise ValueError(f"method must be 'lda' or 'direct', got {method!r}")
 
     sigma = np.asarray(params.cloud.dimensions)
+    sigma_col = sigma[:, None]
     c3_int = params.c3_over_hbar * 1e-6  # rad/us um^3
     a_t = excluded_volume_integral(t, params, quadrature) if method == "lda" else None
 
@@ -363,20 +365,33 @@ def readout_expectation_mc(
         n = min(shard_size, remaining)
         remaining -= n
         rng = np.random.default_rng(child)
-        x = rng.normal(scale=sigma, size=(n, 3))
+        # the same draws as rng.normal(scale=sigma, size=(n, 3)), bit for bit
+        x = rng.standard_normal((n, 3)) * sigma
         if method == "lda":
             factor = np.abs(1.0 - _gaussian_pdf(x, sigma) * a_t)
             lda_factor_max = max(lda_factor_max, float(factor.max()))
             est = factor ** (2 * n_p)
         else:
-            w = np.ones(n, dtype=complex)
+            # per control: draw in place, then form x - y with the components
+            # as contiguous rows
+            x_rows = x.T.copy()
+            draw = np.empty((n, 3))
+            delta = np.empty((3, n))
+
+            def control_phase():
+                rng.standard_normal(out=draw)
+                np.multiply(draw.T, sigma_col, out=delta)
+                np.subtract(x_rows, delta, out=delta)
+                return _pair_phase(delta, t, c3_int)
+
+            # the product of exp(-i phi) over the first n_p controls and
+            # exp(+i phi) over the next n_p, as one real phase sum
+            phase = np.zeros(n)
             for _ in range(n_p):
-                y = rng.normal(scale=sigma, size=(n, 3))
-                w *= np.exp(-1j * _pair_phase(x - y, t, c3_int))
+                phase -= control_phase()
             for _ in range(n_p):
-                y = rng.normal(scale=sigma, size=(n, 3))
-                w *= np.exp(1j * _pair_phase(x - y, t, c3_int))
-            est = w.real
+                phase += control_phase()
+            est = np.cos(phase)
         total += float(np.sum(est))
         total_sq += float(np.sum(est**2))
     if lda_factor_max > 1.0:

@@ -8,9 +8,10 @@ per shot is 2 eta for every angle; with it the peak value rises to
 2 eta (2 - eta) at theta = pi/2, which saturates the known optimality bound
 eta (2 - eta) times the quantum Fisher information of the pure state.
 
-All Fisher informations here are computed by brute force from the six
-outcome probabilities (no events are post-selected); closed forms only
-appear as test oracles.
+Both Fisher informations are closed forms over the six outcome
+probabilities (no events are post-selected).  The dense pipeline (rotated
+state, channel, lossy POVM, finite-difference FI) remains their oracle:
+:func:`enhancement_curve` checks its peak row against it on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .fockspace import (
+    FI_CROSS_CHECK_MAX,
+    PROB_FLOOR,
     CountDistribution,
     FockBasis,
     KrausChannel,
@@ -161,7 +165,8 @@ def optimality_bound(eta: float) -> float:
     return eta * (2.0 - eta) * PURE_STATE_QFI
 
 
-def _fi_brute_force(eta, theta, with_prevention, step, full_output):
+def _fi_brute_force(eta, theta, with_prevention):
+    """Dense-pipeline FI at one angle: the oracle of the closed forms."""
     basis = _BASIS
     povm = lossy_povm(eta, basis)
     channel = error_prevention_channel(basis) if with_prevention else None
@@ -172,53 +177,117 @@ def _fi_brute_force(eta, theta, with_prevention, step, full_output):
             rho = apply_channel(rho, channel)
         return measure(rho, povm)
 
-    return classical_fi(
-        family, theta, step, degenerate="limit", full_output=full_output
-    )
+    return classical_fi(family, theta, degenerate="limit")
 
 
-def fi_without_prevention(
-    eta: float, theta: float, step: float = 1e-5, full_output: bool = False
-):
+def _outcome_probabilities(eta, theta, with_prevention) -> np.ndarray:
+    """The six outcome probabilities, last axis in two_excitation_basis order.
+
+    The rotated state populates |2,0>, |1,1> and |0,2> with cos^4(theta/2),
+    sin^2(theta)/2 and sin^4(theta/2); the operation moves the |1,1> weight
+    to the vacuum before the lossy count.
+    """
+    c2 = np.cos(theta / 2.0) ** 2
+    s2 = np.sin(theta / 2.0) ** 2
+    pair = 0.5 * np.sin(theta) ** 2
+    lost = eta * (1.0 - eta)
+    zero = np.zeros_like(c2)
+    if with_prevention:
+        # (0,0), (0,1), (0,2), (1,0), (1,1), (2,0)
+        cols = ((1.0 - eta) ** 2 + eta * (2.0 - eta) * pair, 2.0 * lost * s2**2,
+                eta**2 * s2**2, 2.0 * lost * c2**2, zero, eta**2 * c2**2)
+    else:
+        cols = ((1.0 - eta) ** 2 + zero, 2.0 * lost * s2, eta**2 * s2**2,
+                2.0 * lost * c2, eta**2 * pair, eta**2 * c2**2)
+    return np.stack(cols, axis=-1)
+
+
+def _toy_fi(eta, theta, with_prevention, fi, full_output):
+    thetas = np.asarray(theta, dtype=float)
+    value = float(fi) if thetas.ndim == 0 else fi
+    if not full_output:
+        return value
+    probs = _outcome_probabilities(eta, thetas, with_prevention)
+    degenerate = np.any(probs < PROB_FLOOR, axis=-1)
+    diagnostics = {
+        "labels": _BASIS.occupations,
+        "probabilities": probs,
+        "degenerate": bool(degenerate) if thetas.ndim == 0 else degenerate,
+    }
+    return value, diagnostics
+
+
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+
+
+def fi_without_prevention(eta: float, theta, full_output: bool = False):
     """Per-shot FI of the lossy measurement on the bare rotated state.
 
-    Equals 2 eta at every angle.  At multiples of pi some outcome
-    probabilities vanish quadratically; their contribution is recovered
-    from the second-difference limit, and the diagnostics (with
-    ``full_output=True``) flag the angle as degenerate.
+    Equals 2 eta at every angle.  A scalar ``theta`` gives a float, an
+    array an array of its shape.  With ``full_output=True`` a diagnostics
+    dict comes along: the six outcome ``probabilities`` over ``labels``
+    and the ``degenerate`` flag, set where one of them falls below
+    ``PROB_FLOOR`` (at multiples of pi some vanish quadratically; the FI
+    there is their limit).
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return _fi_brute_force(eta, theta, False, step, full_output)
+    _check_eta(eta)
+    fi = np.full(np.shape(theta), 2.0 * eta)
+    return _toy_fi(eta, theta, False, fi, full_output)
 
 
-def fi_with_prevention(
-    eta: float, theta: float, step: float = 1e-5, full_output: bool = False
-):
+def fi_with_prevention(eta: float, theta, full_output: bool = False):
     """Per-shot FI after the error-prevention operation.
 
-    Peaks at theta = pi/2 + k pi with the value 2 eta (2 - eta) and stays
-    below the optimality bound everywhere.
+    With g = eta (2 - eta) the six outcomes give
+
+        F = 2 g sin^2(theta) + g^2 cos^2(theta) sin^2(theta) / p_00,
+        p_00 = (1 - eta)^2 + g sin^2(theta) / 2,
+
+    the second term coming from the vacuum outcome.  At eta = 1 and
+    sin(theta) = 0 it is 0/0 and takes its limit 2 g cos^2(theta), so F = 2
+    there.  F peaks at theta = pi/2 + k pi with the value 2 eta (2 - eta)
+    and stays below the optimality bound everywhere.  Scalar/array calls
+    and ``full_output`` as in :func:`fi_without_prevention`.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return _fi_brute_force(eta, theta, True, step, full_output)
+    _check_eta(eta)
+    thetas = np.asarray(theta, dtype=float)
+    g = eta * (2.0 - eta)
+    sin2 = np.sin(thetas) ** 2
+    cos2 = np.cos(thetas) ** 2
+    vacuum = (1.0 - eta) ** 2 + 0.5 * g * sin2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vacuum_term = np.where(vacuum > 0.0, g * g * cos2 * sin2 / vacuum, 2.0 * g * cos2)
+    return _toy_fi(eta, theta, True, 2.0 * g * sin2 + vacuum_term, full_output)
 
 
 def enhancement_curve(config: ToyConfig) -> list[ToyFiCurve]:
-    """FI with and without the operation across the configured angle grid."""
+    """FI with and without the operation across the configured angle grid.
+
+    Each closed form runs once over the grid.  The peak row of the FI with
+    the operation is checked against the dense pipeline; a gap above
+    ``FI_CROSS_CHECK_MAX`` of the optimality bound (the peak value, or the
+    scale of the curve where the grid misses the peak) raises
+    :class:`NumericalError`.
+    """
+    thetas = np.asarray(config.theta_grid)
+    without = fi_without_prevention(config.eta, thetas)
+    with_op = fi_with_prevention(config.eta, thetas)
     bound = optimality_bound(config.eta)
-    rows = []
-    for theta in config.theta_grid:
-        rows.append(
-            ToyFiCurve(
-                theta=theta,
-                fi_without=fi_without_prevention(config.eta, theta),
-                fi_with=fi_with_prevention(config.eta, theta),
-                qfi_bound=bound,
-            )
+    peak = int(np.argmax(with_op))
+    fi_fd = _fi_brute_force(config.eta, float(thetas[peak]), True)
+    gap = abs(with_op[peak] - fi_fd) / bound
+    if not gap <= FI_CROSS_CHECK_MAX:
+        raise NumericalError(
+            f"closed-form F = {with_op[peak]:.12g} and finite-difference F = "
+            f"{fi_fd:.12g} at theta = {thetas[peak]:.6g} differ by {gap:.2e} "
+            "of the optimality bound"
         )
-    return rows
+    return [
+        ToyFiCurve(theta=theta, fi_without=a, fi_with=b, qfi_bound=bound)
+        for theta, a, b in zip(config.theta_grid, without.tolist(), with_op.tolist())
+    ]
 
 
 def expectation_curves(eta: float, theta_grid) -> ExpectationCurves:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .fockspace import classical_fi
+from .fockspace import FI_CROSS_CHECK_MAX, classical_fi
 from .multiparticle import (
     BLOCK_ELEMENTS,
     ProtocolParams,
@@ -56,8 +56,6 @@ BOHR_RADIUS = 5.29177210903e-11  # m
 
 DEFAULT_GRID_POINTS = 2000
 DEFAULT_BOOTSTRAP = 200
-# Largest relative gap between the exact F(theta*) and its finite difference.
-FI_CROSS_CHECK_MAX = 1e-6
 
 
 @dataclass(frozen=True)

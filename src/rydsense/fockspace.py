@@ -8,8 +8,9 @@ so everything is dense and exact; this module serves as the brute-force
 oracle for the analytic photon statistics implemented elsewhere in the
 package.
 
-Kraus operators and POVM elements stay dense matrices, but the algebra
-runs on their support.  If r lists the nonzero rows of K, then
+Kraus operators and POVM elements stay dense matrices (a diagonal POVM
+element may be given as its diagonal vector), but the algebra runs on
+their support.  If r lists the nonzero rows of K, then
 K rho K^dag is K[r,:] rho K[r,:]^dag scattered onto the (r, r) block and
 K^dag K = K[r,:]^dag K[r,:]; a POVM element vanishing outside the index set
 s has tr(rho M) = sum over i, j in s of rho_ij M_ji and the eigenvalues of
@@ -57,6 +58,9 @@ COMPLETENESS_TOL = 1e-10
 PROB_FLOOR = 1e-15
 FI_STEP_DEFAULT = 1e-5
 FI_STEP_RANGE = (1e-6, 1e-3)
+# Largest relative gap allowed where a caller checks an exact or closed-form
+# FI against classical_fi.
+FI_CROSS_CHECK_MAX = 1e-6
 COHERENT_TAIL_TOL = 1e-8
 
 MODES = ("d", "p")
@@ -234,9 +238,11 @@ class PovmSet:
     """Positive operator valued measure with labelled outcomes.
 
     Positivity of each element and completeness of the sum are checked on
-    construction.  ``supports`` holds, per element, the indices s of its
-    nonzero rows and columns and the block M[s,s]; the positivity check and
-    :func:`measure` use them.
+    construction.  An element is a dim x dim matrix or, for a diagonal
+    element, the length-dim vector of its diagonal.  ``supports`` holds,
+    per element, the indices s of its nonzero rows and columns and the
+    block M[s,s] (for a diagonal element the entries M_ss); the checks and
+    :func:`measure` use them.  :meth:`items` yields dense matrices.
     """
 
     basis: FockBasis
@@ -249,19 +255,28 @@ class PovmSet:
             raise ValueError("one label per POVM element required")
         d = self.basis.dim
         total = np.zeros((d, d), dtype=complex)
+        diagonal_total = np.zeros(d, dtype=complex)
         supports = []
         for m in els:
-            if m.shape != (d, d):
+            if m.shape not in ((d, d), (d,)):
                 raise ValueError(f"POVM element shape {m.shape} does not match dim {d}")
             if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
                 raise ValueError("POVM element is not Hermitian")
-            nonzero = m != 0
-            idx = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-            block = m[np.ix_(idx, idx)]
-            if idx.size and np.linalg.eigvalsh(block).min() < -PSD_TOL:
+            if m.ndim == 1:
+                idx = np.flatnonzero(m)
+                block = m[idx]
+                lowest = block.real.min(initial=0.0)
+                diagonal_total += m
+            else:
+                nonzero = m != 0
+                idx = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+                block = m[np.ix_(idx, idx)]
+                lowest = np.linalg.eigvalsh(block).min() if idx.size else 0.0
+                total += m
+            if lowest < -PSD_TOL:
                 raise ValueError("POVM element is not positive semidefinite within 1e-10")
             supports.append((idx, block))
-            total += m
+        total[np.diag_indices(d)] += diagonal_total
         if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity within 1e-10")
         object.__setattr__(self, "elements", els)
@@ -269,7 +284,9 @@ class PovmSet:
         object.__setattr__(self, "supports", tuple(supports))
 
     def items(self):
-        return zip(self.labels, self.elements)
+        """(label, dense element) pairs."""
+        for label, m in zip(self.labels, self.elements):
+            yield label, np.diag(m) if m.ndim == 1 else m
 
     def __len__(self):
         return len(self.elements)
@@ -454,12 +471,12 @@ def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
 
 
 def number_povm(basis: FockBasis) -> PovmSet:
-    """Projective measurement of both occupation numbers."""
-    els = []
-    for i in range(basis.dim):
-        m = np.zeros((basis.dim, basis.dim), dtype=complex)
-        m[i, i] = 1.0
-        els.append(m)
+    """Projective measurement of both occupation numbers.
+
+    The elements |i><i| are given by their diagonals, the rows of the
+    identity.
+    """
+    els = np.eye(basis.dim, dtype=complex)
     return PovmSet(basis, tuple(els), tuple(basis.occupations))
 
 
@@ -476,11 +493,11 @@ def lossy_number_povm(basis: FockBasis, eta: float) -> PovmSet:
     labels = basis.occupations
     els = []
     for (i, j) in labels:
-        m = np.zeros((basis.dim, basis.dim), dtype=complex)
+        m = np.zeros(basis.dim)  # the element is diagonal
         for idx, (nd, np_) in enumerate(basis.occupations):
             if nd >= i and np_ >= j:
                 # detect i of nd and j of np_, each excitation kept with prob eta
-                m[idx, idx] = (
+                m[idx] = (
                     _binom_sqrt(nd, nd - i, eta) ** 2
                     * _binom_sqrt(np_, np_ - j, eta) ** 2
                 )
@@ -493,10 +510,14 @@ def measure(rho: DensityOperator, povm: PovmSet) -> CountDistribution:
     if povm.basis != rho.basis:
         raise ValueError("POVM and state are defined on different bases")
     probs = {}
+    diagonal = rho.matrix.diagonal()
     for label, (idx, block) in zip(povm.labels, povm.supports):
-        # row sums of rho[s,s] * M[s,s]^T are the diagonal of rho M on s
-        terms = rho.matrix[np.ix_(idx, idx)] * block.T
-        p = float(np.real(np.sum(np.sum(terms, axis=1))))
+        if block.ndim == 1:
+            p = float(np.real(np.sum(diagonal[idx] * block)))
+        else:
+            # row sums of rho[s,s] * M[s,s]^T are the diagonal of rho M on s
+            terms = rho.matrix[np.ix_(idx, idx)] * block.T
+            p = float(np.real(np.sum(np.sum(terms, axis=1))))
         probs[label] = max(p, 0.0) if p > -1e-12 else p
     return CountDistribution(probs)
 

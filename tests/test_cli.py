@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydsense import dipolar, estimation, multiparticle
+from rydsense import dipolar, error_prevention, estimation, multiparticle
 from rydsense.cli import main
 from rydsense.fockspace import classical_fi
 
@@ -80,6 +80,18 @@ class TestToyFi:
         _, rows = read_csv(out)
         assert float(rows[0][2]) == pytest.approx(2.0, abs=1e-7)
         assert float(rows[0][3]) == pytest.approx(2.0, abs=1e-7)
+
+    def test_finite_difference_disagreement_exit_code(self, tmp_path, capsys, monkeypatch):
+        def shifted(family, theta, **kwargs):
+            return classical_fi(family, theta, **kwargs) * (1.0 + 2e-6)
+
+        monkeypatch.setattr(error_prevention, "classical_fi", shifted)
+        cfg = write_config(
+            tmp_path / "c.json", {"output_path": str(tmp_path / "x.csv"), "etas": [0.5]}
+        )
+        assert run_cli("toy-fi", cfg) == 3
+        assert "finite-difference" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = write_config(
@@ -433,6 +445,26 @@ class TestCommonMachinery:
         assert run_cli("toy-fi", cfg, extra=["--set", "theta_points=3"]) == 0
         _, rows = read_csv(out)
         assert len(rows) == 3
+
+    def test_successive_calls_do_not_share_overrides(self, tmp_path):
+        # main reuses one parser; the --set list and --seed of one call must
+        # not reach the next
+        base = {**TestMlExperiment.CONFIG, "thetas": [1.2], "n_shots_total": 1000,
+                "n_bootstrap": 5}
+        paths = {name: tmp_path / f"{name}.csv" for name in ("ref", "over", "again")}
+        cfgs = {
+            name: write_config(tmp_path / f"{name}.json", {**base, "output_path": str(path)})
+            for name, path in paths.items()
+        }
+        assert run_cli("ml-experiment", cfgs["ref"]) == 0
+        extra = ["--set", "thetas=[1.2, 2.0]", "--seed", "11"]
+        assert run_cli("ml-experiment", cfgs["over"], extra=extra) == 0
+        assert run_cli("ml-experiment", cfgs["again"]) == 0
+        assert paths["again"].read_bytes() == paths["ref"].read_bytes()
+        _, ref_rows = read_csv(paths["ref"])
+        _, over_rows = read_csv(paths["over"])
+        assert len(over_rows) == 2
+        assert over_rows[0] != ref_rows[0]  # seed 11, not the config's 7
 
     def test_output_flag_and_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RYDSENSE_OUTPUT_DIR", str(tmp_path / "outputs"))

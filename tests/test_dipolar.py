@@ -275,3 +275,90 @@ class TestMonteCarloReadout:
             readout_expectation_mc(0.1, 1, MC_PARAMS, samples=20_000, method="exact")
         with pytest.raises(ValueError):
             readout_expectation_mc(-0.1, 1, MC_PARAMS, samples=20_000)
+
+
+def per_factor_readout(t, n_p, params, samples, seed, method, shard_size):
+    """The read-out as one complex exponential per control, multiplied up.
+
+    Reference for :func:`readout_expectation_mc`: the same sharded streams,
+    drawn with ``rng.normal``, the pair phase through cos(vartheta) = z / r,
+    and the direct estimate as the real part of the product of
+    exp(-i phi) over n_p controls and exp(+i phi) over n_p more.
+    """
+    sigma = np.asarray(params.cloud.dimensions)
+    c3_int = params.c3_over_hbar * 1e-6
+
+    def pair_phase(delta):
+        r2 = np.sum(delta**2, axis=-1)
+        r = np.sqrt(r2)
+        cos_t = delta[..., 2] / r
+        f = (3.0 * cos_t**2 - 1.0) / 2.0
+        return t * c3_int * f / (r2 * r)
+
+    a_t = excluded_volume_integral(t, params)
+    norm = (2.0 * math.pi) ** 1.5 * float(np.prod(sigma))
+    total = total_sq = 0.0
+    remaining = samples
+    for child in np.random.SeedSequence(seed).spawn(math.ceil(samples / shard_size)):
+        n = min(shard_size, remaining)
+        remaining -= n
+        rng = np.random.default_rng(child)
+        x = rng.normal(scale=sigma, size=(n, 3))
+        if method == "lda":
+            pdf = np.exp(-0.5 * np.sum((x / sigma) ** 2, axis=-1)) / norm
+            est = np.abs(1.0 - pdf * a_t) ** (2 * n_p)
+        else:
+            w = np.ones(n, dtype=complex)
+            for sign in (-1j,) * n_p + (1j,) * n_p:
+                y = rng.normal(scale=sigma, size=(n, 3))
+                w *= np.exp(sign * pair_phase(x - y))
+            est = w.real
+        total += float(np.sum(est))
+        total_sq += float(np.sum(est**2))
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean**2, 0.0) / samples)
+
+
+class TestPhaseSumReadout:
+    ORACLE_PARAMS = DipolarParams.from_tabulated(
+        TABULATED_C3_GHZ_UM3, CloudGeometry("gaussian", (20.0, 20.0, 20.0))
+    )
+    ANISOTROPIC_PARAMS = DipolarParams.from_tabulated(
+        TABULATED_C3_GHZ_UM3, CloudGeometry("gaussian", (10.0, 15.0, 40.0))
+    )
+    # (t in us, n_p, seed, cloud): the oracle workload's range, a dilute
+    # cloud and an anisotropic one
+    CASES = [
+        (0.02, 16, 11, "oracle"),
+        (0.03, 40, 12, "oracle"),
+        (0.025, 23, 13, "oracle"),
+        (0.3, 1, 14, "mc"),
+        (0.1, 6, 15, "mc"),
+        (0.5, 3, 16, "anisotropic"),
+    ]
+
+    def params(self, cloud):
+        return {"oracle": self.ORACLE_PARAMS, "mc": MC_PARAMS,
+                "anisotropic": self.ANISOTROPIC_PARAMS}[cloud]
+
+    @pytest.mark.parametrize("t,n_p,seed,cloud", CASES)
+    def test_direct_matches_per_factor_product(self, t, n_p, seed, cloud):
+        params = self.params(cloud)
+        r = readout_expectation_mc(
+            t, n_p, params, samples=10_000, seed=seed, method="direct", shard_size=4096
+        )
+        value, stderr = per_factor_readout(t, n_p, params, 10_000, seed, "direct", 4096)
+        assert abs(r.value - value) <= 1e-12
+        assert abs(r.stderr - stderr) <= 1e-12
+
+    @pytest.mark.parametrize("t,n_p,seed,cloud", CASES)
+    def test_lda_is_bit_identical_to_reference(self, t, n_p, seed, cloud):
+        params = self.params(cloud)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            r = readout_expectation_mc(
+                t, n_p, params, samples=10_000, seed=seed, method="lda", shard_size=4096
+            )
+        assert (r.value, r.stderr) == per_factor_readout(
+            t, n_p, params, 10_000, seed, "lda", 4096
+        )

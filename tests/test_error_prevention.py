@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from rydsense import error_prevention
 from rydsense.error_prevention import (
     ToyConfig,
     ToyFiCurve,
@@ -18,6 +20,7 @@ from rydsense.error_prevention import (
     rotated_state,
     two_excitation_basis,
 )
+from rydsense.errors import NumericalError
 from rydsense.fockspace import (
     apply_channel,
     classical_fi,
@@ -254,3 +257,91 @@ class TestConfigTypes:
         basis = two_excitation_basis()
         state = initial_state(basis)
         assert state.amplitudes[basis.index_of(2, 0)] == pytest.approx(1.0)
+
+
+def dense_fi(eta, theta, with_prevention):
+    """Finite-difference FI of the dense pipeline: state, channel, lossy POVM."""
+    basis = two_excitation_basis()
+    povm = lossy_povm(eta, basis)
+    channel = error_prevention_channel(basis)
+
+    def family(t):
+        rho = rotated_state(t, basis).to_density()
+        if with_prevention:
+            rho = apply_channel(rho, channel)
+        return measure(rho, povm)
+
+    return classical_fi(family, theta, degenerate="limit")
+
+
+class TestClosedFormFi:
+    @pytest.mark.parametrize("eta", [1e-6, 0.02, 0.37, 0.9, 1.0])
+    @pytest.mark.parametrize("with_prevention", [False, True])
+    def test_matches_dense_pipeline(self, eta, with_prevention):
+        # the finite difference leaves about 1e-11 of noise at 0 and pi
+        fi = fi_with_prevention if with_prevention else fi_without_prevention
+        thetas = np.linspace(0.0, math.pi, 41)
+        closed = fi(eta, thetas)
+        for theta, value in zip(thetas, closed):
+            expected = dense_fi(eta, float(theta), with_prevention)
+            assert value == pytest.approx(expected, rel=1e-7, abs=1e-9)
+
+    def test_lossless_limit_at_multiples_of_pi(self):
+        # 0/0 in the vacuum term at eta = 1, sin(theta) = 0; the limit gives 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in (0.0, math.pi):
+                assert fi_with_prevention(1.0, theta) == pytest.approx(2.0, abs=1e-12)
+            values = fi_with_prevention(1.0, np.array([0.0, math.pi, 2 * math.pi]))
+        assert np.allclose(values, 2.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("fi", [fi_with_prevention, fi_without_prevention])
+    def test_array_call_matches_scalar_calls(self, fi):
+        thetas = np.linspace(0.0, 2 * math.pi, 12).reshape(3, 4)
+        values, diag = fi(0.37, thetas, full_output=True)
+        assert values.shape == thetas.shape
+        assert diag["degenerate"].shape == thetas.shape
+        for theta, value, flag in zip(thetas.ravel(), values.ravel(), diag["degenerate"].ravel()):
+            scalar, scalar_diag = fi(0.37, float(theta), full_output=True)
+            assert isinstance(scalar, float)
+            assert scalar == value
+            assert scalar_diag["degenerate"] == flag
+
+    def test_outcome_probabilities_match_dense_measure(self):
+        basis = two_excitation_basis()
+        channel = error_prevention_channel(basis)
+        povm = lossy_povm(0.37, basis)
+        for theta in (0.0, 0.8, math.pi / 2, 2.9):
+            rho = rotated_state(theta, basis).to_density()
+            for fi, state in ((fi_without_prevention, rho),
+                              (fi_with_prevention, apply_channel(rho, channel))):
+                _, diag = fi(0.37, theta, full_output=True)
+                dist = measure(state, povm)
+                expected = [dist.get(label) for label in diag["labels"]]
+                assert np.allclose(diag["probabilities"], expected, rtol=0.0, atol=1e-14)
+
+    def test_enhancement_curve_checks_one_row(self, monkeypatch):
+        calls = []
+
+        def counted(family, theta, **kwargs):
+            calls.append(theta)
+            return classical_fi(family, theta, **kwargs)
+
+        monkeypatch.setattr(error_prevention, "classical_fi", counted)
+        rows = enhancement_curve(ToyConfig(0.3, tuple(GRID)))
+        peak = max(rows, key=lambda row: row.fi_with)
+        assert calls == [peak.theta]
+
+    def test_cross_check_disagreement_raises(self, monkeypatch):
+        def shifted(family, theta, **kwargs):
+            return classical_fi(family, theta, **kwargs) * (1.0 + 2e-6)
+
+        monkeypatch.setattr(error_prevention, "classical_fi", shifted)
+        with pytest.raises(NumericalError, match="finite-difference"):
+            enhancement_curve(ToyConfig(0.3, (1.0, math.pi / 2)))
+
+    def test_cross_check_passes_where_the_grid_misses_the_peak(self):
+        # at multiples of pi the FI with the operation is 0 for eta < 1,
+        # and the finite difference leaves about 1e-11 there
+        rows = enhancement_curve(ToyConfig(0.5, (0.0, math.pi)))
+        assert [row.fi_with for row in rows] == pytest.approx([0.0, 0.0], abs=1e-15)

@@ -258,6 +258,34 @@ class TestSupportRestriction:
         for label, m in povm.items():
             assert abs(dist.get(label) - np.trace(rho.matrix @ m).real) < 1e-14
 
+    def test_diagonal_elements_measure_as_dense_ones(self, rng):
+        # the same POVM once as diagonal vectors and once as dense matrices
+        basis = FockBasis(4)
+        d = basis.dim
+        weights = rng.uniform(size=(3, d))
+        weights[0, :3] = 0.0  # a support smaller than the basis
+        weights /= weights.sum(axis=0)
+        diagonal = PovmSet(basis, tuple(weights), ("a", "b", "c"))
+        dense = PovmSet(basis, tuple(np.diag(w) for w in weights), ("a", "b", "c"))
+        rho = DensityOperator(basis, random_density(rng, d))
+        assert measure(rho, diagonal).probabilities == measure(rho, dense).probabilities
+        assert np.array_equal(diagonal.supports[0][0], np.arange(3, d))
+        for (label, m), (_, m_dense) in zip(diagonal.items(), dense.items()):
+            assert np.array_equal(m, m_dense)
+
+    def test_diagonal_elements_validated(self):
+        basis = FockBasis(1)
+        ones = np.ones(basis.dim)
+        negative = np.array([0.0, -0.1, 0.0])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            PovmSet(basis, (negative, ones - negative), ("a", "b"))
+        with pytest.raises(ValueError, match="Hermitian"):
+            PovmSet(basis, (np.array([0.5, 0.5j, 0.0]), ones), ("a", "b"))
+        with pytest.raises(ValueError, match="identity"):
+            PovmSet(basis, (0.5 * ones,), ("a",))
+        with pytest.raises(ValueError, match="shape"):
+            PovmSet(basis, (np.ones(basis.dim + 1),), ("a",))
+
     def test_povm_rejects_negative_elements(self):
         basis = FockBasis(1)
         eye = np.eye(basis.dim, dtype=complex)
