@@ -42,7 +42,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str  # float | int | str | bool | float_list | str_list
+    kind: str  # float | int | str | float_list | str_list
     required: bool = False
     default: object = None
     choices: tuple | None = None
@@ -152,9 +152,6 @@ def _coerce(name: str, key: _Key, value):
             ):
                 raise TypeError
             value = list(value)
-        elif key.kind == "bool":
-            if not isinstance(value, bool):
-                raise TypeError
     except (TypeError, ValueError):
         raise ConfigError(f"key {name!r} expects a {key.kind}, got {value!r}") from None
     if key.choices is not None and value not in key.choices:
@@ -506,10 +503,7 @@ def main(argv=None) -> int:
             raw["seed"] = args.seed
         cfg = validate_config(args.subcommand, raw)
         path = _COMMANDS[args.subcommand](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

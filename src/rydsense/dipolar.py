@@ -55,6 +55,10 @@ J_CLOSED_FORM = complex(
 
 CLOUD_KINDS = ("box", "gaussian")
 MIN_MC_SAMPLES = 10_000
+# Samples per Monte-Carlo shard of readout_expectation_mc.
+MC_SHARD_SIZE = 1 << 14
+# Subinterval limit of each adaptive scipy quad call of the quadrature.
+QUAD_LIMIT = 800
 
 
 class ConvergenceError(NumericalError):
@@ -119,15 +123,15 @@ class QuadratureSpec:
     The angular rule is composite Gauss-Legendre with ``angular_panels``
     panels of ``panel_order`` nodes over cos(vartheta); the radial
     integral runs adaptively in the substituted variable u proportional to
-    1/r^3 up to ``s_max`` (in units of the natural phase scale) with an
-    analytic tail beyond.  Only the real part carries the accuracy
-    contract ``max_rel_error``.
+    1/r^3 up to ``s_max`` (in units of the natural phase scale), with at
+    most ``QUAD_LIMIT`` subintervals per piece, and an analytic tail
+    beyond.  Only the real part carries the accuracy contract
+    ``max_rel_error``.
     """
 
     angular_panels: int = 256
     panel_order: int = 10
     s_max: float = 1200.0
-    quad_limit: int = 800
     max_rel_error: float = 5e-3
 
     def __post_init__(self):
@@ -196,10 +200,8 @@ def _quadrature_j(spec: QuadratureSpec):
     pieces = {}
     errs = {}
     for part in ("re", "im"):
-        lo, err_lo = quad(integrand, 0.0, 1.0, args=(part,), limit=spec.quad_limit)
-        hi, err_hi = quad(
-            integrand, 1.0, spec.s_max, args=(part,), limit=spec.quad_limit
-        )
+        lo, err_lo = quad(integrand, 0.0, 1.0, args=(part,), limit=QUAD_LIMIT)
+        hi, err_hi = quad(integrand, 1.0, spec.s_max, args=(part,), limit=QUAD_LIMIT)
         pieces[part] = lo + hi
         errs[part] = err_lo + err_hi
     # Tail beyond s_max: g -> 2 plus an oscillatory remainder bounded by
@@ -320,7 +322,6 @@ def readout_expectation_mc(
     seed: int | None = None,
     method: str = "lda",
     quadrature: QuadratureSpec | None = None,
-    shard_size: int = 1 << 14,
 ) -> McReadout:
     """Read-out expectation per excitation with ``n_p`` control excitations.
 
@@ -334,8 +335,9 @@ def readout_expectation_mc(
     The LDA warns where a factor |1 - p(x) A(t)| exceeds 1, which an
     average of unit phases cannot.
 
-    Sampling is sharded with seeds spawned from ``seed`` so that shards are
-    reproducible and independent of evaluation order.
+    Sampling is sharded into ``MC_SHARD_SIZE`` (16384) samples per shard,
+    with seeds spawned from ``seed``, so that shards are reproducible and
+    independent of evaluation order.
     """
     if params.cloud.kind != "gaussian":
         raise ValueError("Monte-Carlo read-out requires a gaussian cloud")
@@ -360,9 +362,9 @@ def readout_expectation_mc(
     total_sq = 0.0
     lda_factor_max = 0.0
     remaining = samples
-    shards = seed_seq.spawn(math.ceil(samples / shard_size))
+    shards = seed_seq.spawn(math.ceil(samples / MC_SHARD_SIZE))
     for child in shards:
-        n = min(shard_size, remaining)
+        n = min(MC_SHARD_SIZE, remaining)
         remaining -= n
         rng = np.random.default_rng(child)
         # the same draws as rng.normal(scale=sigma, size=(n, 3)), bit for bit

@@ -112,20 +112,18 @@ class ExpectationCurves:
     np_without: np.ndarray
 
 
-def initial_state(basis: FockBasis | None = None) -> TwoModeFockState:
-    """Both excitations in mode d: |2,0>."""
-    basis = basis or _BASIS
-    return basis.state(2, 0)
+def initial_state() -> TwoModeFockState:
+    """Both excitations in mode d: |2,0> on :func:`two_excitation_basis`."""
+    return _BASIS.state(2, 0)
 
 
-def rotated_state(theta: float, basis: FockBasis | None = None) -> TwoModeFockState:
+def rotated_state(theta: float) -> TwoModeFockState:
     """Rabi-rotated initial state carrying the angle in its amplitudes."""
-    basis = basis or _BASIS
-    u = rabi_rotation(basis, theta)
-    return TwoModeFockState(basis, u @ initial_state(basis).amplitudes)
+    u = rabi_rotation(_BASIS, theta)
+    return TwoModeFockState(_BASIS, u @ initial_state().amplitudes)
 
 
-def lossy_povm(eta: float, basis: FockBasis | None = None) -> PovmSet:
+def lossy_povm(eta: float) -> PovmSet:
     """Six-outcome measurement of counting both modes at efficiency ``eta``.
 
     On the two-excitation sector the elements reduce to the familiar set
@@ -140,24 +138,23 @@ def lossy_povm(eta: float, basis: FockBasis | None = None) -> PovmSet:
     model covers the branches with and without the error-prevention
     operation and is complete on the full six-dimensional space.
     """
-    basis = basis or _BASIS
-    return lossy_number_povm(basis, eta)
+    return lossy_number_povm(_BASIS, eta)
 
 
-def error_prevention_channel(basis: FockBasis | None = None) -> KrausChannel:
+def error_prevention_channel() -> KrausChannel:
     """Non-unitary operation transferring |1,1> to the vacuum.
 
-    Kraus pair K0 = |0,0><1,1| and K1 = 1 - |1,1><1,1|; trace preserving
-    and idempotent as a channel.
+    Kraus pair K0 = |0,0><1,1| and K1 = 1 - |1,1><1,1| on
+    :func:`two_excitation_basis`; trace preserving and idempotent as a
+    channel.
     """
-    basis = basis or _BASIS
-    i11 = basis.index_of(1, 1)
-    i00 = basis.index_of(0, 0)
-    k0 = np.zeros((basis.dim, basis.dim), dtype=complex)
+    i11 = _BASIS.index_of(1, 1)
+    i00 = _BASIS.index_of(0, 0)
+    k0 = np.zeros((_BASIS.dim, _BASIS.dim), dtype=complex)
     k0[i00, i11] = 1.0
-    k1 = np.eye(basis.dim, dtype=complex)
+    k1 = np.eye(_BASIS.dim, dtype=complex)
     k1[i11, i11] = 0.0
-    return KrausChannel(basis, (k0, k1), trace_preserving=True)
+    return KrausChannel(_BASIS, (k0, k1), trace_preserving=True)
 
 
 def optimality_bound(eta: float) -> float:
@@ -167,17 +164,16 @@ def optimality_bound(eta: float) -> float:
 
 def _fi_brute_force(eta, theta, with_prevention):
     """Dense-pipeline FI at one angle: the oracle of the closed forms."""
-    basis = _BASIS
-    povm = lossy_povm(eta, basis)
-    channel = error_prevention_channel(basis) if with_prevention else None
+    povm = lossy_povm(eta)
+    channel = error_prevention_channel() if with_prevention else None
 
     def family(t: float) -> CountDistribution:
-        rho = rotated_state(t, basis).to_density()
+        rho = rotated_state(t).to_density()
         if channel is not None:
             rho = apply_channel(rho, channel)
         return measure(rho, povm)
 
-    return classical_fi(family, theta, degenerate="limit")
+    return classical_fi(family, theta)
 
 
 def _outcome_probabilities(eta, theta, with_prevention) -> np.ndarray:
@@ -318,11 +314,10 @@ def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, f
     state, applies the error-prevention channel where applicable, and takes
     eta-scaled number-operator expectations.
     """
-    basis = _BASIS
-    nd_op = mode_operator(basis, "d", "number")
-    np_op = mode_operator(basis, "p", "number")
-    rho_bare = rotated_state(theta, basis).to_density()
-    rho_prev = apply_channel(rho_bare, error_prevention_channel(basis))
+    nd_op = mode_operator(_BASIS, "d", "number")
+    np_op = mode_operator(_BASIS, "p", "number")
+    rho_bare = rotated_state(theta).to_density()
+    rho_prev = apply_channel(rho_bare, error_prevention_channel())
     return (
         eta * rho_prev.expectation(nd_op),
         eta * rho_prev.expectation(np_op),

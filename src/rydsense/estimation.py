@@ -166,19 +166,17 @@ def _log_likelihood_table(
     return table
 
 
-def ml_estimate(
-    counts, params: ProtocolParams, theta_grid: np.ndarray | None = None
-) -> float:
+def ml_estimate(counts, params: ProtocolParams) -> float:
     """Maximum-likelihood angle for a slice of detected counts.
 
-    Maximizes the summed log-likelihood over the angle grid (default 2000
-    interior points of (0, pi)) and refines the argmax with a local
+    Maximizes the summed log-likelihood over :func:`default_theta_grid`
+    (2000 interior points of (0, pi)) and refines the argmax with a local
     parabola.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
         raise ValueError("counts must be a non-empty 1-d array")
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
+    grid = default_theta_grid()
     n_cut = int(counts.max())
     log_table = _log_likelihood_table(params, grid, n_cut)
     hist = np.bincount(counts, minlength=n_cut + 1).astype(float)
@@ -230,18 +228,18 @@ def run_estimation(
     shots_per_realization: int,
     seed: int | None = None,
     n_bootstrap: int = DEFAULT_BOOTSTRAP,
-    theta_grid: np.ndarray | None = None,
 ) -> EstimationResult:
     """Full synthetic estimation experiment at one true angle.
 
     Samples ``n_total`` shots, divides them into k = n_total / N
     realizations of N = ``shots_per_realization`` shots, estimates the
-    angle in each, and converts the variance across realizations into a
-    per-shot Fisher information F = 1 / (N var).  The split of shots into
-    realizations is bootstrapped (random re-assignments, ``n_bootstrap``
-    draws) to attach an error bar to F; the draws' realization histograms
-    are collected first and each distinct one is evaluated once, with the
-    same results as one likelihood evaluation per draw.  Bit-identical
+    angle in each on :func:`default_theta_grid`, and converts the variance
+    across realizations into a per-shot Fisher information F = 1 / (N var).
+    The split of shots into realizations is bootstrapped (random
+    re-assignments, ``n_bootstrap`` draws) to attach an error bar to F; the
+    draws' realization histograms are collected first and each distinct one
+    is evaluated once, with the same results as one likelihood evaluation
+    per draw.  Bit-identical
     results under a fixed seed; per-stage random streams are spawned from
     the master seed, so the outcome does not depend on evaluation order.
     Raises :class:`NumericalError` if the estimates of the realizations, or
@@ -260,7 +258,7 @@ def run_estimation(
     shot_seq, boot_seq = seed_seq.spawn(2)
     counts = _draw_counts(params, theta_true, n_total, np.random.default_rng(shot_seq))
 
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
+    grid = default_theta_grid()
     log_table = _log_likelihood_table(params, grid, int(counts.max()))
     width = log_table.shape[1]
     # shot i of a realization-ordered sequence lands in the bins of row i // n
@@ -368,9 +366,7 @@ def sensitivity_from_model(
     best = int(np.argmax(fis))
     theta_star = float(_refine_argmax(grid, fis)[0])
     fi_star = float(fis[best])
-    fi_fd = classical_fi(
-        lambda t: count_distribution(params, t), float(grid[best]), degenerate="limit"
-    )
+    fi_fd = classical_fi(lambda t: count_distribution(params, t), float(grid[best]))
     gap = abs(fi_star - fi_fd) / fi_fd if fi_fd > 0 else math.inf
     if not gap <= FI_CROSS_CHECK_MAX:
         raise NumericalError(

@@ -55,9 +55,13 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
+# Outcomes of classical_fi below this probability contribute their limit
+# 2 p'' instead of (p')^2 / p.
 PROB_FLOOR = 1e-15
-FI_STEP_DEFAULT = 1e-5
-FI_STEP_RANGE = (1e-6, 1e-3)
+# Central finite-difference step (radians) of classical_fi and qfi.
+FI_STEP = 1e-5
+# Eigenvalue pairs of qfi whose sum is at most this are left out.
+QFI_EIG_FLOOR = 1e-12
 # Largest relative gap allowed where a caller checks an exact or closed-form
 # FI against classical_fi.
 FI_CROSS_CHECK_MAX = 1e-6
@@ -164,10 +168,6 @@ class DensityOperator:
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_state(cls, state: TwoModeFockState) -> "DensityOperator":
-        return state.to_density()
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
@@ -443,26 +443,26 @@ def _lowering_operators(basis: FockBasis, lowered, coeffs) -> tuple:
     return tuple(ops[j] for j in np.unique(op))
 
 
-def _binom_sqrt(n: int, k: int, eta: float) -> float:
-    # sqrt of binomial thinning weight C(n,k) eta^(n-k) (1-eta)^k
-    return math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+def _thinning_weights(n_max: int, eta: float) -> np.ndarray:
+    """w[n, l] = C(n, l) eta^(n - l) (1 - eta)^l: l of n excitations lost, zero for l > n."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    n = np.arange(n_max + 1)
+    comb = np.array([[math.comb(a, b) for b in n] for a in n], dtype=float)
+    kept = np.maximum(n[:, None] - n[None, :], 0)
+    return comb * eta**kept * (1.0 - eta) ** n[None, :]
 
 
 def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
     """Independent binomial thinning of both modes with efficiency ``eta``.
 
     Standard beam-splitter loss with a vacuum ancilla; Kraus operators are
-    indexed by the number of excitations lost per mode.  Losses only lower
-    occupation numbers, so the channel is exactly trace preserving on the
-    truncated space.
+    indexed by the number of excitations lost per mode, with amplitudes the
+    square roots of the thinning weights.  Losses only lower occupation
+    numbers, so the channel is exactly trace preserving on the truncated
+    space.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    n = np.arange(basis.n_max + 1)
-    comb = np.array([[math.comb(a, b) for b in n] for a in n], dtype=float)
-    kept = np.maximum(n[:, None] - n[None, :], 0)
-    # amp[n, l] = sqrt(C(n, l) eta^(n - l) (1 - eta)^l), zero for l > n
-    amp = np.sqrt(comb * eta**kept * (1.0 - eta) ** n[None, :])
+    amp = np.sqrt(_thinning_weights(basis.n_max, eta))
     # the operators are indexed by the lost pairs (l_d, l_p), which run over
     # the occupation pairs of the basis
     occ = np.array(basis.occupations)
@@ -483,26 +483,20 @@ def number_povm(basis: FockBasis) -> PovmSet:
 def lossy_number_povm(basis: FockBasis, eta: float) -> PovmSet:
     """Photon counting preceded by efficiency-``eta`` loss, as one POVM.
 
-    The element for detected pair (i, j) carries the binomial thinning
-    weight of every occupation (n_d, n_p) with n_d >= i and n_p >= j.  This
-    is the Heisenberg picture of :func:`detection_loss_channel` followed by
-    :func:`number_povm`.
+    The element for detected pair (i, j) is diagonal, with the entry
+    w[n_d, n_d - i] w[n_p, n_p - j] on every occupation (n_d, n_p) with
+    n_d >= i and n_p >= j, where w is the thinning-weight table of
+    :func:`detection_loss_channel`.  This is the Heisenberg picture of that
+    channel followed by :func:`number_povm`.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    labels = basis.occupations
-    els = []
-    for (i, j) in labels:
-        m = np.zeros(basis.dim)  # the element is diagonal
-        for idx, (nd, np_) in enumerate(basis.occupations):
-            if nd >= i and np_ >= j:
-                # detect i of nd and j of np_, each excitation kept with prob eta
-                m[idx] = (
-                    _binom_sqrt(nd, nd - i, eta) ** 2
-                    * _binom_sqrt(np_, np_ - j, eta) ** 2
-                )
-        els.append(m)
-    return PovmSet(basis, tuple(els), labels)
+    w = _thinning_weights(basis.n_max, eta)
+    n = np.arange(basis.n_max + 1)
+    lost = n[:, None] - n[None, :]
+    # detected[n, i]: weight of detecting i of n excitations
+    detected = np.where(lost >= 0, w[n[:, None], lost], 0.0)
+    occ = np.array(basis.occupations)
+    els = detected[occ[None, :, 0], occ[:, None, 0]] * detected[occ[None, :, 1], occ[:, None, 1]]
+    return PovmSet(basis, tuple(els), basis.occupations)
 
 
 def measure(rho: DensityOperator, povm: PovmSet) -> CountDistribution:
@@ -531,22 +525,20 @@ def _family_probabilities(dist_family, thetas):
     return labels, np.clip(table, 0.0, None)
 
 
-def _fi_once(dist_family, theta, step, prob_floor, degenerate):
+def _fi_once(dist_family, theta, step):
     labels, table = _family_probabilities(
         dist_family, (theta, theta + step, theta - step)
     )
     p0, pp, pm = table
     dp = (pp - pm) / (2.0 * step)
-    live = p0 >= prob_floor
-    fi = float(np.sum(dp[live] ** 2 / p0[live]))
+    live = p0 >= PROB_FLOOR
     # For outcomes whose probability vanishes (generically quadratically in
     # theta), the limiting contribution (p')^2/p equals 2 p'' and is
     # recovered from the second central difference.
     curv = np.clip(pp + pm - 2.0 * p0, 0.0, None) * 2.0 / step**2
     skipped = [labels[i] for i in np.nonzero(~live)[0]]
     bound = float(np.sum(curv[~live]))
-    if degenerate == "limit":
-        fi += bound
+    fi = float(np.sum(dp[live] ** 2 / p0[live])) + bound
     diagnostics = {
         "step": step,
         "skipped_labels": skipped,
@@ -559,31 +551,26 @@ def _fi_once(dist_family, theta, step, prob_floor, degenerate):
 def classical_fi(
     dist_family,
     theta: float,
-    step: float = FI_STEP_DEFAULT,
     *,
-    prob_floor: float = PROB_FLOOR,
-    degenerate: str = "skip",
     check_step: bool = False,
     full_output: bool = False,
 ):
     """Classical Fisher information of ``dist_family`` at ``theta``.
 
+    The derivatives are central finite differences with the step
+    ``FI_STEP`` (1e-5 rad).  Outcomes with probability below
+    ``PROB_FLOOR`` (1e-15) leave the sum of (p')^2 / p; their limit 2 p'',
+    from the second difference, is added instead, which makes the result
+    correct at angles where probabilities vanish quadratically.  The
+    diagnostics list them as ``skipped_labels`` with their total
+    contribution ``skipped_bound``.
+
     Parameters
     ----------
     dist_family : callable
         Maps an angle to a :class:`CountDistribution`.
-    theta, step : float
-        Evaluation point and central finite-difference step (radians).
-        The step must lie in [1e-6, 1e-3].
-    prob_floor : float
-        Outcomes with probability below this are excluded from the main
-        sum.  Their limiting contribution is estimated from the second
-        difference and reported in the diagnostics.
-    degenerate : {"skip", "limit"}
-        With ``"skip"`` (default) sub-floor outcomes only appear in the
-        diagnostics as a bound; with ``"limit"`` their second-difference
-        limit is added to the returned value, which makes the result
-        correct at angles where probabilities vanish quadratically.
+    theta : float
+        Evaluation point (radians).
     check_step : bool
         Re-evaluate at half the step and warn if the result moves by more
         than 1e-4 relative (step-robustness check).
@@ -595,14 +582,9 @@ def classical_fi(
     float or (float, dict)
         Fisher information in 1/radian^2 (non-negative).
     """
-    lo, hi = FI_STEP_RANGE
-    if not lo <= step <= hi:
-        raise ValueError(f"step must lie in [{lo}, {hi}], got {step}")
-    if degenerate not in ("skip", "limit"):
-        raise ValueError("degenerate must be 'skip' or 'limit'")
-    fi, diag = _fi_once(dist_family, theta, step, prob_floor, degenerate)
+    fi, diag = _fi_once(dist_family, theta, FI_STEP)
     if check_step:
-        fi_half, _ = _fi_once(dist_family, theta, step / 2.0, prob_floor, degenerate)
+        fi_half, _ = _fi_once(dist_family, theta, FI_STEP / 2.0)
         rel = abs(fi_half - fi) / max(abs(fi_half), 1e-30)
         diag["step_check_rel_change"] = rel
         if rel > 1e-4:
@@ -614,39 +596,30 @@ def classical_fi(
     return (fi, diag) if full_output else fi
 
 
-def povm_fi(rho_family, povm: PovmSet, theta: float, **kwargs):
+def povm_fi(rho_family, povm: PovmSet, theta: float):
     """Classical FI of measuring ``povm`` on a density-operator family."""
-    return classical_fi(lambda t: measure(rho_family(t), povm), theta, **kwargs)
+    return classical_fi(lambda t: measure(rho_family(t), povm), theta)
 
 
-def qfi(
-    rho_family,
-    theta: float,
-    step: float = FI_STEP_DEFAULT,
-    *,
-    eig_floor: float = 1e-12,
-    full_output: bool = False,
-):
+def qfi(rho_family, theta: float, *, full_output: bool = False):
     """Quantum Fisher information of a density-operator family.
 
     Uses the symmetric-logarithmic-derivative eigendecomposition formula
-    F_Q = sum_{i,j: l_i + l_j > eig_floor} 2 |<i| drho |j>|^2 / (l_i + l_j)
-    with drho obtained by a central finite difference.
+    F_Q = sum_{i,j: l_i + l_j > QFI_EIG_FLOOR} 2 |<i| drho |j>|^2 / (l_i + l_j)
+    with drho a central finite difference of step ``FI_STEP``.
+    ``full_output`` also returns the step and the eigenvalues of rho.
     """
-    lo, hi = FI_STEP_RANGE
-    if not lo <= step <= hi:
-        raise ValueError(f"step must lie in [{lo}, {hi}], got {step}")
     rho0 = rho_family(theta)
-    rp = rho_family(theta + step)
-    rm = rho_family(theta - step)
-    drho = (rp.matrix - rm.matrix) / (2.0 * step)
+    rp = rho_family(theta + FI_STEP)
+    rm = rho_family(theta - FI_STEP)
+    drho = (rp.matrix - rm.matrix) / (2.0 * FI_STEP)
     evals, evecs = np.linalg.eigh(rho0.matrix)
     m = evecs.conj().T @ drho @ evecs
     pair_sums = evals[:, None] + evals[None, :]
-    mask = pair_sums > eig_floor
+    mask = pair_sums > QFI_EIG_FLOOR
     value = float(np.sum(2.0 * np.abs(m[mask]) ** 2 / pair_sums[mask]))
     if full_output:
-        return value, {"step": step, "eigenvalues": evals, "eig_floor": eig_floor}
+        return value, {"step": FI_STEP, "eigenvalues": evals}
     return value
 
 
@@ -654,14 +627,15 @@ def coherent_state(
     basis: FockBasis,
     alpha_d: complex,
     alpha_p: complex,
-    tail_tol: float = COHERENT_TAIL_TOL,
+    *,
     full_output: bool = False,
 ):
     """Truncated two-mode coherent state |alpha_d, alpha_p>.
 
-    The truncated tail mass must stay below ``tail_tol`` (the basis is
-    otherwise too small to serve as an oracle) and the retained amplitudes
-    are renormalized.
+    The truncated tail mass must stay below ``COHERENT_TAIL_TOL`` (1e-8;
+    the basis is otherwise too small to serve as an oracle) and the
+    retained amplitudes are renormalized.  ``full_output`` also returns
+    the tail mass.
     """
     amp = np.zeros(basis.dim, dtype=complex)
     log_norm = -0.5 * (abs(alpha_d) ** 2 + abs(alpha_p) ** 2)
@@ -672,10 +646,10 @@ def coherent_state(
         )
     captured = float(np.sum(np.abs(amp) ** 2))
     tail = 1.0 - captured
-    if tail > tail_tol:
+    if tail > COHERENT_TAIL_TOL:
         raise ValueError(
             f"basis with n_max={basis.n_max} truncates coherent tail mass "
-            f"{tail:.3e} > {tail_tol:.0e}"
+            f"{tail:.3e} > {COHERENT_TAIL_TOL:.0e}"
         )
     state = TwoModeFockState(basis, amp / math.sqrt(captured))
     if full_output:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rydsense.fockspace import (
     FockBasis,
@@ -10,6 +11,12 @@ from rydsense.fockspace import (
     number_povm,
 )
 from rydsense.multiparticle import LOSS_AFTER, LOSS_BEFORE, interaction_channel_kraus
+
+# A failing property test prints its @reproduce_failure blob, so the case can
+# be replayed without the local example database.  Every other setting is
+# inherited from the profile that was active.
+settings.register_profile("rydsense", print_blob=True)
+settings.load_profile("rydsense")
 
 
 def kraus_pipeline_family(n0, eta, gamma_tau, n_max=14, loss_order=LOSS_AFTER, mode="d"):

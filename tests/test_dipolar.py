@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2
 
+from rydsense import dipolar
 from rydsense.dipolar import (
     CloudGeometry,
     ConvergenceError,
@@ -277,12 +278,13 @@ class TestMonteCarloReadout:
             readout_expectation_mc(-0.1, 1, MC_PARAMS, samples=20_000)
 
 
-def per_factor_readout(t, n_p, params, samples, seed, method, shard_size):
+def per_factor_readout(t, n_p, params, samples, seed, method):
     """The read-out as one complex exponential per control, multiplied up.
 
-    Reference for :func:`readout_expectation_mc`: the same sharded streams,
-    drawn with ``rng.normal``, the pair phase through cos(vartheta) = z / r,
-    and the direct estimate as the real part of the product of
+    Reference for :func:`readout_expectation_mc`: the same sharded streams
+    (``dipolar.MC_SHARD_SIZE`` samples per shard, read at call time), drawn
+    with ``rng.normal``, the pair phase through cos(vartheta) = z / r, and
+    the direct estimate as the real part of the product of
     exp(-i phi) over n_p controls and exp(+i phi) over n_p more.
     """
     sigma = np.asarray(params.cloud.dimensions)
@@ -299,6 +301,7 @@ def per_factor_readout(t, n_p, params, samples, seed, method, shard_size):
     norm = (2.0 * math.pi) ** 1.5 * float(np.prod(sigma))
     total = total_sq = 0.0
     remaining = samples
+    shard_size = dipolar.MC_SHARD_SIZE
     for child in np.random.SeedSequence(seed).spawn(math.ceil(samples / shard_size)):
         n = min(shard_size, remaining)
         remaining -= n
@@ -342,23 +345,20 @@ class TestPhaseSumReadout:
                 "anisotropic": self.ANISOTROPIC_PARAMS}[cloud]
 
     @pytest.mark.parametrize("t,n_p,seed,cloud", CASES)
-    def test_direct_matches_per_factor_product(self, t, n_p, seed, cloud):
+    def test_direct_matches_per_factor_product(self, t, n_p, seed, cloud, monkeypatch):
+        # 4096-sample shards split the 10 000 samples into three
+        monkeypatch.setattr(dipolar, "MC_SHARD_SIZE", 4096)
         params = self.params(cloud)
-        r = readout_expectation_mc(
-            t, n_p, params, samples=10_000, seed=seed, method="direct", shard_size=4096
-        )
-        value, stderr = per_factor_readout(t, n_p, params, 10_000, seed, "direct", 4096)
+        r = readout_expectation_mc(t, n_p, params, samples=10_000, seed=seed, method="direct")
+        value, stderr = per_factor_readout(t, n_p, params, 10_000, seed, "direct")
         assert abs(r.value - value) <= 1e-12
         assert abs(r.stderr - stderr) <= 1e-12
 
     @pytest.mark.parametrize("t,n_p,seed,cloud", CASES)
-    def test_lda_is_bit_identical_to_reference(self, t, n_p, seed, cloud):
+    def test_lda_is_bit_identical_to_reference(self, t, n_p, seed, cloud, monkeypatch):
+        monkeypatch.setattr(dipolar, "MC_SHARD_SIZE", 4096)
         params = self.params(cloud)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            r = readout_expectation_mc(
-                t, n_p, params, samples=10_000, seed=seed, method="lda", shard_size=4096
-            )
-        assert (r.value, r.stderr) == per_factor_readout(
-            t, n_p, params, 10_000, seed, "lda", 4096
-        )
+            r = readout_expectation_mc(t, n_p, params, samples=10_000, seed=seed, method="lda")
+        assert (r.value, r.stderr) == per_factor_readout(t, n_p, params, 10_000, seed, "lda")

@@ -40,7 +40,7 @@ def two_excitation_sector(basis):
 class TestLossyPovm:
     def test_eta_one_reduces_to_bare_projectors(self):
         basis = two_excitation_basis()
-        povm = lossy_povm(1.0, basis)
+        povm = lossy_povm(1.0)
         by_label = dict(povm.items())
         sector = two_excitation_sector(basis)
         for occ in ((2, 0), (1, 1), (0, 2)):
@@ -55,7 +55,7 @@ class TestLossyPovm:
     def test_eta_zero_leaves_only_vacuum_outcome(self):
         basis = two_excitation_basis()
         sector = two_excitation_sector(basis)
-        for label, m in lossy_povm(0.0, basis).items():
+        for label, m in lossy_povm(0.0).items():
             block = m[np.ix_(sector, sector)]
             if label == (0, 0):
                 assert np.allclose(block, np.eye(3))
@@ -65,7 +65,7 @@ class TestLossyPovm:
     def test_elements_carry_cited_weights(self):
         eta = 0.37
         basis = two_excitation_basis()
-        by_label = dict(lossy_povm(eta, basis).items())
+        by_label = dict(lossy_povm(eta).items())
         i20, i11, i02 = (basis.index_of(*occ) for occ in ((2, 0), (1, 1), (0, 2)))
 
         def diag(label):
@@ -83,7 +83,7 @@ class TestLossyPovm:
 
     def test_completeness_on_full_space(self):
         basis = two_excitation_basis()
-        total = sum(m for _, m in lossy_povm(0.37, basis).items())
+        total = sum(m for _, m in lossy_povm(0.37).items())
         assert np.max(np.abs(total - np.eye(basis.dim))) < 1e-12
 
     def test_eta_out_of_range(self):
@@ -95,9 +95,9 @@ class TestErrorPreventionChannel:
     def test_mixed_state_vacuum_weight(self):
         # the transferred |1,1> component carries weight sin^2(theta)/2
         basis = two_excitation_basis()
-        channel = error_prevention_channel(basis)
+        channel = error_prevention_channel()
         for theta in (math.pi / 2, 0.9):
-            rho = apply_channel(rotated_state(theta, basis).to_density(), channel)
+            rho = apply_channel(rotated_state(theta).to_density(), channel)
             i00 = basis.index_of(0, 0)
             assert rho.matrix[i00, i00].real == pytest.approx(
                 0.5 * math.sin(theta) ** 2, abs=1e-12
@@ -106,12 +106,12 @@ class TestErrorPreventionChannel:
     def test_preserves_zero_two(self):
         basis = two_excitation_basis()
         rho = basis.state(0, 2).to_density()
-        out = apply_channel(rho, error_prevention_channel(basis))
+        out = apply_channel(rho, error_prevention_channel())
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_idempotent_as_channel(self, rng):
         basis = two_excitation_basis()
-        channel = error_prevention_channel(basis)
+        channel = error_prevention_channel()
         for _ in range(5):
             mat = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(
                 size=(basis.dim, basis.dim)
@@ -152,13 +152,12 @@ class TestFiWithoutPrevention:
     def test_matches_manual_measure_pipeline(self):
         # oracle equivalence: assemble the same FI from the raw operations
         eta, theta = 0.41, 1.37
-        basis = two_excitation_basis()
-        povm = lossy_povm(eta, basis)
+        povm = lossy_povm(eta)
 
         def family(t):
-            return measure(rotated_state(t, basis).to_density(), povm)
+            return measure(rotated_state(t).to_density(), povm)
 
-        manual = classical_fi(family, theta, degenerate="limit")
+        manual = classical_fi(family, theta)
         assert fi_without_prevention(eta, theta) == pytest.approx(manual, abs=1e-6)
 
     def test_eta_zero_rejected(self):
@@ -183,11 +182,10 @@ class TestFiWithPrevention:
             assert fi_with_prevention(eta, theta) == pytest.approx(bound, abs=1e-8)
 
     def test_probabilities_sum_to_one_no_postselection(self):
-        basis = two_excitation_basis()
-        povm = lossy_povm(0.23, basis)
-        channel = error_prevention_channel(basis)
+        povm = lossy_povm(0.23)
+        channel = error_prevention_channel()
         for theta in GRID[::7]:
-            rho = apply_channel(rotated_state(theta, basis).to_density(), channel)
+            rho = apply_channel(rotated_state(theta).to_density(), channel)
             dist = measure(rho, povm)
             assert len(dist.probabilities) == 6
             assert dist.total() == pytest.approx(1.0, abs=1e-10)
@@ -195,15 +193,15 @@ class TestFiWithPrevention:
     def test_wrong_channel_order_gives_no_advantage(self):
         # loss first, then the operation: never beats 2 eta at the peak angle
         basis = two_excitation_basis()
-        channel = error_prevention_channel(basis)
+        channel = error_prevention_channel()
         for eta in (0.02, 0.3, 0.7):
             loss = detection_loss_channel(basis, eta)
 
             def family(t):
-                rho = rotated_state(t, basis).to_density()
+                rho = rotated_state(t).to_density()
                 return apply_channel(apply_channel(rho, loss), channel)
 
-            fi = povm_fi(family, number_povm(basis), math.pi / 2, degenerate="limit")
+            fi = povm_fi(family, number_povm(basis), math.pi / 2)
             assert fi <= 2 * eta + 1e-8
 
 
@@ -255,23 +253,22 @@ class TestConfigTypes:
 
     def test_initial_state_is_two_zero(self):
         basis = two_excitation_basis()
-        state = initial_state(basis)
+        state = initial_state()
         assert state.amplitudes[basis.index_of(2, 0)] == pytest.approx(1.0)
 
 
 def dense_fi(eta, theta, with_prevention):
     """Finite-difference FI of the dense pipeline: state, channel, lossy POVM."""
-    basis = two_excitation_basis()
-    povm = lossy_povm(eta, basis)
-    channel = error_prevention_channel(basis)
+    povm = lossy_povm(eta)
+    channel = error_prevention_channel()
 
     def family(t):
-        rho = rotated_state(t, basis).to_density()
+        rho = rotated_state(t).to_density()
         if with_prevention:
             rho = apply_channel(rho, channel)
         return measure(rho, povm)
 
-    return classical_fi(family, theta, degenerate="limit")
+    return classical_fi(family, theta)
 
 
 class TestClosedFormFi:
@@ -308,11 +305,10 @@ class TestClosedFormFi:
             assert scalar_diag["degenerate"] == flag
 
     def test_outcome_probabilities_match_dense_measure(self):
-        basis = two_excitation_basis()
-        channel = error_prevention_channel(basis)
-        povm = lossy_povm(0.37, basis)
+        channel = error_prevention_channel()
+        povm = lossy_povm(0.37)
         for theta in (0.0, 0.8, math.pi / 2, 2.9):
-            rho = rotated_state(theta, basis).to_density()
+            rho = rotated_state(theta).to_density()
             for fi, state in ((fi_without_prevention, rho),
                               (fi_with_prevention, apply_channel(rho, channel))):
                 _, diag = fi(0.37, theta, full_output=True)

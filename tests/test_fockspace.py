@@ -389,6 +389,18 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(FockBasis(2).state(0, 0).to_density(), number_povm(FockBasis(3)))
 
+    @pytest.mark.parametrize("eta", [0.0, 0.41, 1.0])
+    def test_lossy_povm_is_heisenberg_picture_of_loss_channel(self, rng, eta):
+        basis = FockBasis(14)
+        g = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+        mat = g @ g.conj().T
+        rho = DensityOperator(basis, mat / np.trace(mat))
+        heisenberg = measure(rho, lossy_number_povm(basis, eta))
+        schroedinger = measure(
+            apply_channel(rho, detection_loss_channel(basis, eta)), number_povm(basis)
+        )
+        assert heisenberg.tv_distance(schroedinger) <= 1e-14
+
 
 class TestClassicalFi:
     def test_constant_family_is_zero(self):
@@ -417,23 +429,17 @@ class TestClassicalFi:
         with pytest.raises(ValueError):
             CountDistribution({0: -0.1, 1: 1.1})
 
-    def test_step_outside_contract_rejected(self):
-        dist = CountDistribution({0: 1.0})
-        with pytest.raises(ValueError):
-            classical_fi(lambda t: dist, 0.5, step=1e-2)
-
-    def test_skip_mode_reports_bounded_contribution(self):
-        # outcome probability sin^2(theta) vanishes quadratically at theta=0
+    def test_vanishing_outcome_adds_its_limit(self):
+        # outcome probability sin^2(theta) vanishes quadratically at theta=0,
+        # where its contribution (p')^2/p takes the limit 2 p'' = 4
         def family(theta):
             p = math.sin(theta) ** 2
             return CountDistribution({0: 1.0 - p, 1: p})
 
-        fi_skip, diag = classical_fi(family, 0.0, degenerate="skip", full_output=True)
-        assert fi_skip == pytest.approx(0.0, abs=1e-9)
+        fi, diag = classical_fi(family, 0.0, full_output=True)
+        assert fi == pytest.approx(4.0, rel=1e-6)
         assert diag["skipped_labels"] == [1]
         assert diag["skipped_bound"] == pytest.approx(4.0, rel=1e-6)
-        fi_limit = classical_fi(family, 0.0, degenerate="limit")
-        assert fi_limit == pytest.approx(4.0, rel=1e-6)
 
     def test_step_halving_check_is_quiet_when_converged(self, recwarn):
         basis = FockBasis(2)
@@ -469,7 +475,7 @@ class TestQfi:
             return apply_channel(apply_channel(pure(theta), prevention), loss)
 
         q = qfi(family, math.pi / 2)
-        c = povm_fi(family, number_povm(basis), math.pi / 2, degenerate="limit")
+        c = povm_fi(family, number_povm(basis), math.pi / 2)
         assert c <= q + 1e-6
 
     def test_monotonicity_for_random_povms(self, rng):
