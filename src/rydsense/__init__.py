@@ -22,7 +22,6 @@ from .fockspace import (
     measure,
     mode_operator,
     number_povm,
-    qfi,
     rabi_rotation,
 )
 from .error_prevention import (
@@ -61,11 +60,9 @@ from .multiparticle import (
 from .estimation import (
     EstimationResult,
     SensitivityReport,
-    ShotBatch,
     field_precision,
     ml_estimate,
     run_estimation,
-    sample_shots,
     sensitivity_from_model,
 )
 

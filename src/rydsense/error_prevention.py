@@ -33,7 +33,6 @@ from .fockspace import (
     classical_fi,
     lossy_number_povm,
     measure,
-    mode_operator,
     rabi_rotation,
 )
 
@@ -306,21 +305,3 @@ def expectation_curves(eta: float, theta_grid) -> ExpectationCurves:
         np_without=2.0 * eta * s2,
     )
 
-
-def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, float]:
-    """Matrix-pipeline evaluation of the four detected means at one angle.
-
-    Independent check for :func:`expectation_curves`: builds the rotated
-    state, applies the error-prevention channel where applicable, and takes
-    eta-scaled number-operator expectations.
-    """
-    nd_op = mode_operator(_BASIS, "d", "number")
-    np_op = mode_operator(_BASIS, "p", "number")
-    rho_bare = rotated_state(theta).to_density()
-    rho_prev = apply_channel(rho_bare, error_prevention_channel())
-    return (
-        eta * rho_prev.expectation(nd_op),
-        eta * rho_prev.expectation(np_op),
-        eta * rho_bare.expectation(nd_op),
-        eta * rho_bare.expectation(np_op),
-    )

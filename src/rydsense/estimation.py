@@ -35,16 +35,12 @@ __all__ = [
     "HBAR",
     "ELEMENTARY_CHARGE",
     "BOHR_RADIUS",
-    "ShotBatch",
     "EstimationResult",
     "SensitivityReport",
     "default_theta_grid",
-    "sample_shots",
     "ml_estimate",
     "run_estimation",
     "dipole_moment_si",
-    "electric_field_to_rabi",
-    "rabi_to_electric_field",
     "field_precision",
     "sensitivity_from_model",
 ]
@@ -56,22 +52,6 @@ BOHR_RADIUS = 5.29177210903e-11  # m
 
 DEFAULT_GRID_POINTS = 2000
 DEFAULT_BOOTSTRAP = 200
-
-
-@dataclass(frozen=True)
-class ShotBatch:
-    """Detected counts from repeated shots at one true angle."""
-
-    counts: np.ndarray
-    theta_true: float
-    params: ProtocolParams
-    seed: int | None
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or (counts.size and counts.min() < 0):
-            raise ValueError("counts must be a 1-d array of non-negative integers")
-        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -120,20 +100,6 @@ def _draw_counts(
     """Inverse-CDF draws of ``n_shots`` detected mode-d counts."""
     pmf = count_pmf(params, theta, "d")
     return np.searchsorted(np.cumsum(pmf), rng.random(n_shots)).clip(max=pmf.size - 1)
-
-
-def sample_shots(
-    params: ProtocolParams, theta: float, n_shots: int, seed: int | None = None
-) -> ShotBatch:
-    """Draw ``n_shots`` detected counts by inverse-CDF sampling.
-
-    Deterministic under a fixed seed; the empirical distribution converges
-    to :func:`rydsense.multiparticle.count_distribution`.
-    """
-    if n_shots < 1:
-        raise ValueError("n_shots must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return ShotBatch(_draw_counts(params, theta, n_shots, rng), theta, params, seed)
 
 
 def _refine_argmax(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -294,16 +260,6 @@ def run_estimation(
 def dipole_moment_si(value_e_a0: float) -> float:
     """Transition dipole moment in C m from its value in units of e a0."""
     return value_e_a0 * ELEMENTARY_CHARGE * BOHR_RADIUS
-
-
-def electric_field_to_rabi(field_v_per_m: float, dipole_moment: float) -> float:
-    """Rabi frequency d E / hbar in rad/s."""
-    return dipole_moment * field_v_per_m / HBAR
-
-
-def rabi_to_electric_field(rabi_rad_s: float, dipole_moment: float) -> float:
-    """Electric field hbar Omega / d in V/m."""
-    return rabi_rad_s * HBAR / dipole_moment
 
 
 def field_precision(

@@ -2,20 +2,25 @@
 
 The two collective spinwave modes are labelled ``d`` and ``p``.  States are
 plain complex vectors over the occupation basis {|n_d, n_p>, n_d + n_p <=
-n_max}, operators are dense matrices, quantum operations are explicit Kraus
-lists and measurements are POVM element lists.  Dimensions stay below ~150,
-so everything is dense and exact; this module serves as the brute-force
+n_max}, observables are dense matrices, quantum operations are explicit
+Kraus lists and measurements are POVM element lists.  Dimensions stay below
+~150, so everything is exact; this module serves as the brute-force
 oracle for the analytic photon statistics implemented elsewhere in the
 package.
 
-Kraus operators and POVM elements stay dense matrices (a diagonal POVM
-element may be given as its diagonal vector), but the algebra runs on
-their support.  If r lists the nonzero rows of K, then
-K rho K^dag is K[r,:] rho K[r,:]^dag scattered onto the (r, r) block and
-K^dag K = K[r,:]^dag K[r,:]; a POVM element vanishing outside the index set
-s has tr(rho M) = sum over i, j in s of rho_ij M_ji and the eigenvalues of
-M[s,s] plus zeros.  These identities hold for any matrix, so the results
-are those of the dense formulas; a dense operator simply has full support.
+A Kraus operator is a dense matrix or, in lowering form, the triple
+(dest, src, coeffs) with K|src_i> = coeffs_i |dest_i> and K zero on every
+other basis state, no source or destination repeated.  The detection-loss
+and interaction channels are built in this form: K rho K^dag adds
+c_i c_j^* rho[src_i, src_j] onto (dest_i, dest_j) elementwise, and K^dag K
+is diagonal with the entries |c_i|^2 on src, so no dense operator is
+formed.  A dense operator is applied on its support: if r lists its
+nonzero rows, K rho K^dag is K[r,:] rho K[r,:]^dag scattered onto the
+(r, r) block and K^dag K = K[r,:]^dag K[r,:].  POVM elements stay dense
+matrices (a diagonal element may be given as its diagonal vector); an
+element vanishing outside the index set s has tr(rho M) = sum over i, j in
+s of rho_ij M_ji and the eigenvalues of M[s,s] plus zeros.  These
+identities are exact, so the results are those of the dense formulas.
 Channels and POVMs compute their supports once, on construction.
 
 All values are immutable after construction and all operations are pure
@@ -47,7 +52,6 @@ __all__ = [
     "lossy_number_povm",
     "measure",
     "classical_fi",
-    "qfi",
     "coherent_state",
 ]
 
@@ -58,10 +62,8 @@ COMPLETENESS_TOL = 1e-10
 # Outcomes of classical_fi below this probability contribute their limit
 # 2 p'' instead of (p')^2 / p.
 PROB_FLOOR = 1e-15
-# Central finite-difference step (radians) of classical_fi and qfi.
+# Central finite-difference step (radians) of classical_fi.
 FI_STEP = 1e-5
-# Eigenvalue pairs of qfi whose sum is at most this are left out.
-QFI_EIG_FLOOR = 1e-12
 # Largest relative gap allowed where a caller checks an exact or closed-form
 # FI against classical_fi.
 FI_CROSS_CHECK_MAX = 1e-6
@@ -189,10 +191,14 @@ class DensityOperator:
 class KrausChannel:
     """Quantum operation given by a list of Kraus operators on one basis.
 
-    If ``trace_preserving`` the completeness sum K^dag K must equal the
-    identity within 1e-10; otherwise it must not exceed the identity.
-    ``row_blocks`` holds, per operator, its nonzero row indices r and the
-    rows K[r,:]; the completeness sum and :func:`apply_channel` use them.
+    Each operator is a dim x dim matrix or a lowering-form triple
+    ``(dest, src, coeffs)`` of equal-length arrays (see the module
+    docstring); a triple that repeats a source or a destination index
+    raises ``ValueError``.  If ``trace_preserving`` the completeness sum
+    K^dag K must equal the identity within 1e-10; otherwise it must not
+    exceed the identity.  ``row_blocks`` holds, per dense operator, its
+    nonzero row indices r and the rows K[r,:], and ``lowering`` the
+    triples; the completeness sum and :func:`apply_channel` use them.
     """
 
     basis: FockBasis
@@ -200,37 +206,69 @@ class KrausChannel:
     trace_preserving: bool = True
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        if not ops:
+        if not self.operators:
             raise ValueError("channel needs at least one Kraus operator")
         d = self.basis.dim
-        for k in ops:
-            if k.shape != (d, d):
-                raise ValueError(f"Kraus operator shape {k.shape} does not match dim {d}")
-        row_blocks = []
-        for k in ops:
-            rows = np.flatnonzero(np.any(k != 0, axis=1))
-            row_blocks.append((rows, k[rows]))
-        stacked = np.concatenate([block for _, block in row_blocks])
-        total = stacked.conj().T @ stacked
-        defect = float(np.max(np.abs(total - np.eye(d))))
+        ops, row_blocks, lowering = [], [], []
+        # K^dag K of a lowering-form operator is diagonal
+        diagonal = np.zeros(d)
+        for k in self.operators:
+            if isinstance(k, tuple):
+                k = _checked_lowering(k, d)
+                diagonal[k[1]] += np.abs(k[2]) ** 2
+                lowering.append(k)
+            else:
+                k = np.asarray(k, dtype=complex)
+                if k.shape != (d, d):
+                    raise ValueError(f"Kraus operator shape {k.shape} does not match dim {d}")
+                rows = np.flatnonzero(np.any(k != 0, axis=1))
+                row_blocks.append((rows, k[rows]))
+            ops.append(k)
+        if row_blocks:
+            stacked = np.concatenate([block for _, block in row_blocks])
+            total = stacked.conj().T @ stacked
+            total[np.diag_indices(d)] += diagonal
+            identity = np.eye(d)
+        else:
+            total, identity = diagonal, 1.0
+        defect = float(np.max(np.abs(total - identity)))
         if self.trace_preserving:
             if defect > TRACE_TOL:
                 raise ValueError(
                     f"Kraus completeness defect {defect:.3e} exceeds 1e-10"
                 )
         else:
-            top = float(np.linalg.eigvalsh(total).max())
+            top = float(np.linalg.eigvalsh(total).max() if row_blocks else total.max())
             if top > 1.0 + TRACE_TOL:
                 raise ValueError(
                     f"non-trace-preserving channel exceeds identity by {top - 1.0:.3e}"
                 )
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", tuple(ops))
         object.__setattr__(self, "row_blocks", tuple(row_blocks))
+        object.__setattr__(self, "lowering", tuple(lowering))
         object.__setattr__(self, "completeness_defect", defect)
 
     def __len__(self):
         return len(self.operators)
+
+
+def _checked_lowering(op: tuple, dim: int) -> tuple:
+    """Validated (dest, src, coeffs) arrays of a lowering-form operator.
+
+    The scatter of :func:`apply_channel` would silently drop repeated
+    indices, so a repeated source or destination raises ``ValueError``.
+    """
+    dest, src, coeffs = (np.asarray(a) for a in op)
+    if not dest.shape == src.shape == coeffs.shape == (coeffs.size,):
+        raise ValueError("lowering-form index and coefficient arrays differ in length")
+    for idx in (dest, src):
+        if not idx.size:
+            continue
+        if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= dim:
+            raise ValueError(f"lowering-form indices must be basis indices below {dim}")
+        if np.bincount(idx).max() > 1:
+            raise ValueError("lowering-form operator repeats a source or destination index")
+    return dest.astype(np.intp), src.astype(np.intp), coeffs.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -342,8 +380,7 @@ def mode_operator(basis: FockBasis, mode: str, kind: str) -> np.ndarray:
 
     ``annihilate`` maps |n, m> to sqrt(n) |n-1, m> (mode ``d``; mode ``p``
     acts on the second slot).  ``create`` maps |n, m> to sqrt(n+1) |n+1, m>
-    and silently drops components that would exceed the truncation; see
-    :func:`creation_overflow_norm` to quantify the dropped weight.
+    and silently drops the components that would exceed the truncation.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -368,16 +405,6 @@ def mode_operator(basis: FockBasis, mode: str, kind: str) -> np.ndarray:
     return op
 
 
-def creation_overflow_norm(basis: FockBasis, mode: str, state: TwoModeFockState) -> float:
-    """Norm of the component a creation operator would push past n_max."""
-    axis = MODES.index(mode)
-    leaked = 0.0
-    for i, occ in enumerate(basis.occupations):
-        if sum(occ) == basis.n_max:
-            leaked += (occ[axis] + 1) * abs(state.amplitudes[i]) ** 2
-    return math.sqrt(leaked)
-
-
 def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
     """Unitary of a microwave Rabi rotation by ``theta`` between the modes.
 
@@ -400,36 +427,30 @@ def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
 def apply_channel(rho: DensityOperator, channel: KrausChannel) -> DensityOperator:
     """Apply a Kraus channel: rho -> sum_k K rho K^dag.
 
-    Each term is K[r,:] rho K[r,:]^dag added onto the (r, r) block, with r
-    the nonzero rows of K.
+    A lowering-form operator adds the elementwise product
+    c_i rho[src_i, src_j] c_j^* onto the (dest, dest) block, with no matmul;
+    a dense one adds K[r,:] rho K[r,:]^dag onto the (r, r) block, with r its
+    nonzero rows.
     """
     if channel.basis != rho.basis:
         raise ValueError("channel and state are defined on different bases")
     out = np.zeros_like(rho.matrix)
     for rows, block in channel.row_blocks:
         out[np.ix_(rows, rows)] += block @ rho.matrix @ block.conj().T
+    for dest, src, coeffs in channel.lowering:
+        out[dest[:, None], dest] += coeffs[:, None] * rho.matrix[src[:, None], src] * coeffs.conj()
     out = 0.5 * (out + out.conj().T)  # suppress roundoff asymmetry
     return DensityOperator(rho.basis, out)
 
 
-def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """Channel composition outer(inner(rho)) as a single Kraus list."""
-    if outer.basis != inner.basis:
-        raise ValueError("channels are defined on different bases")
-    ops = [b @ a for b in outer.operators for a in inner.operators]
-    return KrausChannel(
-        outer.basis, tuple(ops),
-        trace_preserving=outer.trace_preserving and inner.trace_preserving,
-    )
-
-
 def _lowering_operators(basis: FockBasis, lowered, coeffs) -> tuple:
-    """Dense operators K_j |n_d, n_p> = coeffs[j, i] |n_d - a_j, n_p - b_j>.
+    """Lowering-form operators K_j |n_d, n_p> = coeffs[j, i] |n_d - a_j, n_p - b_j>.
 
     ``lowered`` is a (J, 2) integer array of the pairs (a_j, b_j) and
     ``coeffs`` a (J, dim) array over the basis index i of |n_d, n_p>.  A
     nonzero coefficient on a state with n_d < a_j or n_p < b_j raises
-    ``ValueError``.  Operators without a nonzero coefficient are left out.
+    ``ValueError``.  Operators without a nonzero coefficient are left out;
+    the others are (dest, src, coeffs) triples for :class:`KrausChannel`.
     """
     occ = np.array(basis.occupations)
     index = np.zeros((basis.n_max + 1,) * 2, dtype=int)
@@ -438,9 +459,10 @@ def _lowering_operators(basis: FockBasis, lowered, coeffs) -> tuple:
     dest = occ[src] - lowered[op]
     if dest.min(initial=0) < 0:
         raise ValueError("nonzero coefficient on a state that cannot be lowered")
-    ops = np.zeros((len(lowered), basis.dim, basis.dim), dtype=complex)
-    ops[op, index[dest[:, 0], dest[:, 1]], src] = coeffs[op, src]
-    return tuple(ops[j] for j in np.unique(op))
+    # np.nonzero runs row-major, so each operator's entries are contiguous
+    cuts = np.flatnonzero(np.diff(op)) + 1
+    parts = (np.split(a, cuts) for a in (index[dest[:, 0], dest[:, 1]], src, coeffs[op, src]))
+    return tuple(zip(*parts))
 
 
 def _thinning_weights(n_max: int, eta: float) -> np.ndarray:
@@ -458,9 +480,9 @@ def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
 
     Standard beam-splitter loss with a vacuum ancilla; Kraus operators are
     indexed by the number of excitations lost per mode, with amplitudes the
-    square roots of the thinning weights.  Losses only lower occupation
-    numbers, so the channel is exactly trace preserving on the truncated
-    space.
+    square roots of the thinning weights, and built in lowering form (no
+    dense operator is formed).  Losses only lower occupation numbers, so
+    the channel is exactly trace preserving on the truncated space.
     """
     amp = np.sqrt(_thinning_weights(basis.n_max, eta))
     # the operators are indexed by the lost pairs (l_d, l_p), which run over
@@ -594,33 +616,6 @@ def classical_fi(
                 stacklevel=2,
             )
     return (fi, diag) if full_output else fi
-
-
-def povm_fi(rho_family, povm: PovmSet, theta: float):
-    """Classical FI of measuring ``povm`` on a density-operator family."""
-    return classical_fi(lambda t: measure(rho_family(t), povm), theta)
-
-
-def qfi(rho_family, theta: float, *, full_output: bool = False):
-    """Quantum Fisher information of a density-operator family.
-
-    Uses the symmetric-logarithmic-derivative eigendecomposition formula
-    F_Q = sum_{i,j: l_i + l_j > QFI_EIG_FLOOR} 2 |<i| drho |j>|^2 / (l_i + l_j)
-    with drho a central finite difference of step ``FI_STEP``.
-    ``full_output`` also returns the step and the eigenvalues of rho.
-    """
-    rho0 = rho_family(theta)
-    rp = rho_family(theta + FI_STEP)
-    rm = rho_family(theta - FI_STEP)
-    drho = (rp.matrix - rm.matrix) / (2.0 * FI_STEP)
-    evals, evecs = np.linalg.eigh(rho0.matrix)
-    m = evecs.conj().T @ drho @ evecs
-    pair_sums = evals[:, None] + evals[None, :]
-    mask = pair_sums > QFI_EIG_FLOOR
-    value = float(np.sum(2.0 * np.abs(m[mask]) ** 2 / pair_sums[mask]))
-    if full_output:
-        return value, {"step": FI_STEP, "eigenvalues": evals}
-    return value
 
 
 def coherent_state(

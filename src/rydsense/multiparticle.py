@@ -329,7 +329,9 @@ def interaction_channel_kraus(
     two-excitation error-prevention pair in the limit gamma_tau -> inf.
     All operators only lower occupations, so the channel is trace
     preserving on the truncated space up to the weights below 1e-14 that
-    are dropped.  Its completeness defect is checked once, on the returned
+    are dropped.  They are built in the lowering form of
+    :class:`~rydsense.fockspace.KrausChannel`, with no dense operator
+    formed.  The completeness defect is checked once, on the returned
     channel (built as not trace preserving, so it is checked not to exceed
     the identity): above 1e-6 it raises ``ValueError``.
     """

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_genlaguerre
 from scipy.stats import chi2
 
 from rydsense import dipolar
@@ -45,6 +46,21 @@ def lda_readout_oracle(t_us, n_p, params):
     value, err = quad(f, 0.0, 80.0, limit=200)
     assert err < 1e-8
     return value
+
+
+def lda_readout_laguerre(t_us, n_p, params):
+    """The local-density readout functional by an 80-node Gauss-Laguerre rule.
+
+    With q = 2u the chi-squared(3) density of q becomes
+    (2 / sqrt(pi)) u^(1/2) e^(-u) du, so the generalized rule with weight
+    u^(1/2) e^(-u) integrates the smooth factor |1 - p0 e^(-u) A|^(2 n_p)
+    with no Monte-Carlo noise.
+    """
+    u, w = roots_genlaguerre(80, 0.5)
+    a = excluded_volume_integral(t_us, params)
+    p0 = 1.0 / ((2 * math.pi) ** 1.5 * math.prod(params.cloud.dimensions))
+    factor = np.abs(1.0 - p0 * np.exp(-u) * a) ** (2 * n_p)
+    return 2.0 / math.sqrt(math.pi) * float(np.sum(w * factor))
 
 
 class TestPairPotential:
@@ -218,6 +234,20 @@ class TestMonteCarloReadout:
         r = readout_expectation_mc(t, n_p, MC_PARAMS, samples=100_000, seed=5)
         oracle = lda_readout_oracle(t, n_p, MC_PARAMS)
         assert abs(r.value - oracle) <= 3 * r.stderr
+
+    @pytest.mark.parametrize("t,n_p,cloud_um,seed", [
+        (0.3, 10, (60.0, 60.0, 3000.0), 5),
+        (1.0, 30, (60.0, 60.0, 3000.0), 6),
+        (0.03, 20, (20.0, 20.0, 20.0), 7),
+    ])
+    def test_lda_matches_gauss_laguerre_reference(self, t, n_p, cloud_um, seed):
+        params = DipolarParams.from_tabulated(
+            TABULATED_C3_GHZ_UM3, CloudGeometry("gaussian", cloud_um)
+        )
+        reference = lda_readout_laguerre(t, n_p, params)
+        assert reference == pytest.approx(lda_readout_oracle(t, n_p, params), abs=1e-12)
+        r = readout_expectation_mc(t, n_p, params, samples=100_000, seed=seed, method="lda")
+        assert abs(r.value - reference) <= 5 * r.stderr
 
     def test_many_controls_exponential_decay(self):
         t, n_p = 0.3, 10

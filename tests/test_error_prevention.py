@@ -11,7 +11,6 @@ from rydsense.error_prevention import (
     enhancement_curve,
     error_prevention_channel,
     expectation_curves,
-    expectation_oracle,
     fi_with_prevention,
     fi_without_prevention,
     initial_state,
@@ -27,8 +26,9 @@ from rydsense.fockspace import (
     detection_loss_channel,
     measure,
     number_povm,
-    povm_fi,
 )
+
+from helpers import expectation_oracle, povm_fi
 
 GRID = np.linspace(0.07, math.pi - 0.07, 50)
 

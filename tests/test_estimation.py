@@ -15,12 +15,9 @@ from rydsense.estimation import (
     _variance,
     default_theta_grid,
     dipole_moment_si,
-    electric_field_to_rabi,
     field_precision,
     ml_estimate,
-    rabi_to_electric_field,
     run_estimation,
-    sample_shots,
     sensitivity_from_model,
 )
 from rydsense.fockspace import classical_fi
@@ -30,6 +27,8 @@ from rydsense.multiparticle import (
     count_pmf,
     fisher_information,
 )
+
+from helpers import electric_field_to_rabi, rabi_to_electric_field, sample_shots
 
 EXPERIMENT = ProtocolParams(55.0, 0.02, 0.03)
 POISSON_PARAMS = ProtocolParams(55.0, 0.02, 0.0)

@@ -15,16 +15,22 @@ from rydsense.fockspace import (
     apply_channel,
     classical_fi,
     coherent_state,
-    compose_channels,
-    creation_overflow_norm,
     detection_loss_channel,
     lossy_number_povm,
     measure,
     mode_operator,
     number_povm,
+    rabi_rotation,
+)
+
+from helpers import (
+    compose_channels,
+    creation_overflow_norm,
+    dense_kraus_sums,
     povm_fi,
     qfi,
-    rabi_rotation,
+    random_density,
+    tracemalloc_peak,
 )
 
 
@@ -204,12 +210,6 @@ class TestApplyChannel:
         assert abs(apply_channel(rho, channel).trace() - 1.0) < 1e-10
 
 
-def random_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    mat = g @ g.conj().T
-    return mat / np.trace(mat)
-
-
 def random_kraus_ops(rng, d, count, sparse):
     """Random complex operators scaled so that sum K^dag K <= identity.
 
@@ -297,6 +297,68 @@ class TestSupportRestriction:
         indefinite[:2, :2] = [[0.5, 0.8], [0.8, 0.5]]
         with pytest.raises(ValueError, match="positive semidefinite"):
             PovmSet(basis, (indefinite, eye - indefinite), ("a", "b"))
+
+
+def lowering(dest, src, coeffs):
+    return (np.array(dest), np.array(src), np.array(coeffs, dtype=complex))
+
+
+class TestLoweringForm:
+    def test_repeated_index_rejected(self):
+        basis = FockBasis(2)
+        with pytest.raises(ValueError, match="repeats"):
+            KrausChannel(basis, (lowering([0, 0], [1, 2], [0.5, 0.5]),), trace_preserving=False)
+        with pytest.raises(ValueError, match="repeats"):
+            KrausChannel(basis, (lowering([0, 1], [2, 2], [0.5, 0.5]),), trace_preserving=False)
+
+    def test_length_mismatch_rejected(self):
+        basis = FockBasis(2)
+        with pytest.raises(ValueError, match="differ in length"):
+            KrausChannel(basis, (lowering([0, 1], [2, 3], [0.5]),), trace_preserving=False)
+        with pytest.raises(ValueError, match="differ in length"):
+            KrausChannel(basis, (lowering([0], [2, 3], [0.5, 0.5]),), trace_preserving=False)
+
+    def test_completeness_on_the_form(self):
+        # |c|^2 summed per source: 0.36 + 0.64 on source 1, 1.2 on source 2
+        basis = FockBasis(1)
+        ops = (lowering([0, 1], [1, 2], [0.6, 1.2**0.5]), lowering([2], [1], [0.8j]))
+        with pytest.raises(ValueError, match="exceeds identity"):
+            KrausChannel(basis, ops, trace_preserving=False)
+        ident = (lowering([0, 1, 2], [0, 1, 2], [1.0, 0.6, 1.0]), lowering([2], [1], [0.8j]))
+        assert KrausChannel(basis, ident).completeness_defect < 1e-15
+
+    def test_mixed_dense_and_lowering_operators(self, rng):
+        basis = FockBasis(4)
+        d = basis.dim
+        dense = random_kraus_ops(rng, d, 2, sparse=True)
+        src = rng.permutation(d)[:8]
+        dest = rng.permutation(d)[:8]
+        # |c| <= 0.8 keeps sum K^dag K below 0.25 + 0.64 of the identity
+        coeffs = 0.8 * rng.uniform(size=8) * np.exp(2j * np.pi * rng.uniform(size=8))
+        form = lowering(dest, src, coeffs)
+        channel = KrausChannel(basis, (*[0.5 * k for k in dense], form), trace_preserving=False)
+        rho = random_density(rng, d)
+        reference, defect = dense_kraus_sums(channel, rho)
+        out = apply_channel(DensityOperator(basis, rho), channel).matrix
+        assert np.max(np.abs(out - reference)) <= 1e-15
+        assert abs(channel.completeness_defect - defect) <= 1e-14
+
+    @pytest.mark.parametrize("n_max", [2, 9, 14])
+    @pytest.mark.parametrize("eta", [0.0, 0.41, 1.0])
+    def test_loss_matches_dense_reference(self, rng, n_max, eta):
+        basis = FockBasis(n_max)
+        channel = detection_loss_channel(basis, eta)
+        assert not channel.row_blocks
+        rho = random_density(rng, basis.dim)
+        reference, defect = dense_kraus_sums(channel, rho)
+        out = apply_channel(DensityOperator(basis, rho), channel).matrix
+        assert np.max(np.abs(out - reference)) <= 1e-15
+        assert abs(channel.completeness_defect - defect) <= 1e-14
+
+    def test_loss_builds_without_dense_stack(self):
+        # one dense (J, dim, dim) stack at FockBasis(14) would take 27 MB
+        basis = FockBasis(14)
+        assert tracemalloc_peak(lambda: detection_loss_channel(basis, 0.41)) <= 2e6
 
 
 class TestDetectionLoss:

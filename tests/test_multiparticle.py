@@ -11,7 +11,13 @@ from scipy.stats import poisson
 from rydsense import multiparticle
 from rydsense.error_prevention import error_prevention_channel
 from rydsense.errors import NumericalError
-from rydsense.fockspace import FockBasis, apply_channel, classical_fi, mode_operator
+from rydsense.fockspace import (
+    DensityOperator,
+    FockBasis,
+    apply_channel,
+    classical_fi,
+    mode_operator,
+)
 from rydsense.multiparticle import (
     LOSS_AFTER,
     LOSS_BEFORE,
@@ -26,6 +32,7 @@ from rydsense.multiparticle import (
 )
 
 from conftest import kraus_pipeline_distribution, kraus_pipeline_family
+from helpers import dense_kraus_sums, dense_operators, random_density, tracemalloc_peak
 
 EXPERIMENT = ProtocolParams(n0=55.0, eta=0.02, gamma_tau=0.028)
 
@@ -240,7 +247,7 @@ class TestInteractionChannel:
         for symmetric in (True, False):
             channel = interaction_channel_kraus(basis, 0.0, symmetric=symmetric)
             assert len(channel) == 1
-            assert np.allclose(channel.operators[0], np.eye(basis.dim))
+            assert np.allclose(dense_operators(channel)[0], np.eye(basis.dim))
 
     def test_strong_decay_empties_one_one(self):
         basis = FockBasis(2)
@@ -288,6 +295,26 @@ class TestInteractionChannel:
     def test_negative_decay_rejected(self):
         with pytest.raises(ValueError):
             interaction_channel_kraus(FockBasis(2), -0.1)
+
+    @pytest.mark.parametrize("n_max", [2, 9, 14])
+    @pytest.mark.parametrize("gamma_tau", [0.0, 0.7, 25.0])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_lowering_form_matches_dense_reference(self, rng, n_max, gamma_tau, symmetric):
+        basis = FockBasis(n_max)
+        channel = interaction_channel_kraus(basis, gamma_tau, symmetric=symmetric)
+        assert not channel.row_blocks
+        rho = random_density(rng, basis.dim)
+        reference, defect = dense_kraus_sums(channel, rho)
+        out = apply_channel(DensityOperator(basis, rho), channel).matrix
+        assert np.max(np.abs(out - reference)) <= 1e-15
+        assert abs(channel.completeness_defect - defect) <= 1e-14
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_builds_without_dense_stack(self, symmetric):
+        # one dense (J, dim, dim) stack at FockBasis(14) would take 27 MB
+        basis = FockBasis(14)
+        peak = tracemalloc_peak(lambda: interaction_channel_kraus(basis, 0.7, symmetric=symmetric))
+        assert peak <= 2e6
 
 
 class TestOracleEquivalence:
