@@ -144,15 +144,15 @@ def error_prevention_channel() -> KrausChannel:
     """Non-unitary operation transferring |1,1> to the vacuum.
 
     Kraus pair K0 = |0,0><1,1| and K1 = 1 - |1,1><1,1| on
-    :func:`two_excitation_basis`; trace preserving and idempotent as a
-    channel.
+    :func:`two_excitation_basis`, in the (dest, src, coeffs) form of
+    :class:`~rydsense.fockspace.KrausChannel`: K0 maps |1,1> to |0,0> and
+    K1 keeps every other basis state.  Trace preserving and idempotent as
+    a channel.
     """
     i11 = _BASIS.index_of(1, 1)
-    i00 = _BASIS.index_of(0, 0)
-    k0 = np.zeros((_BASIS.dim, _BASIS.dim), dtype=complex)
-    k0[i00, i11] = 1.0
-    k1 = np.eye(_BASIS.dim, dtype=complex)
-    k1[i11, i11] = 0.0
+    kept = np.delete(np.arange(_BASIS.dim), i11)
+    k0 = ([_BASIS.index_of(0, 0)], [i11], [1.0])
+    k1 = (kept, kept, np.ones(kept.size))
     return KrausChannel(_BASIS, (k0, k1), trace_preserving=True)
 
 

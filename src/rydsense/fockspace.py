@@ -3,25 +3,21 @@
 The two collective spinwave modes are labelled ``d`` and ``p``.  States are
 plain complex vectors over the occupation basis {|n_d, n_p>, n_d + n_p <=
 n_max}, observables are dense matrices, quantum operations are explicit
-Kraus lists and measurements are POVM element lists.  Dimensions stay below
-~150, so everything is exact; this module serves as the brute-force
-oracle for the analytic photon statistics implemented elsewhere in the
-package.
+Kraus lists and measurements are tables of POVM element diagonals.
+Dimensions stay below ~150, so everything is exact; this module serves as
+the brute-force oracle for the analytic photon statistics implemented
+elsewhere in the package.
 
-A Kraus operator is a dense matrix or, in lowering form, the triple
+Every operation of the protocol maps number states to number states, and
+every read-out counts photons, so channels and measurements each have one
+form.  A Kraus operator is given in lowering form, the triple
 (dest, src, coeffs) with K|src_i> = coeffs_i |dest_i> and K zero on every
-other basis state, no source or destination repeated.  The detection-loss
-and interaction channels are built in this form: K rho K^dag adds
+other basis state, no source or destination repeated: K rho K^dag adds
 c_i c_j^* rho[src_i, src_j] onto (dest_i, dest_j) elementwise, and K^dag K
 is diagonal with the entries |c_i|^2 on src, so no dense operator is
-formed.  A dense operator is applied on its support: if r lists its
-nonzero rows, K rho K^dag is K[r,:] rho K[r,:]^dag scattered onto the
-(r, r) block and K^dag K = K[r,:]^dag K[r,:].  POVM elements stay dense
-matrices (a diagonal element may be given as its diagonal vector); an
-element vanishing outside the index set s has tr(rho M) = sum over i, j in
-s of rho_ij M_ji and the eigenvalues of M[s,s] plus zeros.  These
-identities are exact, so the results are those of the dense formulas.
-Channels and POVMs compute their supports once, on construction.
+formed.  A POVM element is diagonal in the number basis and given by its
+diagonal m, so tr(rho M) is m . diag(rho).  These identities are exact, so
+the results are those of the dense formulas.
 
 All values are immutable after construction and all operations are pure
 functions, so parameter sweeps can be evaluated in parallel without shared
@@ -191,14 +187,13 @@ class DensityOperator:
 class KrausChannel:
     """Quantum operation given by a list of Kraus operators on one basis.
 
-    Each operator is a dim x dim matrix or a lowering-form triple
-    ``(dest, src, coeffs)`` of equal-length arrays (see the module
-    docstring); a triple that repeats a source or a destination index
-    raises ``ValueError``.  If ``trace_preserving`` the completeness sum
-    K^dag K must equal the identity within 1e-10; otherwise it must not
-    exceed the identity.  ``row_blocks`` holds, per dense operator, its
-    nonzero row indices r and the rows K[r,:], and ``lowering`` the
-    triples; the completeness sum and :func:`apply_channel` use them.
+    Each operator is a triple ``(dest, src, coeffs)`` of equal-length
+    arrays (see the module docstring); anything else, a dense matrix
+    included, or a triple that repeats a source or a destination index
+    raises ``ValueError``.  The completeness sum K^dag K is the diagonal
+    of sum |c|^2 per source.  If ``trace_preserving`` it must equal the
+    identity within 1e-10; otherwise it must not exceed the identity.
+    ``operators`` holds the validated triples.
     """
 
     basis: FockBasis
@@ -208,44 +203,21 @@ class KrausChannel:
     def __post_init__(self):
         if not self.operators:
             raise ValueError("channel needs at least one Kraus operator")
-        d = self.basis.dim
-        ops, row_blocks, lowering = [], [], []
-        # K^dag K of a lowering-form operator is diagonal
-        diagonal = np.zeros(d)
-        for k in self.operators:
-            if isinstance(k, tuple):
-                k = _checked_lowering(k, d)
-                diagonal[k[1]] += np.abs(k[2]) ** 2
-                lowering.append(k)
-            else:
-                k = np.asarray(k, dtype=complex)
-                if k.shape != (d, d):
-                    raise ValueError(f"Kraus operator shape {k.shape} does not match dim {d}")
-                rows = np.flatnonzero(np.any(k != 0, axis=1))
-                row_blocks.append((rows, k[rows]))
-            ops.append(k)
-        if row_blocks:
-            stacked = np.concatenate([block for _, block in row_blocks])
-            total = stacked.conj().T @ stacked
-            total[np.diag_indices(d)] += diagonal
-            identity = np.eye(d)
-        else:
-            total, identity = diagonal, 1.0
-        defect = float(np.max(np.abs(total - identity)))
+        ops = tuple(_checked_lowering(k, self.basis.dim) for k in self.operators)
+        total = np.zeros(self.basis.dim)
+        for _, src, coeffs in ops:
+            total[src] += np.abs(coeffs) ** 2
+        defect = float(np.max(np.abs(total - 1.0)))
         if self.trace_preserving:
             if defect > TRACE_TOL:
                 raise ValueError(
                     f"Kraus completeness defect {defect:.3e} exceeds 1e-10"
                 )
-        else:
-            top = float(np.linalg.eigvalsh(total).max() if row_blocks else total.max())
-            if top > 1.0 + TRACE_TOL:
-                raise ValueError(
-                    f"non-trace-preserving channel exceeds identity by {top - 1.0:.3e}"
-                )
-        object.__setattr__(self, "operators", tuple(ops))
-        object.__setattr__(self, "row_blocks", tuple(row_blocks))
-        object.__setattr__(self, "lowering", tuple(lowering))
+        elif total.max() > 1.0 + TRACE_TOL:
+            raise ValueError(
+                f"non-trace-preserving channel exceeds identity by {total.max() - 1.0:.3e}"
+            )
+        object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "completeness_defect", defect)
 
     def __len__(self):
@@ -255,9 +227,13 @@ class KrausChannel:
 def _checked_lowering(op: tuple, dim: int) -> tuple:
     """Validated (dest, src, coeffs) arrays of a lowering-form operator.
 
-    The scatter of :func:`apply_channel` would silently drop repeated
-    indices, so a repeated source or destination raises ``ValueError``.
+    Only a 3-tuple is accepted, so a dense matrix with three rows is not
+    mistaken for a triple.  The scatter of :func:`apply_channel` would
+    silently drop repeated indices, so a repeated source or destination
+    raises ``ValueError``.
     """
+    if not (isinstance(op, tuple) and len(op) == 3):
+        raise ValueError("a Kraus operator must be a (dest, src, coeffs) triple")
     dest, src, coeffs = (np.asarray(a) for a in op)
     if not dest.shape == src.shape == coeffs.shape == (coeffs.size,):
         raise ValueError("lowering-form index and coefficient arrays differ in length")
@@ -273,58 +249,35 @@ def _checked_lowering(op: tuple, dim: int) -> tuple:
 
 @dataclass(frozen=True)
 class PovmSet:
-    """Positive operator valued measure with labelled outcomes.
+    """Number-diagonal positive operator valued measure with labelled outcomes.
 
-    Positivity of each element and completeness of the sum are checked on
-    construction.  An element is a dim x dim matrix or, for a diagonal
-    element, the length-dim vector of its diagonal.  ``supports`` holds,
-    per element, the indices s of its nonzero rows and columns and the
-    block M[s,s] (for a diagonal element the entries M_ss); the checks and
-    :func:`measure` use them.  :meth:`items` yields dense matrices.
+    ``elements`` is a real (outcomes, dim) array whose row j is the
+    diagonal of the element with label ``labels[j]``.  On construction the
+    rows must be real within 1e-12 (Hermitian), non-negative within 1e-10
+    (positive semidefinite) and sum to one in every column within 1e-10
+    (complete); otherwise ``ValueError`` is raised.
     """
 
     basis: FockBasis
-    elements: tuple
+    elements: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        els = tuple(np.asarray(m, dtype=complex) for m in self.elements)
+        els = np.asarray(self.elements)
+        d = self.basis.dim
+        if els.ndim != 2 or els.shape[1] != d:
+            raise ValueError(f"POVM elements have shape {els.shape}, expected (outcomes, {d})")
         if len(els) != len(self.labels):
             raise ValueError("one label per POVM element required")
-        d = self.basis.dim
-        total = np.zeros((d, d), dtype=complex)
-        diagonal_total = np.zeros(d, dtype=complex)
-        supports = []
-        for m in els:
-            if m.shape not in ((d, d), (d,)):
-                raise ValueError(f"POVM element shape {m.shape} does not match dim {d}")
-            if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-                raise ValueError("POVM element is not Hermitian")
-            if m.ndim == 1:
-                idx = np.flatnonzero(m)
-                block = m[idx]
-                lowest = block.real.min(initial=0.0)
-                diagonal_total += m
-            else:
-                nonzero = m != 0
-                idx = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-                block = m[np.ix_(idx, idx)]
-                lowest = np.linalg.eigvalsh(block).min() if idx.size else 0.0
-                total += m
-            if lowest < -PSD_TOL:
-                raise ValueError("POVM element is not positive semidefinite within 1e-10")
-            supports.append((idx, block))
-        total[np.diag_indices(d)] += diagonal_total
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
+        if np.max(np.abs(els.imag)) > HERMITICITY_TOL:
+            raise ValueError("POVM element is not Hermitian: its diagonal is complex")
+        els = els.real.astype(float)
+        if els.min() < -PSD_TOL:
+            raise ValueError("POVM element is not positive semidefinite within 1e-10")
+        if np.max(np.abs(els.sum(axis=0) - 1.0)) > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity within 1e-10")
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "supports", tuple(supports))
-
-    def items(self):
-        """(label, dense element) pairs."""
-        for label, m in zip(self.labels, self.elements):
-            yield label, np.diag(m) if m.ndim == 1 else m
 
     def __len__(self):
         return len(self.elements)
@@ -427,17 +380,13 @@ def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
 def apply_channel(rho: DensityOperator, channel: KrausChannel) -> DensityOperator:
     """Apply a Kraus channel: rho -> sum_k K rho K^dag.
 
-    A lowering-form operator adds the elementwise product
-    c_i rho[src_i, src_j] c_j^* onto the (dest, dest) block, with no matmul;
-    a dense one adds K[r,:] rho K[r,:]^dag onto the (r, r) block, with r its
-    nonzero rows.
+    Each operator adds the elementwise product c_i rho[src_i, src_j] c_j^*
+    onto the (dest, dest) block, with no matmul.
     """
     if channel.basis != rho.basis:
         raise ValueError("channel and state are defined on different bases")
     out = np.zeros_like(rho.matrix)
-    for rows, block in channel.row_blocks:
-        out[np.ix_(rows, rows)] += block @ rho.matrix @ block.conj().T
-    for dest, src, coeffs in channel.lowering:
+    for dest, src, coeffs in channel.operators:
         out[dest[:, None], dest] += coeffs[:, None] * rho.matrix[src[:, None], src] * coeffs.conj()
     out = 0.5 * (out + out.conj().T)  # suppress roundoff asymmetry
     return DensityOperator(rho.basis, out)
@@ -495,21 +444,19 @@ def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
 def number_povm(basis: FockBasis) -> PovmSet:
     """Projective measurement of both occupation numbers.
 
-    The elements |i><i| are given by their diagonals, the rows of the
-    identity.
+    The element diagonals of |i><i| are the rows of the identity.
     """
-    els = np.eye(basis.dim, dtype=complex)
-    return PovmSet(basis, tuple(els), tuple(basis.occupations))
+    return PovmSet(basis, np.eye(basis.dim), basis.occupations)
 
 
 def lossy_number_povm(basis: FockBasis, eta: float) -> PovmSet:
     """Photon counting preceded by efficiency-``eta`` loss, as one POVM.
 
-    The element for detected pair (i, j) is diagonal, with the entry
+    The element for detected pair (i, j) has the diagonal entry
     w[n_d, n_d - i] w[n_p, n_p - j] on every occupation (n_d, n_p) with
-    n_d >= i and n_p >= j, where w is the thinning-weight table of
-    :func:`detection_loss_channel`.  This is the Heisenberg picture of that
-    channel followed by :func:`number_povm`.
+    n_d >= i and n_p >= j, and zero elsewhere, where w is the
+    thinning-weight table of :func:`detection_loss_channel`.  This is the
+    Heisenberg picture of that channel followed by :func:`number_povm`.
     """
     w = _thinning_weights(basis.n_max, eta)
     n = np.arange(basis.n_max + 1)
@@ -518,24 +465,15 @@ def lossy_number_povm(basis: FockBasis, eta: float) -> PovmSet:
     detected = np.where(lost >= 0, w[n[:, None], lost], 0.0)
     occ = np.array(basis.occupations)
     els = detected[occ[None, :, 0], occ[:, None, 0]] * detected[occ[None, :, 1], occ[:, None, 1]]
-    return PovmSet(basis, tuple(els), basis.occupations)
+    return PovmSet(basis, els, basis.occupations)
 
 
 def measure(rho: DensityOperator, povm: PovmSet) -> CountDistribution:
-    """Outcome distribution p(label) = tr(rho M_label)."""
+    """Outcome distribution p(label) = tr(rho M_label) = m_label . diag(rho)."""
     if povm.basis != rho.basis:
         raise ValueError("POVM and state are defined on different bases")
-    probs = {}
-    diagonal = rho.matrix.diagonal()
-    for label, (idx, block) in zip(povm.labels, povm.supports):
-        if block.ndim == 1:
-            p = float(np.real(np.sum(diagonal[idx] * block)))
-        else:
-            # row sums of rho[s,s] * M[s,s]^T are the diagonal of rho M on s
-            terms = rho.matrix[np.ix_(idx, idx)] * block.T
-            p = float(np.real(np.sum(np.sum(terms, axis=1))))
-        probs[label] = max(p, 0.0) if p > -1e-12 else p
-    return CountDistribution(probs)
+    probs = povm.elements @ rho.matrix.diagonal().real
+    return CountDistribution(dict(zip(povm.labels, probs.tolist())))
 
 
 def _family_probabilities(dist_family, thetas):

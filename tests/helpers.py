@@ -1,8 +1,9 @@
 """Reference computations that only the tests use.
 
 None of these has a caller in the package, the demos or the benchmark, so
-they live next to the tests: dense Kraus operators on request and channel
-composition, the finite-difference quantum Fisher information, the
+they live next to the tests: the dense Kraus operators and Kraus sums
+that the lowering form is checked against, random lowering-form channels
+and diagonal POVMs, the finite-difference quantum Fisher information, the
 matrix-pipeline means of the error-prevention toy, shot sampling and the
 field / Rabi-frequency conversions.
 """
@@ -52,16 +53,14 @@ def tracemalloc_peak(call) -> int:
 def dense_operators(channel: KrausChannel) -> list:
     """The channel's Kraus operators as dim x dim matrices.
 
-    A lowering-form operator (dest, src, coeffs) becomes the matrix with
-    K[dest_i, src_i] = coeffs_i; dense operators are returned as given.
+    The operator (dest, src, coeffs) becomes the matrix with
+    K[dest_i, src_i] = coeffs_i and zeros elsewhere.
     """
     d = channel.basis.dim
     out = []
-    for k in channel.operators:
-        if isinstance(k, tuple):
-            dest, src, coeffs = k
-            k = np.zeros((d, d), dtype=complex)
-            k[dest, src] = coeffs
+    for dest, src, coeffs in channel.operators:
+        k = np.zeros((d, d), dtype=complex)
+        k[dest, src] = coeffs
         out.append(k)
     return out
 
@@ -74,15 +73,31 @@ def dense_kraus_sums(channel: KrausChannel, rho: np.ndarray) -> tuple:
     return out, float(defect)
 
 
-def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """Channel composition outer(inner(rho)) as a single dense Kraus list."""
-    if outer.basis != inner.basis:
-        raise ValueError("channels are defined on different bases")
-    ops = [b @ a for b in dense_operators(outer) for a in dense_operators(inner)]
-    return KrausChannel(
-        outer.basis, tuple(ops),
-        trace_preserving=outer.trace_preserving and inner.trace_preserving,
-    )
+def random_triples(rng, d, count, trace_preserving):
+    """Random injective (dest, src, coeffs) operators on dimension ``d``.
+
+    Each operator maps a random subset of the basis indices, all of them for
+    the first, onto a random permutation of destinations with complex
+    coefficients.  They are scaled so that sum |c|^2 per source is one if
+    ``trace_preserving`` and otherwise at most one.
+    """
+    ops = []
+    for j in range(count):
+        size = d if j == 0 else int(rng.integers(1, d + 1))
+        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+        ops.append((rng.permutation(d)[:size], rng.permutation(d)[:size], coeffs))
+    weight = np.zeros(d)
+    for _, src, coeffs in ops:
+        weight[src] += np.abs(coeffs) ** 2
+    top = weight if trace_preserving else np.full(d, weight.max())
+    return tuple((dest, src, coeffs / np.sqrt(top[src])) for dest, src, coeffs in ops)
+
+
+def random_diagonal_povm(rng, d, count):
+    """Random non-negative diagonal rows normalized per column; some zeros."""
+    rows = rng.uniform(size=(count, d)) * (rng.random((count, d)) < 0.7)
+    rows[0] += 1e-3  # no column left empty
+    return rows / rows.sum(axis=0)
 
 
 def creation_overflow_norm(basis: FockBasis, mode: str, state: TwoModeFockState) -> float:

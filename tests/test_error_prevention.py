@@ -28,7 +28,7 @@ from rydsense.fockspace import (
     number_povm,
 )
 
-from helpers import expectation_oracle, povm_fi
+from helpers import dense_operators, expectation_oracle, povm_fi
 
 GRID = np.linspace(0.07, math.pi - 0.07, 50)
 
@@ -37,54 +37,53 @@ def two_excitation_sector(basis):
     return [basis.index_of(2, 0), basis.index_of(1, 1), basis.index_of(0, 2)]
 
 
+def diagonals(povm):
+    """Element diagonals by label: the rows of ``povm.elements``."""
+    return dict(zip(povm.labels, povm.elements))
+
+
 class TestLossyPovm:
     def test_eta_one_reduces_to_bare_projectors(self):
         basis = two_excitation_basis()
-        povm = lossy_povm(1.0)
-        by_label = dict(povm.items())
+        by_label = diagonals(lossy_povm(1.0))
         sector = two_excitation_sector(basis)
         for occ in ((2, 0), (1, 1), (0, 2)):
-            m = by_label[occ]
-            expected = np.zeros_like(m)
-            expected[basis.index_of(*occ), basis.index_of(*occ)] = 1.0
-            assert np.allclose(m, expected)
+            expected = np.zeros(basis.dim)
+            expected[basis.index_of(*occ)] = 1.0
+            assert np.allclose(by_label[occ], expected)
         for occ in ((1, 0), (0, 1)):
-            block = by_label[occ][np.ix_(sector, sector)]
-            assert np.max(np.abs(block)) == 0.0
+            assert np.max(np.abs(by_label[occ][sector])) == 0.0
 
     def test_eta_zero_leaves_only_vacuum_outcome(self):
         basis = two_excitation_basis()
         sector = two_excitation_sector(basis)
-        for label, m in lossy_povm(0.0).items():
-            block = m[np.ix_(sector, sector)]
+        for label, m in diagonals(lossy_povm(0.0)).items():
             if label == (0, 0):
-                assert np.allclose(block, np.eye(3))
+                assert np.allclose(m[sector], 1.0)
             else:
-                assert np.max(np.abs(block)) == 0.0
+                assert np.max(np.abs(m[sector])) == 0.0
 
     def test_elements_carry_cited_weights(self):
         eta = 0.37
         basis = two_excitation_basis()
-        by_label = dict(lossy_povm(eta).items())
+        by_label = diagonals(lossy_povm(eta))
         i20, i11, i02 = (basis.index_of(*occ) for occ in ((2, 0), (1, 1), (0, 2)))
 
-        def diag(label):
-            return np.real(np.diag(by_label[label]))
-
-        assert diag((2, 0))[i20] == pytest.approx(eta**2, abs=1e-12)
-        assert diag((0, 2))[i02] == pytest.approx(eta**2, abs=1e-12)
-        assert diag((1, 1))[i11] == pytest.approx(eta**2, abs=1e-12)
-        assert diag((1, 0))[i20] == pytest.approx(2 * eta * (1 - eta), abs=1e-12)
-        assert diag((1, 0))[i11] == pytest.approx(eta * (1 - eta), abs=1e-12)
-        assert diag((0, 1))[i02] == pytest.approx(2 * eta * (1 - eta), abs=1e-12)
-        assert diag((0, 1))[i11] == pytest.approx(eta * (1 - eta), abs=1e-12)
+        assert by_label[(2, 0)][i20] == pytest.approx(eta**2, abs=1e-12)
+        assert by_label[(0, 2)][i02] == pytest.approx(eta**2, abs=1e-12)
+        assert by_label[(1, 1)][i11] == pytest.approx(eta**2, abs=1e-12)
+        assert by_label[(1, 0)][i20] == pytest.approx(2 * eta * (1 - eta), abs=1e-12)
+        assert by_label[(1, 0)][i11] == pytest.approx(eta * (1 - eta), abs=1e-12)
+        assert by_label[(0, 1)][i02] == pytest.approx(2 * eta * (1 - eta), abs=1e-12)
+        assert by_label[(0, 1)][i11] == pytest.approx(eta * (1 - eta), abs=1e-12)
         for i in (i20, i11, i02):
-            assert diag((0, 0))[i] == pytest.approx((1 - eta) ** 2, abs=1e-12)
+            assert by_label[(0, 0)][i] == pytest.approx((1 - eta) ** 2, abs=1e-12)
 
     def test_completeness_on_full_space(self):
         basis = two_excitation_basis()
-        total = sum(m for _, m in lossy_povm(0.37).items())
-        assert np.max(np.abs(total - np.eye(basis.dim))) < 1e-12
+        elements = lossy_povm(0.37).elements
+        assert elements.shape == (basis.dim, basis.dim)
+        assert np.max(np.abs(elements.sum(axis=0) - 1.0)) < 1e-12
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -126,6 +125,20 @@ class TestErrorPreventionChannel:
 
     def test_trace_preserving(self):
         assert error_prevention_channel().completeness_defect < 1e-12
+
+    def test_operators_are_the_cited_pair(self):
+        # K0 = |0,0><1,1| and K1 = 1 - |1,1><1,1|, exactly
+        basis = two_excitation_basis()
+        i00, i11 = basis.index_of(0, 0), basis.index_of(1, 1)
+        k0 = np.zeros((basis.dim, basis.dim))
+        k0[i00, i11] = 1.0
+        k1 = np.eye(basis.dim)
+        k1[i11, i11] = 0.0
+        channel = error_prevention_channel()
+        got = dense_operators(channel)
+        assert len(got) == 2
+        assert np.array_equal(got[0], k0) and np.array_equal(got[1], k1)
+        assert channel.completeness_defect == 0.0
 
 
 class TestFiWithoutPrevention:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from rydsense import fockspace
 from rydsense.fockspace import (
     CountDistribution,
     DensityOperator,
@@ -24,23 +27,28 @@ from rydsense.fockspace import (
 )
 
 from helpers import (
-    compose_channels,
     creation_overflow_norm,
     dense_kraus_sums,
     povm_fi,
     qfi,
     random_density,
+    random_diagonal_povm,
+    random_triples,
     tracemalloc_peak,
 )
 
 
+def identity_triple(basis):
+    ids = np.arange(basis.dim)
+    return (ids, ids, np.ones(basis.dim))
+
+
 def toy_error_prevention(basis):
     """Kraus pair transferring |1,1> to the vacuum, built inline."""
-    k0 = np.zeros((basis.dim, basis.dim), dtype=complex)
-    k0[basis.index_of(0, 0), basis.index_of(1, 1)] = 1.0
-    k1 = np.eye(basis.dim, dtype=complex)
-    k1[basis.index_of(1, 1), basis.index_of(1, 1)] = 0.0
-    return KrausChannel(basis, (k0, k1))
+    i11 = basis.index_of(1, 1)
+    kept = np.delete(np.arange(basis.dim), i11)
+    k0 = ([basis.index_of(0, 0)], [i11], [1.0])
+    return KrausChannel(basis, (k0, (kept, kept, np.ones(kept.size))))
 
 
 def rotated_pair_family(basis):
@@ -170,7 +178,7 @@ class TestRabiRotation:
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         basis = FockBasis(2)
-        ident = KrausChannel(basis, (np.eye(basis.dim, dtype=complex),))
+        ident = KrausChannel(basis, (identity_triple(basis),))
         mat = rng.normal(size=(basis.dim, basis.dim))
         mat = mat @ mat.T
         mat = mat / np.trace(mat)
@@ -192,86 +200,44 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self):
         rho = FockBasis(2).state(0, 0).to_density()
-        channel = KrausChannel(FockBasis(3), (np.eye(10, dtype=complex),))
+        channel = KrausChannel(FockBasis(3), (identity_triple(FockBasis(3)),))
         with pytest.raises(ValueError):
             apply_channel(rho, channel)
 
     def test_trace_preserved_for_random_channel(self, rng):
-        # random isometry split into Kraus operators is trace preserving
-        basis = FockBasis(2)
-        d = basis.dim
-        block = rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d))
-        q, _ = np.linalg.qr(block)
-        ops = tuple(q[i * d : (i + 1) * d, :] for i in range(3))
-        channel = KrausChannel(basis, ops)
-        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        mat = mat @ mat.conj().T
-        rho = DensityOperator(basis, mat / np.trace(mat))
-        assert abs(apply_channel(rho, channel).trace() - 1.0) < 1e-10
-
-
-def random_kraus_ops(rng, d, count, sparse):
-    """Random complex operators scaled so that sum K^dag K <= identity.
-
-    Dense operators have every row nonzero; sparse ones keep about a fifth
-    of their entries and lose about half of their rows.
-    """
-    ops = []
-    for _ in range(count):
-        k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        if sparse:
-            k *= rng.random((d, d)) < 0.2
-            k[rng.random(d) < 0.5] = 0.0
-        ops.append(k)
-    top = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ops)).max()
-    return [k / np.sqrt(top) for k in ops]
+        basis = FockBasis(5)
+        channel = KrausChannel(basis, random_triples(rng, basis.dim, 4, trace_preserving=True))
+        rho = random_density(rng, basis.dim)
+        reference, defect = dense_kraus_sums(channel, rho)
+        out = apply_channel(DensityOperator(basis, rho), channel)
+        assert np.max(np.abs(out.matrix - reference)) < 1e-14
+        assert abs(out.trace() - 1.0) < 1e-14
+        assert channel.completeness_defect < 1e-14 and defect < 1e-14
 
 
 class TestSupportRestriction:
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_apply_channel_and_defect_match_dense_sums(self, rng, sparse):
+    @pytest.mark.parametrize("trace_preserving", [False, True])
+    def test_apply_channel_and_defect_match_dense_sums(self, rng, trace_preserving):
         basis = FockBasis(5)
         d = basis.dim
         for _ in range(5):
-            ops = random_kraus_ops(rng, d, 7, sparse)
-            channel = KrausChannel(basis, tuple(ops), trace_preserving=False)
-            rho = DensityOperator(basis, random_density(rng, d))
-            dense = sum(k @ rho.matrix @ k.conj().T for k in ops)
-            assert np.max(np.abs(apply_channel(rho, channel).matrix - dense)) < 1e-14
-            total = sum(k.conj().T @ k for k in ops)
-            defect = np.max(np.abs(total - np.eye(d)))
+            ops = random_triples(rng, d, 7, trace_preserving)
+            channel = KrausChannel(basis, ops, trace_preserving=trace_preserving)
+            rho = random_density(rng, d)
+            reference, defect = dense_kraus_sums(channel, rho)
+            out = apply_channel(DensityOperator(basis, rho), channel)
+            assert np.max(np.abs(out.matrix - reference)) < 1e-14
             assert abs(channel.completeness_defect - defect) < 1e-14
 
     def test_measure_matches_dense_trace(self, rng):
-        # sparse, non-diagonal elements: M_j = A^(-1/2) G_j A^(-1/2) with
-        # G_j = B_j B_j^dag and A = sum G_j
-        basis = FockBasis(4)
+        basis = FockBasis(5)
         d = basis.dim
-        raw = [b @ b.conj().T for b in random_kraus_ops(rng, d, 5, sparse=True)]
-        w, v = np.linalg.eigh(sum(raw) + 1e-3 * np.eye(d))
-        inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-        els = [inv_sqrt @ g @ inv_sqrt for g in raw]
-        els.append(np.eye(d) - sum(els))
-        povm = PovmSet(basis, tuple(els), tuple(range(len(els))))
+        rows = random_diagonal_povm(rng, d, 5)
+        povm = PovmSet(basis, rows, tuple(range(len(rows))))
         rho = DensityOperator(basis, random_density(rng, d))
         dist = measure(rho, povm)
-        for label, m in povm.items():
-            assert abs(dist.get(label) - np.trace(rho.matrix @ m).real) < 1e-14
-
-    def test_diagonal_elements_measure_as_dense_ones(self, rng):
-        # the same POVM once as diagonal vectors and once as dense matrices
-        basis = FockBasis(4)
-        d = basis.dim
-        weights = rng.uniform(size=(3, d))
-        weights[0, :3] = 0.0  # a support smaller than the basis
-        weights /= weights.sum(axis=0)
-        diagonal = PovmSet(basis, tuple(weights), ("a", "b", "c"))
-        dense = PovmSet(basis, tuple(np.diag(w) for w in weights), ("a", "b", "c"))
-        rho = DensityOperator(basis, random_density(rng, d))
-        assert measure(rho, diagonal).probabilities == measure(rho, dense).probabilities
-        assert np.array_equal(diagonal.supports[0][0], np.arange(3, d))
-        for (label, m), (_, m_dense) in zip(diagonal.items(), dense.items()):
-            assert np.array_equal(m, m_dense)
+        for label, m in zip(povm.labels, povm.elements):
+            assert abs(dist.get(label) - np.trace(rho.matrix @ np.diag(m)).real) < 1e-14
 
     def test_diagonal_elements_validated(self):
         basis = FockBasis(1)
@@ -285,18 +251,14 @@ class TestSupportRestriction:
             PovmSet(basis, (0.5 * ones,), ("a",))
         with pytest.raises(ValueError, match="shape"):
             PovmSet(basis, (np.ones(basis.dim + 1),), ("a",))
-
-    def test_povm_rejects_negative_elements(self):
-        basis = FockBasis(1)
-        eye = np.eye(basis.dim, dtype=complex)
-        negative_diagonal = np.diag([0.0, -0.1, 0.0]).astype(complex)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            PovmSet(basis, (negative_diagonal, eye - negative_diagonal), ("a", "b"))
-        # eigenvalues 1.3 and -0.3 on the support {0, 1}; index 2 is outside
-        indefinite = np.zeros((3, 3), dtype=complex)
-        indefinite[:2, :2] = [[0.5, 0.8], [0.8, 0.5]]
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            PovmSet(basis, (indefinite, eye - indefinite), ("a", "b"))
+        with pytest.raises(ValueError, match="shape"):
+            PovmSet(basis, ones, ("a",))  # 1-D elements
+        with pytest.raises(ValueError, match="shape"):
+            PovmSet(basis, np.eye(basis.dim)[None], ("a",))  # a dense element
+        with pytest.raises(ValueError):  # one row of the wrong width
+            PovmSet(basis, (0.5 * ones, 0.5 * np.ones(basis.dim + 1)), ("a", "b"))
+        with pytest.raises(ValueError, match="one label"):
+            PovmSet(basis, (ones,), ("a", "b"))
 
 
 def lowering(dest, src, coeffs):
@@ -318,6 +280,16 @@ class TestLoweringForm:
         with pytest.raises(ValueError, match="differ in length"):
             KrausChannel(basis, (lowering([0], [2, 3], [0.5, 0.5]),), trace_preserving=False)
 
+    def test_non_triples_rejected(self):
+        # a 3 x 3 matrix on FockBasis(1) must not be unpacked as a triple
+        basis = FockBasis(1)
+        ident = identity_triple(basis)
+        for bad in (np.eye(basis.dim), list(ident), ident[:2], (*ident, ident[2])):
+            with pytest.raises(ValueError, match="triple"):
+                KrausChannel(basis, (bad,))
+        with pytest.raises(ValueError, match="triple"):
+            KrausChannel(FockBasis(2), (np.eye(FockBasis(2).dim),))
+
     def test_completeness_on_the_form(self):
         # |c|^2 summed per source: 0.36 + 0.64 on source 1, 1.2 on source 2
         basis = FockBasis(1)
@@ -327,28 +299,28 @@ class TestLoweringForm:
         ident = (lowering([0, 1, 2], [0, 1, 2], [1.0, 0.6, 1.0]), lowering([2], [1], [0.8j]))
         assert KrausChannel(basis, ident).completeness_defect < 1e-15
 
-    def test_mixed_dense_and_lowering_operators(self, rng):
-        basis = FockBasis(4)
+    def test_partial_triples_match_dense_reference(self, rng):
+        # three operators on 8 of 21 sources each, so some sources carry no
+        # weight; |c| <= 0.5 keeps sum K^dag K at most 0.75 of the identity
+        basis = FockBasis(5)
         d = basis.dim
-        dense = random_kraus_ops(rng, d, 2, sparse=True)
-        src = rng.permutation(d)[:8]
-        dest = rng.permutation(d)[:8]
-        # |c| <= 0.8 keeps sum K^dag K below 0.25 + 0.64 of the identity
-        coeffs = 0.8 * rng.uniform(size=8) * np.exp(2j * np.pi * rng.uniform(size=8))
-        form = lowering(dest, src, coeffs)
-        channel = KrausChannel(basis, (*[0.5 * k for k in dense], form), trace_preserving=False)
+        ops = []
+        for _ in range(3):
+            coeffs = 0.5 * rng.uniform(size=8) * np.exp(2j * np.pi * rng.uniform(size=8))
+            ops.append(lowering(rng.permutation(d)[:8], rng.permutation(d)[:8], coeffs))
+        channel = KrausChannel(basis, tuple(ops), trace_preserving=False)
         rho = random_density(rng, d)
         reference, defect = dense_kraus_sums(channel, rho)
         out = apply_channel(DensityOperator(basis, rho), channel).matrix
         assert np.max(np.abs(out - reference)) <= 1e-15
         assert abs(channel.completeness_defect - defect) <= 1e-14
+        assert channel.completeness_defect == 1.0  # a source without weight
 
     @pytest.mark.parametrize("n_max", [2, 9, 14])
     @pytest.mark.parametrize("eta", [0.0, 0.41, 1.0])
     def test_loss_matches_dense_reference(self, rng, n_max, eta):
         basis = FockBasis(n_max)
         channel = detection_loss_channel(basis, eta)
-        assert not channel.row_blocks
         rho = random_density(rng, basis.dim)
         reference, defect = dense_kraus_sums(channel, rho)
         out = apply_channel(DensityOperator(basis, rho), channel).matrix
@@ -408,13 +380,12 @@ class TestDetectionLoss:
     @settings(max_examples=15, deadline=None)
     def test_composition_matches_product_efficiency(self, eta1, eta2):
         basis = FockBasis(2)
-        composed = compose_channels(
-            detection_loss_channel(basis, eta2), detection_loss_channel(basis, eta1)
-        )
+        first = detection_loss_channel(basis, eta1)
+        second = detection_loss_channel(basis, eta2)
         direct = detection_loss_channel(basis, eta1 * eta2)
         for occ in basis.occupations:
             rho = basis.state(*occ).to_density()
-            a = apply_channel(rho, composed).matrix
+            a = apply_channel(apply_channel(rho, first), second).matrix
             b = apply_channel(rho, direct).matrix
             assert np.max(np.abs(a - b)) < 1e-10
 
@@ -544,17 +515,9 @@ class TestQfi:
         basis = FockBasis(2)
         family = rotated_pair_family(basis)
         q = qfi(family, 1.1)
-        d = basis.dim
         for _ in range(3):
-            raw = []
-            for _ in range(4):
-                g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                raw.append(g @ g.conj().T)
-            total = sum(raw)
-            w, v = np.linalg.eigh(total)
-            inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-            els = tuple(inv_sqrt @ m @ inv_sqrt for m in raw)
-            povm = PovmSet(basis, els, tuple(range(len(els))))
+            rows = random_diagonal_povm(rng, basis.dim, 4)
+            povm = PovmSet(basis, rows, tuple(range(len(rows))))
             assert povm_fi(family, povm, 1.1) <= q + 1e-6
 
     def test_non_hermitian_rejected(self):
@@ -571,23 +534,24 @@ class TestQfi:
 class TestTypedInvariants:
     def test_kraus_completeness_enforced(self):
         basis = FockBasis(1)
-        bad = (0.5 * np.eye(basis.dim, dtype=complex),)
+        dest, src, ones = identity_triple(basis)
+        bad = ((dest, src, 0.5 * ones),)
         with pytest.raises(ValueError):
             KrausChannel(basis, bad, trace_preserving=True)
         # but acceptable as a non-trace-preserving channel
         KrausChannel(basis, bad, trace_preserving=False)
-        over = (1.2 * np.eye(basis.dim, dtype=complex),)
+        over = ((dest, src, 1.2 * ones),)
         with pytest.raises(ValueError):
             KrausChannel(basis, over, trace_preserving=False)
 
     def test_povm_positivity_and_completeness_enforced(self):
         basis = FockBasis(1)
-        eye = np.eye(basis.dim, dtype=complex)
-        neg = -0.1 * eye
+        ones = np.ones(basis.dim)
+        neg = -0.1 * ones
         with pytest.raises(ValueError):
-            PovmSet(basis, (neg, eye - neg), ("a", "b"))
+            PovmSet(basis, (neg, ones - neg), ("a", "b"))
         with pytest.raises(ValueError):
-            PovmSet(basis, (0.5 * eye,), ("a",))
+            PovmSet(basis, (0.5 * ones,), ("a",))
 
     def test_density_operator_validation(self):
         basis = FockBasis(1)
@@ -614,3 +578,16 @@ class TestTypedInvariants:
         assert marg.get(1) == pytest.approx(0.5)
         other = CountDistribution({0: 1.0})
         assert marg.tv_distance(other) == pytest.approx(0.5)
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # fockspace is the independent oracle of the analytic modules
+    tree = ast.parse(Path(fockspace.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert not [name for name in imported if name.startswith((".", "rydsense"))]
