@@ -1,8 +1,7 @@
 """Dipolar excluded volume and the interaction-induced decay rate.
 
-Evaluates the complex excluded-volume integral A(t) in closed form and once
-by adaptive quadrature, shows the linear growth of its real part at the
-closed-form volumetric rate Q,
+Evaluates the complex excluded-volume integral A(t) in closed form, shows
+the linear growth of its real part at the closed-form volumetric rate Q,
 and converts Q into the per-control-excitation decay rate gamma for the
 experimental cloud.  A Monte-Carlo evaluation of the read-out suppression
 cross-checks the exponential decay law for several control excitations.
@@ -13,7 +12,6 @@ import numpy as np
 from rydsense.dipolar import (
     CloudGeometry,
     DipolarParams,
-    QuadratureSpec,
     decay_rate_gamma,
     excluded_volume_integral,
     pair_potential,
@@ -36,10 +34,6 @@ for t in (0.1, 1.0, 10.0):
     a = excluded_volume_integral(t, params)
     print(f"  t = {t:5.2f} us: Re A = {a.real:12.1f} um^3   Im A = {a.imag:12.1f} um^3"
           f"   Re A / t = {a.real / t * 1e6:.5g} um^3/s")
-a_quad = excluded_volume_integral(1.0, params, QuadratureSpec())
-a_closed = excluded_volume_integral(1.0, params)
-print(f"  quadrature at t = 1 us: Re A off by {a_quad.real / a_closed.real - 1:+.1e},"
-      f" Im A off by {a_quad.imag / a_closed.imag - 1:+.1e} (relative)")
 
 gamma = decay_rate_gamma(params)
 print(f"\ndecay rate gamma = 2Q/V = {gamma:.4g} 1/s for the 80 x 80 x 4000 um^3 box")

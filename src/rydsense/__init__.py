@@ -37,9 +37,7 @@ from .error_prevention import (
 )
 from .dipolar import (
     CloudGeometry,
-    ConvergenceError,
     DipolarParams,
-    QuadratureSpec,
     decay_rate_gamma,
     excluded_volume_integral,
     pair_potential,

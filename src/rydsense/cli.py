@@ -7,8 +7,8 @@ produce byte-identical files.  Relative output paths resolve under
 ``$RYDSENSE_OUTPUT_DIR`` (default: current directory).
 
 Exit codes: 0 success, 2 config validation error, 3 numerical failure
-(quadrature convergence, Poisson-mixture truncation, zero ML variance,
-exact and finite-difference F(theta*) disagreeing).
+(Poisson-mixture truncation, zero ML variance, exact and finite-difference
+F(theta*) disagreeing).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dipolar, error_prevention, estimation, multiparticle
-from .dipolar import CloudGeometry, ConvergenceError, DipolarParams, QuadratureSpec
+from .dipolar import CloudGeometry, DipolarParams
 from .errors import NumericalError
 from .multiparticle import LOSS_AFTER, LOSS_BEFORE, ProtocolParams
 
@@ -120,12 +120,6 @@ SCHEMAS = {
         "cloud_kind": _Key("str", default="box", choices=("box", "gaussian")),
         "cloud_dimensions_um": _Key("float_list", required=True),
         "t_values_us": _Key("float_list", required=True),
-        # giving any quadrature key evaluates A(t) by quadrature instead of
-        # its closed form; keys left out take the QuadratureSpec defaults
-        "angular_panels": _Key("int"),
-        "panel_order": _Key("int"),
-        "s_max": _Key("float"),
-        "max_rel_error": _Key("float"),
     },
 }
 
@@ -154,6 +148,8 @@ def _coerce(name: str, key: _Key, value):
             value = list(value)
     except (TypeError, ValueError):
         raise ConfigError(f"key {name!r} expects a {key.kind}, got {value!r}") from None
+    if key.kind in ("float", "float_list") and not np.all(np.isfinite(value)):
+        raise ConfigError(f"key {name!r} must be finite, got {value!r}")
     if key.choices is not None and value not in key.choices:
         raise ConfigError(f"key {name!r} must be one of {key.choices}, got {value!r}")
     return value
@@ -396,19 +392,10 @@ def cmd_dipolar(cfg: dict) -> Path:
         raise ConfigError("cloud_dimensions_um must have exactly three entries")
     if not cfg["t_values_us"] or any(t <= 0 for t in cfg["t_values_us"]):
         raise ConfigError("t_values_us must be non-empty with positive entries")
-    try:
-        cloud = CloudGeometry(cfg["cloud_kind"], tuple(cfg["cloud_dimensions_um"]))
-        quadrature = {
-            key: cfg[key]
-            for key in ("angular_panels", "panel_order", "s_max", "max_rel_error")
-            if cfg[key] is not None
-        }
-        spec = QuadratureSpec(**quadrature) if quadrature else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cloud = CloudGeometry(cfg["cloud_kind"], tuple(cfg["cloud_dimensions_um"]))
     params = DipolarParams.from_tabulated(cfg["c3_over_2pi_hbar_ghz_um3"], cloud)
     ts = np.asarray(cfg["t_values_us"], dtype=float)
-    a_values = [dipolar.excluded_volume_integral(t, params, spec) for t in ts]
+    a_values = [dipolar.excluded_volume_integral(t, params) for t in ts]
     re_a = np.array([a.real for a in a_values])
     t_seconds = ts * 1e-6
     q_fit = float(np.sum(t_seconds * re_a) / np.sum(t_seconds**2))
@@ -506,9 +493,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

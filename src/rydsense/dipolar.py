@@ -8,8 +8,7 @@ excitation is the complex excluded volume
     A(t) = integral over space of [1 - exp(-i t V(x) / hbar)] d^3x.
 
 It is exactly linear in t and has a closed form (see
-:func:`excluded_volume_integral`; the adaptive quadrature that checks it
-runs only on request).  Its real part is Re A(t) = Q t with
+:func:`excluded_volume_integral`).  Its real part is Re A(t) = Q t with
 Q = (4 pi^2 / 9 sqrt(3)) C3/hbar, and the per-control-excitation decay rate
 of the phase-matched read-out is gamma = 2 Q / V_eff for an ensemble of
 effective volume V_eff.
@@ -28,17 +27,12 @@ import warnings
 
 import numpy as np
 
-from .errors import NumericalError
-
 __all__ = [
-    "ConvergenceError",
     "CloudGeometry",
     "DipolarParams",
-    "QuadratureSpec",
     "McReadout",
     "pair_potential",
     "angular_factor",
-    "angular_abs_integral",
     "excluded_volume_integral",
     "volumetric_rate_q",
     "decay_rate_gamma",
@@ -57,16 +51,6 @@ CLOUD_KINDS = ("box", "gaussian")
 MIN_MC_SAMPLES = 10_000
 # Samples per Monte-Carlo shard of readout_expectation_mc.
 MC_SHARD_SIZE = 1 << 14
-# Subinterval limit of each adaptive scipy quad call of the quadrature.
-QUAD_LIMIT = 800
-
-
-class ConvergenceError(NumericalError):
-    """Quadrature failed to meet its accuracy contract."""
-
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 @dataclass(frozen=True)
@@ -116,31 +100,6 @@ class DipolarParams:
         return cls(2.0 * math.pi * 1e9 * c3_over_2pi_hbar_ghz_um3, cloud)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Knobs of the excluded-volume quadrature.
-
-    The angular rule is composite Gauss-Legendre with ``angular_panels``
-    panels of ``panel_order`` nodes over cos(vartheta); the radial
-    integral runs adaptively in the substituted variable u proportional to
-    1/r^3 up to ``s_max`` (in units of the natural phase scale), with at
-    most ``QUAD_LIMIT`` subintervals per piece, and an analytic tail
-    beyond.  Only the real part carries the accuracy contract
-    ``max_rel_error``.
-    """
-
-    angular_panels: int = 256
-    panel_order: int = 10
-    s_max: float = 1200.0
-    max_rel_error: float = 5e-3
-
-    def __post_init__(self):
-        if self.angular_panels < 1 or self.panel_order < 2:
-            raise ValueError("angular rule needs at least 1 panel of order 2")
-        if self.s_max <= 1.0:
-            raise ValueError("s_max must exceed 1")
-
-
 def angular_factor(vartheta) -> np.ndarray:
     """Orientation dependence (3 cos(2 vartheta) + 1) / 4 of the pair potential."""
     return (3.0 * np.cos(2.0 * np.asarray(vartheta)) + 1.0) / 4.0
@@ -157,121 +116,24 @@ def pair_potential(r: float, vartheta: float, params: DipolarParams) -> float:
     return params.c3_over_hbar / r**3 * float(angular_factor(vartheta))
 
 
-def _angular_nodes(spec: QuadratureSpec):
-    # composite Gauss-Legendre rule over c = cos(vartheta) in [-1, 1]
-    x, w = np.polynomial.legendre.leggauss(spec.panel_order)
-    edges = np.linspace(-1.0, 1.0, spec.angular_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def angular_abs_integral(spec: QuadratureSpec | None = None) -> float:
-    """Quadrature value of the solid-angle integral of |angular factor|.
-
-    The exact value 8 pi / (3 sqrt(3)) enters the closed form for Q; this
-    helper exposes the module's angular rule for verification.
-    """
-    spec = spec or QuadratureSpec()
-    c, w = _angular_nodes(spec)
-    f = (3.0 * c**2 - 1.0) / 2.0  # angular factor expressed in cos(vartheta)
-    return 2.0 * math.pi * float(np.sum(w * np.abs(f)))
-
-
-def _quadrature_j(spec: QuadratureSpec):
-    """J = int_0^inf g(s)/s^2 ds by quadrature: (J, Re rel. error, Im abs. error, tail)."""
-    from scipy.integrate import quad
-
-    c_nodes, c_weights = _angular_nodes(spec)
-    f_nodes = (3.0 * c_nodes**2 - 1.0) / 2.0
-
-    def g(s: float) -> complex:
-        # angular integral of 1 - exp(-i s f(c)) over c in [-1, 1]
-        return complex(np.sum(c_weights * (1.0 - np.exp(-1j * s * f_nodes))))
-
-    # J = int_0^inf g(s)/s^2 ds, split at s = 1; smooth near zero since the
-    # angular average of f vanishes (g ~ s^2/5).
-    def integrand(s, part):
-        val = g(s) / s**2 if s > 0 else 0.2
-        return val.real if part == "re" else val.imag
-
-    pieces = {}
-    errs = {}
-    for part in ("re", "im"):
-        lo, err_lo = quad(integrand, 0.0, 1.0, args=(part,), limit=QUAD_LIMIT)
-        hi, err_hi = quad(integrand, 1.0, spec.s_max, args=(part,), limit=QUAD_LIMIT)
-        pieces[part] = lo + hi
-        errs[part] = err_lo + err_hi
-    # Tail beyond s_max: g -> 2 plus an oscillatory remainder bounded by
-    # stationary-phase decay ~ sqrt(2 pi / 3 s).
-    tail_bound = math.sqrt(2.0 * math.pi / 3.0) * (2.0 / 3.0) * spec.s_max**-1.5
-    j = complex(pieces["re"] + 2.0 / spec.s_max, pieces["im"])
-    rel = (errs["re"] + tail_bound) / abs(j.real)
-    if rel > spec.max_rel_error:
-        raise ConvergenceError(
-            f"excluded volume quadrature reached relative error {rel:.2e} "
-            f"on the real part, contract is {spec.max_rel_error:.1e}",
-            achieved=rel,
-        )
-    return j, rel, errs["im"] + tail_bound, tail_bound
-
-
-def excluded_volume_integral(
-    t: float,
-    params: DipolarParams,
-    quadrature: QuadratureSpec | None = None,
-    full_output: bool = False,
-):
+def excluded_volume_integral(t: float, params: DipolarParams) -> complex:
     """Complex excluded volume A(t) in um^3 for interaction time t (us).
 
     The pure 1/r^3 potential makes A exactly linear in t:
     A(t) = (2 pi / 3) t (C3/hbar) J with the dimensionless constant
     J = int_0^inf g(s)/s^2 ds, g(s) = int_{-1}^{1} [1 - exp(-i s f(c))] dc and
     f(c) = (3 c^2 - 1)/2 the angular factor over c = cos(vartheta).  J has
-    the closed form
+    the closed form ``J_CLOSED_FORM``
 
         J = 2 pi / (3 sqrt 3) + i [(2 sqrt 3 / 9) ln(2 + sqrt 3) - 2/3],
 
     whose real part gives Re A = Q t and whose imaginary part is
-    -int_{-1}^{1} f ln|f| dc.  By default A uses it, and the error entries
-    of ``full_output`` are 0.
-
-    An explicit ``quadrature`` spec evaluates J numerically instead, as an
-    independent check: the angular integration runs inside the radial one,
-    so the signed angular lobes cancel the conditionally convergent
-    (logarithmic) imaginary tail, which is the principal-value handling the
-    bare per-angle radial integral would need near the angular zeros; the
-    radial variable is substituted as u ~ 1/r^3, which regularizes the
-    oscillatory tail.  Only the real part carries an accuracy contract
-    (``max_rel_error``, 0.5% relative by default); the imaginary part is
-    reported as computed.
-
-    Raises
-    ------
-    ConvergenceError
-        If the quadrature's estimated relative error of Re A exceeds the
-        contract.
+    -int_{-1}^{1} f ln|f| dc.
     """
     if t <= 0:
         raise ValueError("interaction time t must be positive")
-    if quadrature is None:
-        j, rel, err_im, tail_bound = J_CLOSED_FORM, 0.0, 0.0, 0.0
-    else:
-        j, rel, err_im, tail_bound = _quadrature_j(quadrature)
     phase_volume = t * params.c3_over_hbar * 1e-6  # rad um^3 at time t in us
-    a = (2.0 * math.pi / 3.0) * phase_volume * j
-    if full_output:
-        info = {
-            "j_re": j.real,
-            "j_im": j.imag,
-            "re_rel_error": rel,
-            "im_abs_error": (2.0 * math.pi / 3.0) * phase_volume * err_im,
-            "tail_bound": tail_bound,
-        }
-        return a, info
-    return a
+    return (2.0 * math.pi / 3.0) * phase_volume * J_CLOSED_FORM
 
 
 def volumetric_rate_q(params: DipolarParams) -> float:
@@ -321,16 +183,14 @@ def readout_expectation_mc(
     samples: int = 100_000,
     seed: int | None = None,
     method: str = "lda",
-    quadrature: QuadratureSpec | None = None,
 ) -> McReadout:
     """Read-out expectation per excitation with ``n_p`` control excitations.
 
     Estimates the dephasing integral for a gaussian cloud by Monte Carlo.
     ``method="lda"`` samples the outer position from the density and uses
     the local-density approximation |1 - p(x) A(t)|^(2 n_p) with the
-    closed-form A(t), or its quadrature value when ``quadrature`` is
-    given; ``method="direct"`` samples all control
-    positions and averages the exact pair phases, which is unbiased for the
+    closed-form A(t); ``method="direct"`` samples all control positions and
+    averages the exact pair phases, which is unbiased for the
     independent-control model.  Decays approximately as exp(-n_p gamma t).
     The LDA warns where a factor |1 - p(x) A(t)| exceeds 1, which an
     average of unit phases cannot.
@@ -339,6 +199,8 @@ def readout_expectation_mc(
     with seeds spawned from ``seed``, so that shards are reproducible and
     independent of evaluation order.
     """
+    if method not in ("lda", "direct"):
+        raise ValueError(f"method must be 'lda' or 'direct', got {method!r}")
     if params.cloud.kind != "gaussian":
         raise ValueError("Monte-Carlo read-out requires a gaussian cloud")
     if samples < MIN_MC_SAMPLES:
@@ -349,13 +211,11 @@ def readout_expectation_mc(
         raise ValueError("t must be non-negative")
     if t == 0 or n_p == 0:
         return McReadout(1.0, 0.0, samples, method)
-    if method not in ("lda", "direct"):
-        raise ValueError(f"method must be 'lda' or 'direct', got {method!r}")
 
     sigma = np.asarray(params.cloud.dimensions)
     sigma_col = sigma[:, None]
     c3_int = params.c3_over_hbar * 1e-6  # rad/us um^3
-    a_t = excluded_volume_integral(t, params, quadrature) if method == "lda" else None
+    a_t = excluded_volume_integral(t, params) if method == "lda" else None
 
     seed_seq = np.random.SeedSequence(seed)
     total = 0.0

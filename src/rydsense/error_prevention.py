@@ -23,7 +23,6 @@ import numpy as np
 from .errors import NumericalError
 from .fockspace import (
     FI_CROSS_CHECK_MAX,
-    PROB_FLOOR,
     CountDistribution,
     FockBasis,
     KrausChannel,
@@ -175,64 +174,28 @@ def _fi_brute_force(eta, theta, with_prevention):
     return classical_fi(family, theta)
 
 
-def _outcome_probabilities(eta, theta, with_prevention) -> np.ndarray:
-    """The six outcome probabilities, last axis in two_excitation_basis order.
-
-    The rotated state populates |2,0>, |1,1> and |0,2> with cos^4(theta/2),
-    sin^2(theta)/2 and sin^4(theta/2); the operation moves the |1,1> weight
-    to the vacuum before the lossy count.
-    """
-    c2 = np.cos(theta / 2.0) ** 2
-    s2 = np.sin(theta / 2.0) ** 2
-    pair = 0.5 * np.sin(theta) ** 2
-    lost = eta * (1.0 - eta)
-    zero = np.zeros_like(c2)
-    if with_prevention:
-        # (0,0), (0,1), (0,2), (1,0), (1,1), (2,0)
-        cols = ((1.0 - eta) ** 2 + eta * (2.0 - eta) * pair, 2.0 * lost * s2**2,
-                eta**2 * s2**2, 2.0 * lost * c2**2, zero, eta**2 * c2**2)
-    else:
-        cols = ((1.0 - eta) ** 2 + zero, 2.0 * lost * s2, eta**2 * s2**2,
-                2.0 * lost * c2, eta**2 * pair, eta**2 * c2**2)
-    return np.stack(cols, axis=-1)
-
-
-def _toy_fi(eta, theta, with_prevention, fi, full_output):
-    thetas = np.asarray(theta, dtype=float)
-    value = float(fi) if thetas.ndim == 0 else fi
-    if not full_output:
-        return value
-    probs = _outcome_probabilities(eta, thetas, with_prevention)
-    degenerate = np.any(probs < PROB_FLOOR, axis=-1)
-    diagnostics = {
-        "labels": _BASIS.occupations,
-        "probabilities": probs,
-        "degenerate": bool(degenerate) if thetas.ndim == 0 else degenerate,
-    }
-    return value, diagnostics
-
-
 def _check_eta(eta: float) -> None:
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
 
 
-def fi_without_prevention(eta: float, theta, full_output: bool = False):
+def _shaped_like(theta, fi):
+    # a float for a scalar angle, an array of its shape for an array
+    return float(fi) if np.ndim(theta) == 0 else fi
+
+
+def fi_without_prevention(eta: float, theta):
     """Per-shot FI of the lossy measurement on the bare rotated state.
 
-    Equals 2 eta at every angle.  A scalar ``theta`` gives a float, an
-    array an array of its shape.  With ``full_output=True`` a diagnostics
-    dict comes along: the six outcome ``probabilities`` over ``labels``
-    and the ``degenerate`` flag, set where one of them falls below
-    ``PROB_FLOOR`` (at multiples of pi some vanish quadratically; the FI
-    there is their limit).
+    Equals 2 eta at every angle, including multiples of pi where some
+    outcome probabilities vanish (the FI there is their limit).  A scalar
+    ``theta`` gives a float, an array an array of its shape.
     """
     _check_eta(eta)
-    fi = np.full(np.shape(theta), 2.0 * eta)
-    return _toy_fi(eta, theta, False, fi, full_output)
+    return _shaped_like(theta, np.full(np.shape(theta), 2.0 * eta))
 
 
-def fi_with_prevention(eta: float, theta, full_output: bool = False):
+def fi_with_prevention(eta: float, theta):
     """Per-shot FI after the error-prevention operation.
 
     With g = eta (2 - eta) the six outcomes give
@@ -244,7 +207,7 @@ def fi_with_prevention(eta: float, theta, full_output: bool = False):
     sin(theta) = 0 it is 0/0 and takes its limit 2 g cos^2(theta), so F = 2
     there.  F peaks at theta = pi/2 + k pi with the value 2 eta (2 - eta)
     and stays below the optimality bound everywhere.  Scalar/array calls
-    and ``full_output`` as in :func:`fi_without_prevention`.
+    as in :func:`fi_without_prevention`.
     """
     _check_eta(eta)
     thetas = np.asarray(theta, dtype=float)
@@ -254,7 +217,7 @@ def fi_with_prevention(eta: float, theta, full_output: bool = False):
     vacuum = (1.0 - eta) ** 2 + 0.5 * g * sin2
     with np.errstate(divide="ignore", invalid="ignore"):
         vacuum_term = np.where(vacuum > 0.0, g * g * cos2 * sin2 / vacuum, 2.0 * g * cos2)
-    return _toy_fi(eta, theta, True, 2.0 * g * sin2 + vacuum_term, full_output)
+    return _shaped_like(theta, 2.0 * g * sin2 + vacuum_term)
 
 
 def enhancement_curve(config: ToyConfig) -> list[ToyFiCurve]:

@@ -80,12 +80,14 @@ class ProtocolParams:
     loss_order: str = LOSS_AFTER
 
     def __post_init__(self):
-        if self.n0 < 0:
-            raise ValueError("n0 must be non-negative")
+        if not 0.0 <= self.n0 < math.inf:
+            raise ValueError(f"n0 must be finite and non-negative, got {self.n0}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.gamma_tau < 0:
-            raise ValueError("gamma_tau must be non-negative")
+        if not 0.0 <= self.gamma_tau < math.inf:
+            raise ValueError(
+                f"gamma_tau must be finite and non-negative, got {self.gamma_tau}"
+            )
         if self.loss_order not in (LOSS_AFTER, LOSS_BEFORE):
             raise ValueError(
                 f"loss_order must be {LOSS_AFTER!r} or {LOSS_BEFORE!r}, "

@@ -16,7 +16,6 @@ import pytest
 from rydsense.dipolar import (
     CloudGeometry,
     DipolarParams,
-    angular_abs_integral,
     decay_rate_gamma,
     excluded_volume_integral,
     volumetric_rate_q,
@@ -38,6 +37,7 @@ from rydsense.multiparticle import (
 )
 
 from conftest import kraus_pipeline_distribution
+from helpers import angular_abs_integral
 
 THETA_GRID_50 = np.linspace(0.08, math.pi - 0.08, 50)
 

@@ -396,37 +396,23 @@ class TestDipolar:
         )
         assert run_cli("dipolar", cfg) == 2
 
-    def test_quadrature_key_selects_quadrature(self, tmp_path):
-        tables = {}
-        for name, extra in (("closed", {}), ("quadrature", {"s_max": 1200.0})):
-            out = tmp_path / f"{name}.csv"
-            cfg = write_config(
-                tmp_path / f"{name}.json",
-                {**self.BASE, "output_path": str(out), "t_values_us": [1.0], **extra},
-            )
-            assert run_cli("dipolar", cfg) == 0
-            tables[name] = [float(v) for v in read_csv(out)[1][0][1:3]]
-        params = dipolar.DipolarParams.from_tabulated(
-            3.709, dipolar.CloudGeometry("box", (80.0, 80.0, 4000.0))
-        )
-        closed = dipolar.excluded_volume_integral(1.0, params)
-        assert tables["closed"] == [float(f"{closed.real:.12g}"), float(f"{closed.imag:.12g}")]
-        re_q, im_q = tables["quadrature"]
-        assert re_q != tables["closed"][0]
-        assert re_q == pytest.approx(closed.real, rel=1e-6)
-        assert im_q == pytest.approx(closed.imag, rel=1e-5)
-
-    def test_convergence_failure_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value", [
+        ("angular_panels", 256),
+        ("panel_order", 10),
+        ("s_max", 1200.0),
+        ("max_rel_error", 5e-3),
+    ])
+    def test_removed_quadrature_keys_rejected(self, tmp_path, capsys, key, value):
+        # A(t) has one path, the closed form; the former quadrature keys are
+        # unknown keys now
+        out = tmp_path / "x.csv"
         cfg = write_config(
-            tmp_path / "c.json",
-            {
-                **self.BASE,
-                "output_path": str(tmp_path / "x.csv"),
-                "max_rel_error": 1e-14,
-            },
+            tmp_path / "c.json", {**self.BASE, "output_path": str(out), key: value}
         )
-        assert run_cli("dipolar", cfg) == 3
-        assert "convergence" in capsys.readouterr().err
+        assert run_cli("dipolar", cfg) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err
+        assert not out.exists()
 
 
 class TestCommonMachinery:
@@ -522,6 +508,22 @@ class TestCommonMachinery:
         assert payload["version"] == 1
         assert len(payload["rows"]) == 3
 
+    @pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_floats_rejected(self, tmp_path, capsys, raw):
+        # a float key on two studies and a float-list key
+        rabi = {"n0": 2.0, "eta": 0.5, "gamma_tau": 0.1}
+        scan = {"n0": 2.0, "eta": 0.5, "gamma_taus": [0.1]}
+        out = tmp_path / "x.csv"
+        for study, cfg, key, text in (
+            ("super-rabi", rabi, "n0", raw),
+            ("fi-scan", scan, "n0", raw),
+            ("fi-scan", scan, "gamma_taus", f"[0.0, {raw}]"),
+        ):
+            path = write_config(tmp_path / "c.json", {**cfg, "output_path": str(out)})
+            assert run_cli(study, path, extra=["--set", f"{key}={text}"]) == 2
+            assert f"key {key!r} must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert run_cli("toy-fi", "/nonexistent/path.json") == 2
         assert "config" in capsys.readouterr().err
@@ -551,7 +553,8 @@ class TestCommonMachinery:
         assert not self.loaded_after_import("scipy.stats")
 
     def test_import_leaves_scipy_integrate_unloaded(self):
-        # only the excluded-volume quadrature, run on request, needs it
+        # the package evaluates A(t) in closed form; only the tests'
+        # reference quadrature of J needs scipy.integrate
         assert not self.loaded_after_import("scipy.integrate")
 
     def test_module_invocation_smoke(self, tmp_path):

@@ -10,16 +10,15 @@ from scipy.stats import chi2
 from rydsense import dipolar
 from rydsense.dipolar import (
     CloudGeometry,
-    ConvergenceError,
     DipolarParams,
-    QuadratureSpec,
-    angular_abs_integral,
     decay_rate_gamma,
     excluded_volume_integral,
     pair_potential,
     readout_expectation_mc,
     volumetric_rate_q,
 )
+
+from helpers import angular_abs_integral, quadrature_j
 
 BOX_CLOUD = CloudGeometry("box", (80.0, 80.0, 4000.0))
 TABULATED_C3_GHZ_UM3 = 3.709
@@ -171,31 +170,18 @@ class TestExcludedVolume:
         with pytest.raises(ValueError):
             excluded_volume_integral(-1.0, PARAMS)
 
-    def test_unreachable_tolerance_reports_convergence_failure(self):
-        spec = QuadratureSpec(max_rel_error=1e-14)
-        with pytest.raises(ConvergenceError) as excinfo:
-            excluded_volume_integral(1.0, PARAMS, spec)
-        assert excinfo.value.achieved is not None
-        assert excinfo.value.achieved > 1e-14
-
     def test_angular_identity(self):
         exact = 8 * math.pi / (3 * math.sqrt(3))
         assert abs(angular_abs_integral() - exact) < 1e-6
 
-    def test_full_output_error_estimate(self):
-        a, info = excluded_volume_integral(1.0, PARAMS, full_output=True)
-        assert info["re_rel_error"] < 5e-3
-        assert info["j_re"] == pytest.approx(2 * math.pi / (3 * math.sqrt(3)), rel=1e-4)
-
-    def test_closed_form_matches_default_quadrature(self):
-        closed, info = excluded_volume_integral(2.0, PARAMS, full_output=True)
-        numeric, numeric_info = excluded_volume_integral(
-            2.0, PARAMS, QuadratureSpec(), full_output=True
-        )
+    def test_closed_form_matches_quadrature(self):
+        j, re_rel_error = quadrature_j()
+        t = 2.0
+        closed = excluded_volume_integral(t, PARAMS)
+        numeric = (2 * math.pi / 3) * t * PARAMS.c3_over_hbar * 1e-6 * j
         assert abs(closed.real - numeric.real) <= 1e-6 * abs(numeric.real)
         assert abs(closed.imag - numeric.imag) <= 1e-5 * abs(numeric.imag)
-        assert numeric_info["re_rel_error"] > 0
-        assert info["re_rel_error"] == info["im_abs_error"] == info["tail_bound"] == 0.0
+        assert re_rel_error > 0
 
     def test_closed_form_imaginary_part_is_log_moment(self):
         # Im J = -int_{-1}^{1} f ln|f| dc with f = (3 c^2 - 1) / 2, which
@@ -207,8 +193,7 @@ class TestExcludedVolume:
         root = 1 / math.sqrt(3)
         value, err = quad(integrand, -1.0, 1.0, points=[-root, root], limit=200)
         assert err < 1e-10
-        _, info = excluded_volume_integral(1.0, PARAMS, full_output=True)
-        assert info["j_im"] == pytest.approx(-value, rel=1e-12)
+        assert dipolar.J_CLOSED_FORM.imag == pytest.approx(-value, rel=1e-12)
 
 
 class TestMonteCarloReadout:
@@ -306,6 +291,13 @@ class TestMonteCarloReadout:
             readout_expectation_mc(0.1, 1, MC_PARAMS, samples=20_000, method="exact")
         with pytest.raises(ValueError):
             readout_expectation_mc(-0.1, 1, MC_PARAMS, samples=20_000)
+
+    @pytest.mark.parametrize("t,n_p", [(0.0, 3), (0.3, 0)])
+    def test_unknown_method_rejected_without_decay(self, t, n_p):
+        # t = 0 or n_p = 0 returns 1 without sampling; the method is
+        # checked before that
+        with pytest.raises(ValueError, match="method"):
+            readout_expectation_mc(t, n_p, MC_PARAMS, samples=10_000, method="bogus")
 
 
 def per_factor_readout(t, n_p, params, samples, seed, method):

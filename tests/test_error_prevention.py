@@ -154,13 +154,9 @@ class TestFiWithoutPrevention:
     def test_lossless_reaches_qfi(self):
         assert fi_without_prevention(1.0, math.pi / 2) == pytest.approx(2.0, abs=1e-8)
 
-    def test_degenerate_angles_return_limit_with_flag(self):
+    def test_degenerate_angles_return_limit(self):
         for theta in (0.0, math.pi):
-            value, diag = fi_without_prevention(0.3, theta, full_output=True)
-            assert value == pytest.approx(0.6, abs=1e-8)
-            assert diag["degenerate"]
-        _, diag = fi_without_prevention(0.3, 1.0, full_output=True)
-        assert not diag["degenerate"]
+            assert fi_without_prevention(0.3, theta) == pytest.approx(0.6, abs=1e-8)
 
     def test_matches_manual_measure_pipeline(self):
         # oracle equivalence: assemble the same FI from the raw operations
@@ -308,26 +304,12 @@ class TestClosedFormFi:
     @pytest.mark.parametrize("fi", [fi_with_prevention, fi_without_prevention])
     def test_array_call_matches_scalar_calls(self, fi):
         thetas = np.linspace(0.0, 2 * math.pi, 12).reshape(3, 4)
-        values, diag = fi(0.37, thetas, full_output=True)
+        values = fi(0.37, thetas)
         assert values.shape == thetas.shape
-        assert diag["degenerate"].shape == thetas.shape
-        for theta, value, flag in zip(thetas.ravel(), values.ravel(), diag["degenerate"].ravel()):
-            scalar, scalar_diag = fi(0.37, float(theta), full_output=True)
+        for theta, value in zip(thetas.ravel(), values.ravel()):
+            scalar = fi(0.37, float(theta))
             assert isinstance(scalar, float)
             assert scalar == value
-            assert scalar_diag["degenerate"] == flag
-
-    def test_outcome_probabilities_match_dense_measure(self):
-        channel = error_prevention_channel()
-        povm = lossy_povm(0.37)
-        for theta in (0.0, 0.8, math.pi / 2, 2.9):
-            rho = rotated_state(theta).to_density()
-            for fi, state in ((fi_without_prevention, rho),
-                              (fi_with_prevention, apply_channel(rho, channel))):
-                _, diag = fi(0.37, theta, full_output=True)
-                dist = measure(state, povm)
-                expected = [dist.get(label) for label in diag["labels"]]
-                assert np.allclose(diag["probabilities"], expected, rtol=0.0, atol=1e-14)
 
     def test_enhancement_curve_checks_one_row(self, monkeypatch):
         calls = []

@@ -57,6 +57,13 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams(1.0, 0.5, 0.1, loss_order="sideways")
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="n0 must be finite"):
+            ProtocolParams(value, 0.5, 0.1)
+        with pytest.raises(ValueError, match="gamma_tau must be finite"):
+            ProtocolParams(1.0, 0.5, value)
+
     def test_detected_mean(self):
         assert EXPERIMENT.detected_mean == pytest.approx(1.1)
 
