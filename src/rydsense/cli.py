@@ -14,7 +14,6 @@ F(theta*) disagreeing).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -182,7 +181,10 @@ def _theta_grid(cfg: dict) -> np.ndarray:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        raise ValueError(f"table cell {text!r} would need CSV quoting")
+    return text
 
 
 def resolve_output_path(path_str: str) -> Path:
@@ -193,14 +195,20 @@ def resolve_output_path(path_str: str) -> Path:
 
 
 def write_table(cfg: dict, schema_name: str, columns: list, rows: list) -> Path:
+    """Write ``columns`` and ``rows`` as a CSV or JSON table; returns its path.
+
+    A CSV table is written at once as one string with ``\\r\\n`` line
+    ends, byte-identical to ``csv.writer`` on rows of two or more cells.
+    Floats print with 12 significant digits.  A string cell that
+    ``csv.QUOTE_MINIMAL`` would quote (one holding a comma, a double quote
+    or a line break) raises ``ValueError``.
+    """
     path = resolve_output_path(cfg["output_path"])
     path.parent.mkdir(parents=True, exist_ok=True)
     if cfg["format"] == "csv":
+        lines = [",".join(map(_fmt, row)) for row in [columns, *rows]]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            fh.write("\r\n".join(lines) + "\r\n")
     else:
         payload = {
             "schema": schema_name,
@@ -259,22 +267,23 @@ def cmd_decay_scan(cfg: dict) -> Path:
         if not 0.0 <= theta < math.pi:
             raise ConfigError("decay-scan thetas must lie in [0, pi)")
     taus = np.linspace(0.0, cfg["tau_max_s"], cfg["tau_points"])
+    thetas = np.asarray(cfg["thetas"])
     columns = ["theta_rad", "tau_s", "mean_nd", "fitted_rate_per_s", "p_population"]
     rows = []
-    for theta in cfg["thetas"]:
-        means = np.array(
-            [
-                multiparticle.super_rabi_means(
-                    ProtocolParams(cfg["n0"], cfg["eta"], cfg["gamma_per_s"] * tau),
-                    theta,
-                )[0]
-                for tau in taus
-            ]
-        )
-        rate, _ = multiparticle.fit_exponential_decay(taus, means)
+    # (tau, theta) means of mode d, one call per tau over every angle
+    means = np.array(
+        [
+            multiparticle.super_rabi_means(
+                ProtocolParams(cfg["n0"], cfg["eta"], cfg["gamma_per_s"] * tau), thetas
+            )[0]
+            for tau in taus
+        ]
+    )
+    for theta, theta_means in zip(cfg["thetas"], means.T):
+        rate, _ = multiparticle.fit_exponential_decay(taus, theta_means)
         p_pop = cfg["n0"] * math.sin(theta / 2.0) ** 2
-        for tau, mean in zip(taus, means):
-            rows.append((theta, float(tau), float(mean), rate, p_pop))
+        for tau, mean in zip(taus.tolist(), theta_means.tolist()):
+            rows.append((theta, tau, mean, rate, p_pop))
     return write_table(cfg, "rydsense.decay_scan", columns, rows)
 
 
@@ -283,11 +292,9 @@ def cmd_super_rabi(cfg: dict) -> Path:
     params = ProtocolParams(cfg["n0"], cfg["eta"], cfg["gamma_tau"])
     reference = ProtocolParams(cfg["n0"], cfg["eta"], 0.0)
     columns = ["theta_rad", "mean_nd", "mean_np", "mean_nd_reference", "mean_np_reference"]
-    rows = []
-    for theta in thetas:
-        nd, np_ = multiparticle.super_rabi_means(params, theta)
-        nd0, np0 = multiparticle.super_rabi_means(reference, theta)
-        rows.append((float(theta), nd, np_, nd0, np0))
+    means = multiparticle.super_rabi_means(params, thetas)
+    means += multiparticle.super_rabi_means(reference, thetas)
+    rows = list(zip(thetas.tolist(), *(m.tolist() for m in means)))
     return write_table(cfg, "rydsense.super_rabi", columns, rows)
 
 

@@ -107,8 +107,9 @@ def _mixture_means(params: ProtocolParams, theta, mode: str, order: int = 0):
     if mode not in ("d", "p"):
         raise ValueError(f"mode must be 'd' or 'p', got {mode!r}")
     if order == 0:
-        pop_read = np.cos(theta / 2.0) ** 2 if mode == "d" else np.sin(theta / 2.0) ** 2
-        pop_ctrl = 1.0 - pop_read
+        # both populations directly: 1 - cos^2(theta/2) keeps no digits near 0
+        cos2, sin2 = np.cos(theta / 2.0) ** 2, np.sin(theta / 2.0) ** 2
+        pop_read, pop_ctrl = (cos2, sin2) if mode == "d" else (sin2, cos2)
     else:
         # cos^2(theta/2) = (1 + cos theta) / 2 and sin^2(theta/2) = (1 - cos theta) / 2
         slope = 0.5 * (np.sin(theta) if order == 1 else np.cos(theta))
@@ -122,21 +123,25 @@ def _mixture_means(params: ProtocolParams, theta, mode: str, order: int = 0):
     return b, d
 
 
-def super_rabi_means(params: ProtocolParams, theta: float) -> tuple[float, float]:
-    """Detected mean photon numbers (<n_d>, <n_p>) at angle ``theta``.
+def super_rabi_means(params: ProtocolParams, theta):
+    """Detected mean photon numbers (<n_d>, <n_p>) at scalar or array ``theta``.
 
     Exact mean of the Poisson mixture: D exp[-B (1 - exp(-gamma_tau))]
     for each mode, which for losses after the interaction reads
     eta n0 cos^2(theta/2) exp[-n0 (1 - e^-gamma_tau) sin^2(theta/2)] in
     mode d and its mirror image in mode p.  Reduces to the plain Rabi
-    populations at gamma_tau = 0.
+    populations at gamma_tau = 0.  A scalar ``theta`` gives two floats, an
+    array two arrays of its shape; every element equals the scalar call.
     """
+    thetas = np.asarray(theta, dtype=float)
     decay = 1.0 - math.exp(-params.gamma_tau)
-    out = []
+    means = []
     for mode in ("d", "p"):
-        b, d = _mixture_means(params, theta, mode)
-        out.append(d * math.exp(-b * decay))
-    return tuple(out)
+        b, d = _mixture_means(params, thetas, mode)
+        means.append(d * np.exp(-b * decay))
+    if thetas.ndim == 0:
+        return float(means[0]), float(means[1])
+    return means[0], means[1]
 
 
 def _window(mean: float) -> int:
@@ -168,9 +173,10 @@ def _mixture_table(
 ):
     """P(n | theta) for n = 0..n_cut on every angle, shape (T, n_cut + 1).
 
-    k runs to the window of the largest B and, without ``n_cut``, n to that
-    of the largest D; :class:`NumericalError` if the neglected mass could
-    exceed ``TAIL_MASS_MAX``.  The sum is factored as
+    Angles run in blocks, and in each block k runs to the window of that
+    block's largest B; without ``n_cut``, n runs to the window of the
+    largest D on the whole grid.  :class:`NumericalError` if a block's
+    neglected mass could exceed ``TAIL_MASS_MAX``.  The sum is factored as
 
         P(n) = (D^n / n!) sum_k Pois(k; B) e^(-mu_k) e^(-gamma_tau k n),
 
@@ -185,34 +191,30 @@ def _mixture_table(
     Without ``n_cut`` each row must hold its mass: a shortfall beyond
     ``ROW_MASS_DEFECT_MAX`` raises :class:`NumericalError`.
 
-    Blocks keep every (angle, k) and (angle, n) temporary within
-    ``BLOCK_ELEMENTS``.  With ``derivatives`` the matmul takes three weight
-    rows, Pois(k; B), Pois(k - 1; B) - Pois(k; B) and Pois(k; B)
-    e^(-gamma_tau k), each times e^(-mu_k - gamma_tau k n_b - alpha), into
-    S1, S2, S3, and the call returns (P, dP/dB, dP/dD), each
-    (T, n_cut + 1), from the shift forms dP/dB = P S2 / S1 and
-    dP/dD(n) = Q(n - 1) - Q(n), Q = P S3 / S1, which divide by neither B
-    nor D.
+    Count blocks keep every (angle, k) and (angle, n) temporary within
+    ``BLOCK_ELEMENTS``, and angle blocks within a quarter of it, so that
+    the k windows of a grid follow B.  With ``derivatives`` the matmul
+    takes three weight rows, Pois(k; B), Pois(k - 1; B) - Pois(k; B) and
+    Pois(k; B) e^(-gamma_tau k), each times
+    e^(-mu_k - gamma_tau k n_b - alpha), into S1, S2, S3, and the call
+    returns (P, dP/dB, dP/dD), each (T, n_cut + 1), from the shift forms
+    dP/dB = P S2 / S1 and dP/dD(n) = Q(n - 1) - Q(n), Q = P S3 / S1, which
+    divide by neither B nor D.
     """
     b, d = _mixture_means(params, np.atleast_1d(np.asarray(thetas, dtype=float)), mode)
-    b_max = float(b.max(initial=0.0))
-    k_cut = _window(b_max)
-    neglected = _tail_bound(b_max, k_cut)
+    k_cut = _window(float(b.max(initial=0.0)))
     full_window = n_cut is None
+    n_neglected = 0.0
     if full_window:
         d_max = float(d.max(initial=0.0))
         n_cut = _window(d_max)
-        neglected += _tail_bound(d_max, n_cut)
-    if neglected > TAIL_MASS_MAX:
-        raise NumericalError(
-            f"Poisson-mixture truncation at k <= {k_cut}, n <= {n_cut} may "
-            f"neglect mass {neglected:.3e} > {TAIL_MASS_MAX:.0e}"
-        )
+        n_neglected = _tail_bound(d_max, n_cut)
     gt = params.gamma_tau
     k = np.arange(k_cut + 1)
     n = np.arange(n_cut + 1)
     log_fact = gammaln(k + 1)
     damp = np.exp(-gt * k)
+    neg_damp = -damp
     with np.errstate(divide="ignore"):
         log_b, log_d = np.log(b)[:, None], np.log(d)[:, None]
     # n log D - log n!, with n log D = 0 at n = 0 also where D = 0
@@ -224,43 +226,54 @@ def _mixture_table(
         width = 1 + int(_EXP_SPAN / (gt * k_cut))
     shared = np.exp(-gt * np.outer(k, np.arange(width)))
     weights = 3 if derivatives else 1
-    # log Pois and the weights of one angle block share the budget
-    rows = max(1, BLOCK_ELEMENTS // ((weights + 1) * max(k.size, width)))
+    # log Pois and the weights of one angle block share a quarter of the
+    # budget, so that the blocks' k windows can follow B along the grid
+    rows = max(1, BLOCK_ELEMENTS // (4 * (weights + 1) * max(k.size, width)))
     table = np.empty((b.size, n.size))
     if derivatives:
         ratio_b, ratio_q = np.empty_like(table), np.empty_like(table)
-    pois_buffer = np.empty((min(rows, b.size), k.size))
-    weight_buffer = np.empty((min(rows, b.size), weights, k.size))
+    buffer = np.empty(min(rows, b.size) * (weights + 1) * k.size)
     for r0 in range(0, b.size, rows):
         rs = slice(r0, r0 + rows)
+        b_top = float(b[rs].max())
+        block_cut = _window(b_top)
+        neglected = _tail_bound(b_top, block_cut) + n_neglected
+        if neglected > TAIL_MASS_MAX:
+            raise NumericalError(
+                f"Poisson-mixture truncation at k <= {block_cut}, n <= {n_cut} may "
+                f"neglect mass {neglected:.3e} > {TAIL_MASS_MAX:.0e}"
+            )
+        kb = k[: block_cut + 1]
+        m = b[rs].size
         # log Pois(k; B), with k log B = 0 at k = 0 also where B = 0
-        log_pois = pois_buffer[: b[rs].size]
+        log_pois = buffer[: m * kb.size].reshape(m, kb.size)
         log_pois[:, 0] = 0.0
-        np.multiply(log_b[rs], k[1:], out=log_pois[:, 1:])
+        np.multiply(log_b[rs], kb[1:], out=log_pois[:, 1:])
         log_pois -= b[rs, None]
-        log_pois -= log_fact
-        w = weight_buffer[: log_pois.shape[0]]
+        log_pois -= log_fact[: kb.size]
+        w = buffer[m * kb.size : (weights + 1) * m * kb.size].reshape(m, weights, kb.size)
         for n0 in range(0, n.size, width):
             cs = slice(n0, n0 + width)
             a = w[:, 0]
-            np.multiply(d[rs, None], -damp, out=a)
-            a -= (gt * n0) * k
+            np.multiply(d[rs, None], neg_damp[: kb.size], out=a)
+            if n0:
+                a -= (gt * n0) * kb
             if derivatives:
-                w[:, 1] = a
+                # Pois(k - 1; B) times the same factors, 0 at k = 0
+                prev = w[:, 1]
+                np.add(a[:, 1:], log_pois[:, :-1], out=prev[:, 1:])
+                prev[:, 0] = -np.inf
             a += log_pois
             alpha = a.max(axis=1, keepdims=True)
             a -= alpha
             np.exp(a, out=a)
             if derivatives:
-                prev = w[:, 1]  # Pois(k - 1; B) times the same factors, 0 at k = 0
-                prev[:, 1:] += log_pois[:, :-1]
                 prev -= alpha
-                prev[:, 0] = -np.inf
                 np.exp(prev, out=prev)
                 prev -= a
-                np.multiply(a, damp, out=w[:, 2])
-            s = (w.reshape(-1, k.size) @ shared[:, : n[cs].size]).reshape(
-                w.shape[0], weights, -1
+                np.multiply(a, damp[: kb.size], out=w[:, 2])
+            s = (w.reshape(-1, kb.size) @ shared[: kb.size, : n[cs].size]).reshape(
+                m, weights, -1
             )
             table[rs, cs] = alpha + head[rs, cs] + np.log(s[:, 0])
             if derivatives:
@@ -418,8 +431,8 @@ def normalized_fi(params: ProtocolParams, theta, mode: str = "d"):
 def fit_exponential_decay(times, values) -> tuple[float, float]:
     """Least-squares fit of values ~ amplitude * exp(-rate * times).
 
-    Linear fit in log space; exact on noiseless exponential data.  Returns
-    (rate, amplitude).
+    Closed-form least-squares line through (times, log values); exact on
+    noiseless exponential data.  Returns (rate, amplitude).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -427,5 +440,11 @@ def fit_exponential_decay(times, values) -> tuple[float, float]:
         raise ValueError("need matching time/value arrays with at least two points")
     if np.any(values <= 0):
         raise ValueError("exponential fit requires positive values")
-    slope, intercept = np.polyfit(times, np.log(values), 1)
-    return -float(slope), float(math.exp(intercept))
+    offsets = times - times.mean()
+    spread = float(offsets @ offsets)
+    if not spread > 0:
+        raise ValueError("exponential fit needs at least two distinct times")
+    log_values = np.log(values)
+    mean_log = float(log_values.mean())
+    rate = float(offsets @ (mean_log - log_values)) / spread
+    return rate, math.exp(mean_log + rate * float(times.mean()))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rydsense import dipolar, error_prevention, estimation, multiparticle
+from rydsense import cli
 from rydsense.cli import main
 from rydsense.fockspace import classical_fi
 
@@ -415,6 +416,57 @@ class TestDipolar:
         assert not out.exists()
 
 
+class TestBatchedCalls:
+    """Each study evaluates its grids in one batched call per curve."""
+
+    @staticmethod
+    def record(monkeypatch, name):
+        calls = []
+        original = getattr(multiparticle, name)
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(multiparticle, name, recording)
+        return calls
+
+    def test_super_rabi_two_mean_calls(self, tmp_path, monkeypatch):
+        calls = self.record(monkeypatch, "super_rabi_means")
+        extra = ["--output", str(tmp_path / "r.csv"), "--set", "n0=55.0",
+                 "--set", "eta=0.02", "--set", "gamma_tau=0.034"]
+        assert run_cli("super-rabi", extra=extra) == 0
+        assert len(calls) == 2
+
+    def test_decay_scan_one_mean_call_per_time(self, tmp_path, monkeypatch):
+        calls = self.record(monkeypatch, "super_rabi_means")
+        extra = ["--output", str(tmp_path / "d.csv"), "--set", "n0=55.0",
+                 "--set", "eta=0.02", "--set", "gamma_per_s=4250.0",
+                 "--set", "thetas=[0.5, 1.5, 2.5]", "--set", "tau_max_s=8e-6"]
+        assert run_cli("decay-scan", extra=extra) == 0
+        assert len(calls) == 21
+
+    def test_fi_scan_one_kernel_call_per_curve(self, tmp_path, monkeypatch):
+        calls = self.record(monkeypatch, "_mixture_table")
+        extra = ["--output", str(tmp_path / "f.csv"), "--set", "n0=55.0",
+                 "--set", "eta=0.02", "--set", "gamma_taus=[0.0, 0.028, 0.034]",
+                 "--set", 'loss_orders=["after_interaction", "before_interaction"]']
+        assert run_cli("fi-scan", extra=extra) == 0
+        assert [c.get("derivatives") for c in calls] == [True] * 6
+
+    def test_sensitivity_one_derivative_call_and_three_pmfs(self, tmp_path, monkeypatch):
+        kernel = self.record(monkeypatch, "_mixture_table")
+        pmfs = self.record(monkeypatch, "count_pmf")
+        cfg = write_config(
+            tmp_path / "c.json",
+            {**TestSensitivity.BASE, "grid_points": 512, "output_path": str(tmp_path / "s.json")},
+        )
+        assert run_cli("sensitivity", cfg) == 0
+        assert sum(bool(c.get("derivatives")) for c in kernel) == 1
+        assert len(kernel) == 4
+        assert len(pmfs) == 3
+
+
 class TestCommonMachinery:
     def test_set_overrides_file_keys(self, tmp_path):
         out = tmp_path / "toy.csv"
@@ -486,6 +538,34 @@ class TestCommonMachinery:
         value = rows[0][1]
         assert value == f"{float(value):.12g}"
         assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 11
+
+    def test_csv_table_matches_csv_writer(self, tmp_path):
+        columns = ["theta_rad", "loss_order", "count", "fi"]
+        rows = [
+            (0.1, "after_interaction", 3, 1.0 / 3.0),
+            (math.pi, "before_interaction", -7, 2.5e-300),
+            (np.float64(1e20), "two words", np.int64(0), -0.0),
+            (math.nan, "", 12345678901234567890, math.inf),
+        ]
+        path = cli.write_table(
+            {"output_path": str(tmp_path / "t.csv"), "format": "csv"}, "t", columns, rows
+        )
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "carriage\rreturn"])
+    def test_csv_cell_needing_quotes_rejected(self, tmp_path, cell):
+        cfg = {"output_path": str(tmp_path / "t.csv"), "format": "csv"}
+        with pytest.raises(ValueError, match="CSV quoting"):
+            cli.write_table(cfg, "t", ["theta_rad", "loss_order"], [(0.5, cell)])
+        with pytest.raises(ValueError, match="CSV quoting"):
+            cli.write_table(cfg, "t", ["theta_rad", cell], [(0.5, "after_interaction")])
+        assert not (tmp_path / "t.csv").exists()
 
     def test_json_format_table(self, tmp_path):
         out = tmp_path / "rabi.json"

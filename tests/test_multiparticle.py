@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,28 @@ class TestSuperRabiMeans:
     def test_steepening_sum_below_detected_mean(self):
         for theta in np.linspace(0.2, math.pi - 0.2, 15):
             assert sum(super_rabi_means(EXPERIMENT, theta)) < 1.1
+
+    def test_array_call_matches_scalar_calls(self):
+        thetas = np.array([[0.0, 0.7, 1.3], [2.0, 2.9, math.pi]])
+        means = super_rabi_means(EXPERIMENT, thetas)
+        assert all(isinstance(m, np.ndarray) and m.shape == thetas.shape for m in means)
+        for i, theta in enumerate(thetas.ravel().tolist()):
+            scalar = super_rabi_means(EXPERIMENT, theta)
+            assert all(type(value) is float for value in scalar)
+            assert scalar == (means[0].ravel()[i], means[1].ravel()[i])
+
+    @pytest.mark.parametrize("gamma_tau", [0.0, 0.034, 0.7])
+    def test_plain_rabi_populations_at_zero_and_pi(self, gamma_tau):
+        params = ProtocolParams(55.0, 0.02, gamma_tau)
+        nd, np_ = super_rabi_means(params, np.array([0.0, math.pi]))
+        np.testing.assert_allclose(nd, [1.1, 0.0], rtol=1e-15, atol=1e-30)
+        np.testing.assert_allclose(np_, [0.0, 1.1], rtol=1e-15, atol=1e-30)
+
+    def test_plain_rabi_populations_without_decay(self):
+        thetas = np.linspace(0.0, math.pi, 17)
+        nd, np_ = super_rabi_means(ProtocolParams(55.0, 0.02, 0.0), thetas)
+        np.testing.assert_allclose(nd, 1.1 * np.cos(thetas / 2) ** 2, rtol=1e-15, atol=1e-30)
+        np.testing.assert_allclose(np_, 1.1 * np.sin(thetas / 2) ** 2, rtol=1e-15, atol=1e-30)
 
 
 class TestCountDistribution:
@@ -222,6 +245,56 @@ class TestMixtureKernel:
         monkeypatch.setattr(multiparticle, "_EXP_SPAN", math.inf)
         with np.errstate(divide="ignore"), pytest.raises(NumericalError, match="lost mass"):
             count_pmf(params, 0.05)
+
+    def test_row_losing_mass_in_an_angle_grid_raises(self, monkeypatch):
+        params = ProtocolParams(1000.0, 1.0, 0.5)
+        monkeypatch.setattr(multiparticle, "_EXP_SPAN", math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match="lost mass"
+        ):
+            multiparticle._mixture_table(params, [0.03, 0.05, 0.04], derivatives=True)
+
+    @pytest.mark.parametrize("n0", [40.0, 70.0, 400.0])
+    def test_block_windows_match_single_angle_calls(self, monkeypatch, n0):
+        params = ProtocolParams(n0, 0.3, 0.034)
+        thetas = np.linspace(0.0, math.pi, 512)
+        window = multiparticle._window
+        means = []
+
+        def recording_window(mean):
+            means.append(mean)
+            return window(mean)
+
+        monkeypatch.setattr(multiparticle, "_window", recording_window)
+        table = multiparticle._mixture_table(params, thetas, derivatives=True)
+        # the k windows of the angle blocks differ from the grid's largest one
+        assert len({window(mean) for mean in means}) > 3
+        n_cut = table[0].shape[1] - 1
+        b, _ = multiparticle._mixture_means(params, thetas, "d")
+        for i, theta in enumerate(thetas):
+            # a single angle sums k over its own, narrower window: the terms
+            # it leaves out hold at most this mass
+            neglected = multiparticle._tail_bound(b[i], window(b[i]))
+            np.testing.assert_allclose(
+                table[0][i], count_pmf(params, theta, n_cut=n_cut), rtol=1e-13, atol=neglected
+            )
+            single = multiparticle._mixture_table(params, theta, n_cut=n_cut, derivatives=True)
+            # derivatives change sign along a row and dP/dD is a difference
+            # of shifted terms, so their rounding is relative to the row's P
+            floor = 1e-13 * table[0][i].max() + 2.0 * neglected
+            for batched, alone in zip(table[1:], single[1:]):
+                np.testing.assert_allclose(batched[i], alone[0], rtol=1e-13, atol=floor)
+
+    def test_truncation_checked_per_angle_block(self, monkeypatch):
+        params = ProtocolParams(70.0, 0.02, 0.034)
+        thetas = np.linspace(0.01, math.pi - 0.01, 512)
+        monkeypatch.setattr(multiparticle, "TAIL_MASS_MAX", 0.0)
+        message = r"^Poisson-mixture truncation at k <= (\d+), n <= (\d+) may neglect mass \S+ > 0e\+00$"
+        with pytest.raises(NumericalError, match=message) as info:
+            multiparticle._mixture_table(params, thetas, derivatives=True)
+        # the first block of angles fails, on its own narrower k window
+        k_cut = int(re.match(message, str(info.value)).group(1))
+        assert k_cut < multiparticle._window(70.0 * math.sin(thetas[-1] / 2) ** 2)
 
     def test_no_detection_is_point_mass(self):
         pmf = count_pmf(ProtocolParams(50.0, 0.0, 0.2), 1.0)
@@ -377,6 +450,10 @@ class TestFisherInformation:
         order=st.sampled_from([LOSS_AFTER, LOSS_BEFORE]),
     )
     @settings(max_examples=60, deadline=None)
+    # B = n0 sin^2(theta/2) keeps its relative precision near theta = 0 in
+    # mode d and near theta = pi in mode p
+    @example(n0=47.0, eta=1.0, gamma_tau=0.5, theta=1e-8, mode="d", order=LOSS_AFTER)
+    @example(n0=47.0, eta=1.0, gamma_tau=0.5, theta=math.pi - 1e-8, mode="p", order=LOSS_AFTER)
     def test_matches_ladder_identity_reference(self, n0, eta, gamma_tau, theta, mode, order):
         # the 1e-20 absolute floor sits far above the rounding noise of the
         # k-sums, about (n0 1e-16)^2, where the FI itself nearly vanishes
@@ -483,6 +560,18 @@ class TestFisherInformation:
 
 
 class TestDecayFit:
+    def test_matches_polyfit_line(self, rng):
+        times = np.linspace(0.0, 8e-6, 21)
+        values = 0.9 * np.exp(-4e4 * times) * rng.uniform(0.9, 1.1, times.size)
+        slope, intercept = np.polyfit(times, np.log(values), 1)
+        rate, amplitude = fit_exponential_decay(times, values)
+        assert rate == pytest.approx(-slope, rel=1e-12)
+        assert amplitude == pytest.approx(math.exp(intercept), rel=1e-12)
+
+    def test_equal_times_rejected(self):
+        with pytest.raises(ValueError, match="distinct times"):
+            fit_exponential_decay([2.0, 2.0, 2.0], [0.5, 0.4, 0.3])
+
     def test_recovers_exact_exponential(self):
         times = np.linspace(0.0, 20.0, 15)
         rate, amplitude = fit_exponential_decay(times, 0.7 * np.exp(-0.11 * times))
