@@ -21,9 +21,10 @@ GHz um^3 number), returns Q in um^3/s and gamma in 1/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,7 @@ J_CLOSED_FORM = complex(
 CLOUD_KINDS = ("box", "gaussian")
 MIN_MC_SAMPLES = 10_000
 # Samples per Monte-Carlo shard of readout_expectation_mc.
-MC_SHARD_SIZE = 1 << 14
+MC_SHARD_SIZE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,42 @@ def _pair_phase(delta: np.ndarray, t: float, c3_int: float) -> np.ndarray:
     return t * c3_int * f / (r2 * np.sqrt(r2))
 
 
+def _mc_shard(child, n, t, n_p, sigma, c3_int, a_t, method):
+    """(sum est, sum est^2, LDA factor max) over one shard of ``n`` samples.
+
+    Runs in a worker thread, so it calls only private helpers.
+    """
+    rng = np.random.default_rng(child)
+    # the same draws as rng.normal(scale=sigma, size=(n, 3)), bit for bit
+    x = rng.standard_normal((n, 3)) * sigma
+    if method == "lda":
+        factor = np.abs(1.0 - _gaussian_pdf(x, sigma) * a_t)
+        est = factor ** (2 * n_p)
+        return float(np.sum(est)), float(np.sum(est**2)), float(factor.max())
+    # per control: draw in place, then form x - y with the components as
+    # contiguous rows
+    sigma_col = sigma[:, None]
+    x_rows = x.T.copy()
+    draw = np.empty((n, 3))
+    delta = np.empty((3, n))
+
+    def control_phase():
+        rng.standard_normal(out=draw)
+        np.multiply(draw.T, sigma_col, out=delta)
+        np.subtract(x_rows, delta, out=delta)
+        return _pair_phase(delta, t, c3_int)
+
+    # the product of exp(-i phi) over the first n_p controls and
+    # exp(+i phi) over the next n_p, as one real phase sum
+    phase = np.zeros(n)
+    for _ in range(n_p):
+        phase -= control_phase()
+    for _ in range(n_p):
+        phase += control_phase()
+    est = np.cos(phase)
+    return float(np.sum(est)), float(np.sum(est**2)), 0.0
+
+
 def readout_expectation_mc(
     t: float,
     n_p: int,
@@ -195,9 +232,12 @@ def readout_expectation_mc(
     The LDA warns where a factor |1 - p(x) A(t)| exceeds 1, which an
     average of unit phases cannot.
 
-    Sampling is sharded into ``MC_SHARD_SIZE`` (16384) samples per shard,
-    with seeds spawned from ``seed``, so that shards are reproducible and
-    independent of evaluation order.
+    Sampling is split into shards of ``MC_SHARD_SIZE`` (8192) samples, the
+    last one shorter, each drawing from its own seed spawned from ``seed``.
+    The shards run concurrently on a thread pool that lives for the call
+    (one worker per CPU, at most one per shard), and their sums are
+    combined in shard order, so the result does not depend on the number
+    of workers or on the order in which shards finish.
     """
     if method not in ("lda", "direct"):
         raise ValueError(f"method must be 'lda' or 'direct', got {method!r}")
@@ -213,49 +253,25 @@ def readout_expectation_mc(
         return McReadout(1.0, 0.0, samples, method)
 
     sigma = np.asarray(params.cloud.dimensions)
-    sigma_col = sigma[:, None]
     c3_int = params.c3_over_hbar * 1e-6  # rad/us um^3
     a_t = excluded_volume_integral(t, params) if method == "lda" else None
 
-    seed_seq = np.random.SeedSequence(seed)
+    children = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_SHARD_SIZE))
+    sizes = [min(MC_SHARD_SIZE, samples - i * MC_SHARD_SIZE) for i in range(len(children))]
+
+    def shard(child, n):
+        return _mc_shard(child, n, t, n_p, sigma, c3_int, a_t, method)
+
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(children))) as pool:
+        parts = list(pool.map(shard, children, sizes))
+    # summed in shard order by a plain loop: sum() of floats is compensated
+    # from Python 3.12 on, which would change the last bits
     total = 0.0
     total_sq = 0.0
-    lda_factor_max = 0.0
-    remaining = samples
-    shards = seed_seq.spawn(math.ceil(samples / MC_SHARD_SIZE))
-    for child in shards:
-        n = min(MC_SHARD_SIZE, remaining)
-        remaining -= n
-        rng = np.random.default_rng(child)
-        # the same draws as rng.normal(scale=sigma, size=(n, 3)), bit for bit
-        x = rng.standard_normal((n, 3)) * sigma
-        if method == "lda":
-            factor = np.abs(1.0 - _gaussian_pdf(x, sigma) * a_t)
-            lda_factor_max = max(lda_factor_max, float(factor.max()))
-            est = factor ** (2 * n_p)
-        else:
-            # per control: draw in place, then form x - y with the components
-            # as contiguous rows
-            x_rows = x.T.copy()
-            draw = np.empty((n, 3))
-            delta = np.empty((3, n))
-
-            def control_phase():
-                rng.standard_normal(out=draw)
-                np.multiply(draw.T, sigma_col, out=delta)
-                np.subtract(x_rows, delta, out=delta)
-                return _pair_phase(delta, t, c3_int)
-
-            # the product of exp(-i phi) over the first n_p controls and
-            # exp(+i phi) over the next n_p, as one real phase sum
-            phase = np.zeros(n)
-            for _ in range(n_p):
-                phase -= control_phase()
-            for _ in range(n_p):
-                phase += control_phase()
-            est = np.cos(phase)
-        total += float(np.sum(est))
-        total_sq += float(np.sum(est**2))
+    for part_sum, part_sq, _ in parts:
+        total += part_sum
+        total_sq += part_sq
+    lda_factor_max = max(part[2] for part in parts)
     if lda_factor_max > 1.0:
         warnings.warn(
             f"LDA factor |1 - p(x) A(t)| reaches {lda_factor_max:.3g}, but a read-out "

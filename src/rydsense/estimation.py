@@ -174,17 +174,18 @@ def _estimates_for_histograms(hists, grid, log_table):
     return hats[inverse]
 
 
-def _variance(theta_hats: np.ndarray) -> float:
-    """Sample variance of the estimates, which must not all be equal.
+def _variance(theta_hats: np.ndarray) -> np.ndarray:
+    """Sample variance of the estimates along the last axis.
 
-    Tested by equality: ``np.var`` of equal values can round to a tiny positive.
+    No row may be all equal; that is tested by equality, because ``np.var``
+    of equal values can round to a tiny positive.
     """
-    if np.all(theta_hats == theta_hats[0]):
+    if np.any(np.all(theta_hats == theta_hats[..., :1], axis=-1)):
         raise NumericalError(
             "ML estimates are identical in every realization; zero variance "
             "gives no Fisher information"
         )
-    return float(np.var(theta_hats, ddof=1))
+    return np.var(theta_hats, axis=-1, ddof=1)
 
 
 def run_estimation(
@@ -233,7 +234,7 @@ def run_estimation(
     theta_hats = _estimates_for_histograms(
         _histograms(counts + offsets, k, width), grid, log_table
     )
-    variance = _variance(theta_hats)
+    variance = float(_variance(theta_hats))
     fi_per_shot = 1.0 / (n * variance)
 
     boot_rng = np.random.default_rng(boot_seq)
@@ -241,9 +242,7 @@ def run_estimation(
     for b in range(n_bootstrap):
         hists[b] = _histograms(counts[boot_rng.permutation(n_total)] + offsets, k, width)
     boot_hats = _estimates_for_histograms(hists.reshape(-1, width), grid, log_table)
-    boot_fis = np.array(
-        [1.0 / (n * _variance(hats)) for hats in boot_hats.reshape(n_bootstrap, k)]
-    )
+    boot_fis = 1.0 / (n * _variance(boot_hats.reshape(n_bootstrap, k)))
     fi_error = float(np.std(boot_fis, ddof=1))
 
     return EstimationResult(

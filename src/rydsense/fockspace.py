@@ -203,10 +203,22 @@ class KrausChannel:
     def __post_init__(self):
         if not self.operators:
             raise ValueError("channel needs at least one Kraus operator")
-        ops = tuple(_checked_lowering(k, self.basis.dim) for k in self.operators)
-        total = np.zeros(self.basis.dim)
-        for _, src, coeffs in ops:
-            total[src] += np.abs(coeffs) ** 2
+        dim = self.basis.dim
+        ops = tuple(_checked_lowering(k, dim) for k in self.operators)
+        # index checks over all operators at once: operator j's index i is
+        # key j * dim + i, so a repeat counts only within one operator
+        lengths = [coeffs.size for _, _, coeffs in ops]
+        owner = np.repeat(np.arange(len(ops)) * dim, lengths)
+        src_all = np.concatenate([src for _, src, _ in ops])
+        for idx in (np.concatenate([dest for dest, _, _ in ops]), src_all):
+            if not idx.size:
+                continue
+            if idx.min() < 0 or idx.max() >= dim:
+                raise ValueError(f"lowering-form indices must be basis indices below {dim}")
+            if np.bincount(owner + idx).max() > 1:
+                raise ValueError("lowering-form operator repeats a source or destination index")
+        weights = np.abs(np.concatenate([coeffs for _, _, coeffs in ops])) ** 2
+        total = np.bincount(src_all, weights=weights, minlength=dim)
         defect = float(np.max(np.abs(total - 1.0)))
         if self.trace_preserving:
             if defect > TRACE_TOL:
@@ -225,25 +237,20 @@ class KrausChannel:
 
 
 def _checked_lowering(op: tuple, dim: int) -> tuple:
-    """Validated (dest, src, coeffs) arrays of a lowering-form operator.
+    """(dest, src, coeffs) arrays of a lowering-form operator, shape and dtype checked.
 
     Only a 3-tuple is accepted, so a dense matrix with three rows is not
-    mistaken for a triple.  The scatter of :func:`apply_channel` would
-    silently drop repeated indices, so a repeated source or destination
-    raises ``ValueError``.
+    mistaken for a triple.  The index range and repeated indices, which the
+    scatter of :func:`apply_channel` would silently drop, are checked by
+    :class:`KrausChannel` over all operators at once.
     """
     if not (isinstance(op, tuple) and len(op) == 3):
         raise ValueError("a Kraus operator must be a (dest, src, coeffs) triple")
     dest, src, coeffs = (np.asarray(a) for a in op)
     if not dest.shape == src.shape == coeffs.shape == (coeffs.size,):
         raise ValueError("lowering-form index and coefficient arrays differ in length")
-    for idx in (dest, src):
-        if not idx.size:
-            continue
-        if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= dim:
-            raise ValueError(f"lowering-form indices must be basis indices below {dim}")
-        if np.bincount(idx).max() > 1:
-            raise ValueError("lowering-form operator repeats a source or destination index")
+    if coeffs.size and (dest.dtype.kind not in "iu" or src.dtype.kind not in "iu"):
+        raise ValueError(f"lowering-form indices must be basis indices below {dim}")
     return dest.astype(np.intp), src.astype(np.intp), coeffs.astype(complex)
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -384,3 +386,62 @@ class TestPhaseSumReadout:
             warnings.simplefilter("ignore", RuntimeWarning)
             r = readout_expectation_mc(t, n_p, params, samples=10_000, seed=seed, method="lda")
         assert (r.value, r.stderr) == per_factor_readout(t, n_p, params, 10_000, seed, "lda")
+
+
+class TestShardPool:
+    PARAMS = TestPhaseSumReadout.ORACLE_PARAMS
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        """Make the pool take ``workers`` workers; returns the sizes it was built with."""
+        sizes = []
+        pool = dipolar.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(dipolar.os, "cpu_count", lambda: workers)
+        monkeypatch.setattr(dipolar, "ThreadPoolExecutor", recording_pool)
+        return sizes
+
+    @pytest.mark.parametrize("method", ["direct", "lda"])
+    def test_bit_identical_for_any_worker_count(self, method, monkeypatch):
+        # two full shards and a short third one
+        samples = 2 * dipolar.MC_SHARD_SIZE + 3616
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # make the workers interleave often
+        try:
+            for workers in (1, 2, 3):
+                sizes = self.force_workers(monkeypatch, workers)
+                results.append(readout_expectation_mc(
+                    0.025, 23, self.PARAMS, samples=samples, seed=21, method=method
+                ))
+                assert sizes == [workers]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    def test_pool_capped_at_shard_count(self, monkeypatch):
+        sizes = self.force_workers(monkeypatch, 64)
+        readout_expectation_mc(0.025, 16, self.PARAMS, samples=10_000, seed=3, method="direct")
+        assert sizes == [math.ceil(10_000 / dipolar.MC_SHARD_SIZE)]
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+        before = threading.enumerate()
+        readout_expectation_mc(0.025, 16, self.PARAMS, samples=20_000, seed=4, method="direct")
+        assert threading.enumerate() == before
+
+    def test_shard_exception_reaches_caller(self, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+
+        def failing_phase(*args):
+            raise FloatingPointError("pair phase failed")
+
+        monkeypatch.setattr(dipolar, "_pair_phase", failing_phase)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError, match="pair phase failed"):
+            readout_expectation_mc(0.025, 16, self.PARAMS, samples=20_000, seed=5, method="direct")
+        assert threading.enumerate() == before

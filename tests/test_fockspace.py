@@ -273,6 +273,35 @@ class TestLoweringForm:
         with pytest.raises(ValueError, match="repeats"):
             KrausChannel(basis, (lowering([0, 1], [2, 2], [0.5, 0.5]),), trace_preserving=False)
 
+    def test_repeat_in_last_operator_rejected(self):
+        basis = FockBasis(2)
+        ops = (lowering([0, 1], [1, 2], [0.5, 0.5]), lowering([3, 4], [3, 4], [0.5, 0.5]))
+        for repeat in (lowering([5, 5], [0, 5], [0.5, 0.5]), lowering([0, 5], [5, 5], [0.5, 0.5])):
+            with pytest.raises(ValueError, match="repeats"):
+                KrausChannel(basis, (*ops, repeat), trace_preserving=False)
+
+    def test_same_index_in_two_operators_accepted(self):
+        # the loss channel's operators share sources and destinations; so do these
+        basis = FockBasis(2)
+        ops = (lowering([0, 1], [1, 2], [0.6, 0.6]), lowering([0, 1], [1, 2], [0.8, 0.8]))
+        assert KrausChannel(basis, ops, trace_preserving=False).completeness_defect == pytest.approx(1.0)
+
+    def test_index_range_and_dtype_rejected(self):
+        basis = FockBasis(2)
+        good = lowering([0], [0], [1.0])
+        bad_ops = (
+            lowering([0, 6], [1, 2], [0.5, 0.5]),
+            lowering([0, 1], [-1, 2], [0.5, 0.5]),
+            (np.array([0.0]), np.array([1]), np.array([0.5 + 0j])),
+            (np.array([0]), np.array([True]), np.array([0.5 + 0j])),
+        )
+        for bad in bad_ops:
+            with pytest.raises(ValueError, match="basis indices below 6"):
+                KrausChannel(basis, (good, bad), trace_preserving=False)
+        # an empty operator may carry any index dtype
+        empty = (np.array([]), np.array([]), np.array([], dtype=complex))
+        assert len(KrausChannel(basis, (good, empty), trace_preserving=False)) == 2
+
     def test_length_mismatch_rejected(self):
         basis = FockBasis(2)
         with pytest.raises(ValueError, match="differ in length"):
