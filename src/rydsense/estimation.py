@@ -6,8 +6,11 @@ over a grid with quadratic refinement, extract the per-shot Fisher
 information from the variance across realizations (F = 1 / (N var)), and
 bootstrap the partition of shots into realizations for its error bar.  The
 log-likelihood table comes from the kernel's log domain, so it stays finite
-where P(n | theta) underflows a double; the realizations of every bootstrap
-draw are histogrammed first, and each distinct histogram is evaluated once.
+where P(n | theta) underflows a double.  A bootstrap draw's realization
+histograms come straight from their exact law, by recursive hypergeometric
+splits of the count histogram, when few count values occur; otherwise the
+shots are permuted and histogrammed.  Each distinct histogram of all draws
+is evaluated once.
 The angle variance finally converts into a microwave field precision through
 Delta E = (sqrt(var) / T) (hbar / d) and a sensitivity S = Delta E sqrt(T).
 """
@@ -52,6 +55,13 @@ BOHR_RADIUS = 5.29177210903e-11  # m
 
 DEFAULT_GRID_POINTS = 2000
 DEFAULT_BOOTSTRAP = 200
+# The bootstrap's hypergeometric split draws about w_eff - 1 variates per
+# realization, where a permutation moves n shots; the split is the faster
+# of the two while n >= _SPLIT_SHOTS_PER_VALUE (w_eff - 1) (crossover
+# measured in BENCH_16.json).
+_SPLIT_SHOTS_PER_VALUE = 11
+# numpy's hypergeometric takes ngood and nbad below 10**9
+_HYPERGEOMETRIC_MAX = 10**9
 
 
 @dataclass(frozen=True)
@@ -154,6 +164,68 @@ def _histograms(bins: np.ndarray, rows: int, width: int) -> np.ndarray:
     return np.bincount(bins, minlength=rows * width).reshape(rows, width)
 
 
+def _split_compositions(
+    totals: np.ndarray, k: int, n: int, n_bootstrap: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(n_bootstrap, k, w) compositions of k random realizations of n shots each.
+
+    ``totals`` holds the w shot counts of each value over all k n shots.  The
+    realizations are split in halves, recursively: a left half of h
+    realizations takes h n shots drawn without replacement from its parent,
+    so its composition is multivariate hypergeometric given the parent's,
+    and it is drawn value by value, each value hypergeometric given the
+    values before it.  Every level draws all nodes of all draws in one call
+    per value, ceil(log2 k) levels of (w - 1) calls in all.
+    """
+    # value-major layout: comp[j, b, node] counts value j in a node of draw b
+    comp = np.repeat(totals[:, None, None], n_bootstrap, axis=1)
+    sizes = np.array([k])
+    while sizes.size < k:
+        split = sizes > 1
+        parent = comp[:, :, split]
+        half = sizes[split] // 2
+        left = np.empty_like(parent)
+        remaining = np.repeat((half * n)[None, :], n_bootstrap, axis=0)
+        bad = sizes[split] * n - parent[0]
+        for j in range(totals.size - 1):
+            left[j] = rng.hypergeometric(parent[j], bad, remaining)
+            remaining -= left[j]
+            bad -= parent[j + 1]
+        left[-1] = remaining
+        comp = np.concatenate([comp[:, :, ~split], left, parent - left], axis=2)
+        sizes = np.concatenate([sizes[~split], half, sizes[split] - half])
+    return comp.transpose(1, 2, 0)
+
+
+def _bootstrap_histograms(
+    counts: np.ndarray, k: int, width: int, n_bootstrap: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(n_bootstrap, k, width) histograms of random re-partitions of ``counts``.
+
+    Each draw assigns the shots uniformly at random to k realizations of
+    n = counts.size / k shots.  A narrow histogram, whose w_eff occurring
+    count values satisfy ``_SPLIT_SHOTS_PER_VALUE`` (w_eff - 1) <= n, draws
+    each table from that law directly by :func:`_split_compositions`, at a
+    cost that grows with k w_eff; a wide one permutes the shots of each draw
+    and histograms them, at a cost that grows with k n.  numpy's
+    hypergeometric takes populations below 10**9, so larger inputs permute.
+    """
+    n = counts.size // k
+    totals = np.bincount(counts, minlength=width)
+    values = np.flatnonzero(totals)
+    hists = np.zeros((n_bootstrap, k, width), dtype=np.int64)
+    if (
+        _SPLIT_SHOTS_PER_VALUE * (values.size - 1) <= n
+        and counts.size < _HYPERGEOMETRIC_MAX
+    ):
+        hists[..., values] = _split_compositions(totals[values], k, n, n_bootstrap, rng)
+        return hists
+    offsets = np.repeat(np.arange(k) * width, n)
+    for b in range(n_bootstrap):
+        hists[b] = _histograms(counts[rng.permutation(counts.size)] + offsets, k, width)
+    return hists
+
+
 def _estimates_for_histograms(hists, grid, log_table):
     """ML estimate for each row of an integer (rows, n_cut + 1) histogram matrix.
 
@@ -202,19 +274,26 @@ def run_estimation(
     realizations of N = ``shots_per_realization`` shots, estimates the
     angle in each on :func:`default_theta_grid`, and converts the variance
     across realizations into a per-shot Fisher information F = 1 / (N var).
-    The split of shots into realizations is bootstrapped (random
-    re-assignments, ``n_bootstrap`` draws) to attach an error bar to F; the
-    draws' realization histograms are collected first and each distinct one
-    is evaluated once, with the same results as one likelihood evaluation
-    per draw.  Bit-identical
-    results under a fixed seed; per-stage random streams are spawned from
-    the master seed, so the outcome does not depend on evaluation order.
-    Raises :class:`NumericalError` if the estimates of the realizations, or
-    of any bootstrap re-partition, are all equal (zero variance).
+    The split of shots into realizations is bootstrapped (uniformly random
+    re-assignments, ``n_bootstrap`` >= 2 draws) to attach an error bar to F.
+    :func:`_bootstrap_histograms` draws each re-partition's realization
+    histograms: by recursive hypergeometric halving of the count histogram
+    when it is narrow, n >= ``_SPLIT_SHOTS_PER_VALUE`` (w_eff - 1) for the
+    w_eff count values that occur (and n_total below numpy's hypergeometric
+    limit of 10**9), and by permuting the shots otherwise; both draw from
+    the same law.  The draws' histograms are collected first and each
+    distinct one is evaluated once, with the same results as one likelihood
+    evaluation per draw.  Bit-identical results under a fixed seed;
+    per-stage random streams are spawned from the master seed, so the
+    outcome does not depend on evaluation order.  Raises
+    :class:`NumericalError` if the estimates of the realizations, or of any
+    bootstrap re-partition, are all equal (zero variance).
     """
     n = shots_per_realization
     if n < 1 or n_total < 1 or n_total % n != 0:
         raise ValueError("shots_per_realization must divide n_total")
+    if n_bootstrap < 2:
+        raise ValueError("n_bootstrap must be at least 2")
     k = n_total // n
     if k < 10:
         warnings.warn(
@@ -237,10 +316,9 @@ def run_estimation(
     variance = float(_variance(theta_hats))
     fi_per_shot = 1.0 / (n * variance)
 
-    boot_rng = np.random.default_rng(boot_seq)
-    hists = np.empty((n_bootstrap, k, width), dtype=np.int64)
-    for b in range(n_bootstrap):
-        hists[b] = _histograms(counts[boot_rng.permutation(n_total)] + offsets, k, width)
+    hists = _bootstrap_histograms(
+        counts, k, width, n_bootstrap, np.random.default_rng(boot_seq)
+    )
     boot_hats = _estimates_for_histograms(hists.reshape(-1, width), grid, log_table)
     boot_fis = 1.0 / (n * _variance(boot_hats.reshape(n_bootstrap, k)))
     fi_error = float(np.std(boot_fis, ddof=1))

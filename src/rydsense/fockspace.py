@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "FockBasis",
@@ -368,11 +367,13 @@ def mode_operator(basis: FockBasis, mode: str, kind: str) -> np.ndarray:
 def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
     """Unitary of a microwave Rabi rotation by ``theta`` between the modes.
 
-    Implemented as expm(i (theta/2) (d^dag p + p^dag d)); the sign fixes
-    the phase convention in which |2,0> rotates to cos^2(theta/2)|2,0> +
-    (i/sqrt(2)) sin(theta)|1,1> - sin^2(theta/2)|0,2>.  The generator
-    conserves total excitation number, so the matrix stays exactly unitary
-    on the truncated space.
+    Implemented as exp(i (theta/2) G) with G = d^dag p + p^dag d; the sign
+    fixes the phase convention in which |2,0> rotates to
+    cos^2(theta/2)|2,0> + (i/sqrt(2)) sin(theta)|1,1> - sin^2(theta/2)|0,2>.
+    G is real symmetric, so one ``eigh`` G = V diag(w) V^T gives the
+    exponential as V diag(e^(i theta w / 2)) V^T.  The generator conserves
+    total excitation number, so the matrix stays exactly unitary on the
+    truncated space.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -380,8 +381,8 @@ def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
     pp = mode_operator(basis, "p", "create")
     d_ = mode_operator(basis, "d", "annihilate")
     p_ = mode_operator(basis, "p", "annihilate")
-    gen = dd @ p_ + pp @ d_
-    return expm(1j * (theta / 2.0) * gen)
+    w, v = np.linalg.eigh(dd @ p_ + pp @ d_)
+    return (v * np.exp(0.5j * theta * w)) @ v.T
 
 
 def apply_channel(rho: DensityOperator, channel: KrausChannel) -> DensityOperator:

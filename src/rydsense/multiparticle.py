@@ -29,11 +29,11 @@ Fock space, which the analytic formulas are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalError
 from .fockspace import CountDistribution, FockBasis, KrausChannel, _lowering_operators
@@ -144,6 +144,18 @@ def super_rabi_means(params: ProtocolParams, theta):
     return means[0], means[1]
 
 
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k = 0..size - 1, sliced from a cached power-of-two table."""
+    return _log_factorial_table(1 << (size - 1).bit_length())[:size]
+
+
+@functools.cache
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def _window(mean: float) -> int:
     """Last index kept of a sum over a Poisson(mean) variable."""
     return math.ceil(mean + 8.0 * math.sqrt(mean) + 10.0)
@@ -212,7 +224,7 @@ def _mixture_table(
     gt = params.gamma_tau
     k = np.arange(k_cut + 1)
     n = np.arange(n_cut + 1)
-    log_fact = gammaln(k + 1)
+    log_fact = _log_factorials(max(k.size, n.size))
     damp = np.exp(-gt * k)
     neg_damp = -damp
     with np.errstate(divide="ignore"):
@@ -220,7 +232,7 @@ def _mixture_table(
     # n log D - log n!, with n log D = 0 at n = 0 also where D = 0
     head = np.zeros((b.size, n.size))
     np.multiply(log_d, n[1:], out=head[:, 1:])
-    head -= gammaln(n + 1)
+    head -= log_fact[: n.size]
     width = min(n.size, max(1, BLOCK_ELEMENTS // k.size))
     if gt * k_cut * (width - 1) > _EXP_SPAN:
         width = 1 + int(_EXP_SPAN / (gt * k_cut))
@@ -362,7 +374,7 @@ def interaction_channel_kraus(
         lowered = occ[:, ::-1]
     else:
         lowered = np.stack((n, np.zeros_like(n)), axis=1)
-    log_fact = np.array([math.lgamma(i + 1) for i in n])
+    log_fact = _log_factorials(n.size)
     log_rate = np.array([_log_expm1(gt * i) for i in n])
     nd, np_ = occ[:, 0], occ[:, 1]
     lost_d, lost_p = lowered[:, :1], lowered[:, 1:]

@@ -291,6 +291,14 @@ class TestMlExperiment:
         assert run_cli("ml-experiment", cfg) == 2
         assert "divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "1", "-3"])
+    def test_too_few_bootstrap_draws_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path / "c.json", {**self.CONFIG, "output_path": str(out)})
+        assert run_cli("ml-experiment", cfg, extra=["--set", f"n_bootstrap={value}"]) == 2
+        assert "n_bootstrap must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSensitivity:
     BASE = {
@@ -636,6 +644,12 @@ class TestCommonMachinery:
         # the package evaluates A(t) in closed form; only the tests'
         # reference quadrature of J needs scipy.integrate
         assert not self.loaded_after_import("scipy.integrate")
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only: the rotation uses eigh and the
+        # kernel's log n! comes from math.lgamma; any scipy submodule
+        # loads the scipy package itself
+        assert not self.loaded_after_import("scipy")
 
     def test_module_invocation_smoke(self, tmp_path):
         out = tmp_path / "toy.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -147,6 +148,11 @@ class TestRunEstimation:
         assert a.fi_error == b.fi_error
         assert np.array_equal(a.theta_hats, b.theta_hats)
 
+    @pytest.mark.parametrize("n_bootstrap", [-3, 0, 1])
+    def test_too_few_bootstrap_draws_rejected(self, n_bootstrap):
+        with pytest.raises(ValueError, match="n_bootstrap must be at least 2"):
+            run_estimation(EXPERIMENT, 1.0, 1000, 100, seed=1, n_bootstrap=n_bootstrap)
+
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             run_estimation(EXPERIMENT, 1.0, 1000, 300, seed=1)
@@ -190,7 +196,34 @@ class TestRunEstimation:
 
 
 def per_draw_estimation(params, theta, n_total, n, seed, n_bootstrap):
-    """run_estimation as one likelihood matmul per partition, with its streams."""
+    """run_estimation as one likelihood matmul per partition, with its streams.
+
+    The bootstrap tables come from the shared ``_bootstrap_histograms``.
+    """
+    k = n_total // n
+    shot_seq, boot_seq = np.random.SeedSequence(seed).spawn(2)
+    counts = estimation._draw_counts(params, theta, n_total, np.random.default_rng(shot_seq))
+    grid = default_theta_grid()
+    log_table = estimation._log_likelihood_table(params, grid, int(counts.max()))
+    width = log_table.shape[1]
+
+    def estimates(hists):
+        return estimation._refine_argmax(grid, hists @ log_table.T)
+
+    idx = np.arange(k)[:, None] * width + counts.reshape(k, n)
+    theta_hats = estimates(np.bincount(idx.ravel(), minlength=k * width).reshape(k, width))
+    variance = _variance(theta_hats)
+    boot_hists = estimation._bootstrap_histograms(
+        counts, k, width, n_bootstrap, np.random.default_rng(boot_seq)
+    )
+    boot_fis = np.empty(n_bootstrap)
+    for b in range(n_bootstrap):
+        boot_fis[b] = 1.0 / (n * _variance(estimates(boot_hists[b])))
+    return theta_hats, variance, float(np.std(boot_fis, ddof=1))
+
+
+def permutation_estimation(params, theta, n_total, n, seed, n_bootstrap):
+    """run_estimation with a permuted bootstrap draw, one likelihood matmul per partition."""
     k = n_total // n
     shot_seq, boot_seq = np.random.SeedSequence(seed).spawn(2)
     counts = estimation._draw_counts(params, theta, n_total, np.random.default_rng(shot_seq))
@@ -213,6 +246,47 @@ def per_draw_estimation(params, theta, n_total, n, seed, n_bootstrap):
     return theta_hats, variance, float(np.std(boot_fis, ddof=1))
 
 
+def split_calls(monkeypatch):
+    """List that records each call of the hypergeometric split sampler."""
+    calls = []
+    split = estimation._split_compositions
+
+    def spy(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(estimation, "_split_compositions", spy)
+    return calls
+
+
+def exact_table_law(counts, k):
+    """{(k, w) table bytes: probability} of a uniform re-partition into k realizations.
+
+    A table T arises from prod_i n! prod_j c_j! / prod_ij T_ij! of the N! shot
+    orders, for realizations of n shots and c_j shots of value j.
+    """
+    totals = np.bincount(counts)
+    n = counts.size // k
+    log_orders = math.lgamma(counts.size + 1) - k * math.lgamma(n + 1)
+    log_orders -= sum(math.lgamma(c + 1) for c in totals)
+    law = {}
+
+    def rows(left, r):
+        if r == 0:
+            yield []
+            return
+        for first in itertools.product(*(range(c + 1) for c in left)):
+            if sum(first) == n:
+                for rest in rows(left - np.array(first), r - 1):
+                    yield [first, *rest]
+
+    for table in rows(totals, k):
+        table = np.array(table, dtype=np.int64)
+        log_p = -log_orders - sum(math.lgamma(t + 1) for t in table.ravel())
+        law[table.tobytes()] = math.exp(log_p)
+    return law
+
+
 class TestBootstrapEquivalence:
     @pytest.mark.parametrize(
         "theta, n_total, n, seed",
@@ -229,6 +303,18 @@ class TestBootstrapEquivalence:
         assert result.variance == variance
         assert result.fi_error == fi_error
         assert result.bias == float(np.mean(theta_hats) - theta)
+
+    def test_wide_histograms_keep_the_permutation_stream(self, monkeypatch):
+        # about 60 count values occur, so the draws permute the shots as
+        # before the split sampler, bit for bit
+        params = ProtocolParams(400.0, 0.5, 0.0)
+        calls = split_calls(monkeypatch)
+        result = run_estimation(params, 1.2, 1000, 100, seed=3, n_bootstrap=20)
+        theta_hats, variance, fi_error = permutation_estimation(params, 1.2, 1000, 100, 3, 20)
+        assert not calls
+        assert np.array_equal(result.theta_hats, theta_hats)
+        assert result.variance == variance
+        assert result.fi_error == fi_error
 
     def test_zero_variance_draw_still_raises(self, monkeypatch):
         # realizations (0, 0) and (1, 1) differ; a draw that pairs (0, 1)
@@ -251,6 +337,86 @@ class TestBootstrapEquivalence:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * BLOCK_ELEMENTS * 8
+
+
+class TestBootstrapDraws:
+    @pytest.mark.parametrize(
+        "counts, k",
+        [
+            ([0, 0, 1, 1, 2, 2], 3),  # k not a power of two
+            ([0, 0, 0, 1, 1, 3, 3, 3, 3, 4], 5),  # count value 2 never occurs
+            ([0, 0, 0, 0, 0, 1, 1, 2], 4),
+        ],
+    )
+    def test_split_tables_follow_the_exact_law(self, monkeypatch, counts, k):
+        counts = np.array(counts)
+        width = counts.max() + 1
+        law = exact_table_law(counts, k)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(estimation, "_SPLIT_SHOTS_PER_VALUE", 0)
+        calls = split_calls(monkeypatch)
+        draws = 20_000
+        hists = estimation._bootstrap_histograms(
+            counts, k, width, draws, np.random.default_rng(17)
+        )
+        assert len(calls) == 1
+        assert hists.shape == (draws, k, width)
+        assert np.all(hists.sum(axis=2) == counts.size // k)
+        assert np.all(hists.sum(axis=1) == np.bincount(counts))
+        keys, observed = np.unique(
+            hists.reshape(draws, -1).view(np.dtype((np.void, 8 * k * width)))[:, 0],
+            return_counts=True,
+        )
+        observed = dict(zip((key.tobytes() for key in keys), observed))
+        assert set(observed) <= set(law)
+        expected = np.array([law[t] * draws for t in law])
+        seen = np.array([observed.get(t, 0) for t in law], dtype=float)
+        rare = expected < 5
+        if rare.any():
+            seen = np.append(seen[~rare], seen[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        _, pvalue = chisquare(seen, expected)
+        assert pvalue > 0.001
+
+    def test_enumerated_law_matches_shot_orders(self):
+        # the closed-form table law against all 6! orders of six shots
+        counts, k = np.array([0, 0, 1, 1, 2, 2]), 3
+        tables = {}
+        for order in itertools.permutations(range(counts.size)):
+            rows = counts[list(order)].reshape(k, -1)
+            table = np.stack([np.bincount(row, minlength=3) for row in rows])
+            key = table.astype(np.int64).tobytes()
+            tables[key] = tables.get(key, 0) + 1
+        law = exact_table_law(counts, k)
+        assert set(tables) == set(law)
+        for key, orders in tables.items():
+            assert law[key] == pytest.approx(orders / math.factorial(counts.size), rel=1e-12)
+
+    def test_sampler_rule_switches_at_its_boundary(self, monkeypatch):
+        # counts 0, 2 and 4 occur in a width of 5: the rule counts the three
+        # occurring values, so the split draws while n >= 2 _SPLIT_SHOTS_PER_VALUE
+        calls = split_calls(monkeypatch)
+        boundary = 2 * estimation._SPLIT_SHOTS_PER_VALUE
+        for n, split in ((boundary, True), (boundary - 1, False)):
+            counts = 2 * (np.arange(4 * n) % 3)
+            calls.clear()
+            hists = estimation._bootstrap_histograms(counts, 4, 5, 5, np.random.default_rng(2))
+            assert bool(calls) == split
+            assert np.all(hists.sum(axis=2) == n)
+            assert np.all(hists[..., [1, 3]] == 0)
+        monkeypatch.setattr(estimation, "_HYPERGEOMETRIC_MAX", 4 * boundary)
+        calls.clear()
+        counts = 2 * (np.arange(4 * boundary) % 3)
+        estimation._bootstrap_histograms(counts, 4, 5, 5, np.random.default_rng(2))
+        assert not calls
+
+    def test_single_realization_and_single_value(self):
+        rng = np.random.default_rng(5)
+        counts = np.array([2, 0, 2, 1])
+        hists = estimation._bootstrap_histograms(counts, 1, 3, 4, rng)
+        assert np.array_equal(hists, np.tile([1, 1, 2], (4, 1, 1)))
+        hists = estimation._bootstrap_histograms(np.full(6, 1), 3, 2, 4, rng)
+        assert np.array_equal(hists, np.tile([0, 2], (4, 3, 1)))
 
 
 class TestFieldPrecision:
