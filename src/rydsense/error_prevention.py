@@ -9,7 +9,7 @@ per shot is 2 eta for every angle; with it the peak value rises to
 eta (2 - eta) times the quantum Fisher information of the pure state.
 
 Both Fisher informations are closed forms over the six outcome
-probabilities (no events are post-selected).  The dense pipeline (rotated
+probabilities (no events are post-selected).  The Kraus pipeline (rotated
 state, channel, lossy POVM, finite-difference FI) remains their oracle:
 :func:`enhancement_curve` checks its peak row against it on every call.
 """
@@ -161,7 +161,7 @@ def optimality_bound(eta: float) -> float:
 
 
 def _fi_brute_force(eta, theta, with_prevention):
-    """Dense-pipeline FI at one angle: the oracle of the closed forms."""
+    """Kraus-pipeline FI at one angle, on populations: the oracle of the closed forms."""
     povm = lossy_povm(eta)
     channel = error_prevention_channel() if with_prevention else None
 
@@ -224,7 +224,7 @@ def enhancement_curve(config: ToyConfig) -> list[ToyFiCurve]:
     """FI with and without the operation across the configured angle grid.
 
     Each closed form runs once over the grid.  The peak row of the FI with
-    the operation is checked against the dense pipeline; a gap above
+    the operation is checked against the Kraus pipeline; a gap above
     ``FI_CROSS_CHECK_MAX`` of the optimality bound (the peak value, or the
     scale of the curve where the grid misses the peak) raises
     :class:`NumericalError`.

@@ -285,10 +285,14 @@ def run_estimation(
     distinct one is evaluated once, with the same results as one likelihood
     evaluation per draw.  Bit-identical results under a fixed seed;
     per-stage random streams are spawned from the master seed, so the
-    outcome does not depend on evaluation order.  Raises
-    :class:`NumericalError` if the estimates of the realizations, or of any
-    bootstrap re-partition, are all equal (zero variance).
+    outcome does not depend on evaluation order.  A ``theta_true``
+    outside [0, pi], which the estimator's grid cannot reach, raises
+    ``ValueError``.  Raises :class:`NumericalError` if the estimates of the
+    realizations, or of any bootstrap re-partition, are all equal (zero
+    variance).
     """
+    if not 0.0 <= theta_true <= math.pi:
+        raise ValueError(f"theta_true must lie in [0, pi], got {theta_true}")
     n = shots_per_realization
     if n < 1 or n_total < 1 or n_total % n != 0:
         raise ValueError("shots_per_realization must divide n_total")

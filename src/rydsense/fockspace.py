@@ -1,23 +1,24 @@
-"""Exact linear algebra for two bosonic modes on a truncated Fock space.
+"""Exact Kraus channels and number measurements of two bosonic modes on a truncated Fock space.
 
 The two collective spinwave modes are labelled ``d`` and ``p``.  States are
 plain complex vectors over the occupation basis {|n_d, n_p>, n_d + n_p <=
-n_max}, observables are dense matrices, quantum operations are explicit
-Kraus lists and measurements are tables of POVM element diagonals.
-Dimensions stay below ~150, so everything is exact; this module serves as
-the brute-force oracle for the analytic photon statistics implemented
-elsewhere in the package.
+n_max}, quantum operations are explicit Kraus lists and measurements are
+tables of POVM element diagonals.  Nothing is approximated, so this
+module serves as the brute-force oracle for the analytic photon statistics
+implemented elsewhere in the package.
 
 Every operation of the protocol maps number states to number states, and
 every read-out counts photons, so channels and measurements each have one
-form.  A Kraus operator is given in lowering form, the triple
-(dest, src, coeffs) with K|src_i> = coeffs_i |dest_i> and K zero on every
-other basis state, no source or destination repeated: K rho K^dag adds
-c_i c_j^* rho[src_i, src_j] onto (dest_i, dest_j) elementwise, and K^dag K
-is diagonal with the entries |c_i|^2 on src, so no dense operator is
-formed.  A POVM element is diagonal in the number basis and given by its
-diagonal m, so tr(rho M) is m . diag(rho).  These identities are exact, so
-the results are those of the dense formulas.
+form and only the number-basis populations of a state are carried.  A
+Kraus operator is given in lowering form, the triple (dest, src, coeffs)
+with K|src_i> = coeffs_i |dest_i> and K zero on every other basis state,
+no source or destination repeated.  Such a K maps the diagonal of rho to
+the diagonal of K rho K^dag by moving |c_i|^2 rho[src_i, src_i] onto
+dest_i, and K^dag K is diagonal with the entries |c_i|^2 on src, so no
+coherence of rho reaches a population and no dense operator is formed.  A
+POVM element is diagonal in the number basis and given by its diagonal m,
+so tr(rho M) is m . diag(rho).  These identities are exact, so the results
+are those of the dense density-matrix formulas.
 
 All values are immutable after construction and all operations are pure
 functions, so parameter sweeps can be evaluated in parallel without shared
@@ -138,48 +139,33 @@ class TwoModeFockState:
         return float(np.linalg.norm(self.amplitudes))
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.basis, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def expectation(self, operator: np.ndarray) -> complex:
-        return complex(self.amplitudes.conj() @ operator @ self.amplitudes)
+        """Number-basis populations |amplitudes|^2 of the state."""
+        return DensityOperator(self.basis, (self.amplitudes * self.amplitudes.conj()).real)
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian density matrix over a :class:`FockBasis`.
+    """Number-basis populations of a state over a :class:`FockBasis`.
 
-    Hermiticity is checked on construction.  Trace normalization and
-    positivity are contract checks for normalized operators; operations
-    producing unnormalized operators document that explicitly.
+    ``populations`` is the diagonal of the density matrix.  The channels
+    and measurements of this module never read its coherences, so they are
+    not kept.  Construction checks the shape and that every entry is finite
+    and at least -1e-10.  The populations need not sum to one: a channel
+    that is not trace preserving lowers their total.
     """
 
     basis: FockBasis
-    matrix: np.ndarray
+    populations: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.basis.dim, self.basis.dim):
+        pops = np.asarray(self.populations, dtype=float)
+        if pops.shape != (self.basis.dim,):
             raise ValueError(
-                f"matrix has shape {mat.shape}, expected square of dim {self.basis.dim}"
+                f"populations have shape {pops.shape}, expected ({self.basis.dim},)"
             )
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", mat)
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def expectation(self, operator: np.ndarray) -> float:
-        return float(np.real(np.trace(self.matrix @ operator)))
-
-    def validate(self, normalized: bool = True) -> "DensityOperator":
-        """Assert trace and positivity contracts, returning self."""
-        if normalized and abs(self.trace() - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {self.trace()} deviates from 1 beyond 1e-10")
-        eigs = np.linalg.eigvalsh(self.matrix)
-        if eigs.min() < -PSD_TOL:
-            raise ValueError(f"negative eigenvalue {eigs.min():.3e} below -1e-10")
-        return self
+        if not np.all(np.isfinite(pops)) or pops.min() < -PSD_TOL:
+            raise ValueError("populations must be finite and at least -1e-10")
+        object.__setattr__(self, "populations", pops)
 
 
 @dataclass(frozen=True)
@@ -192,7 +178,10 @@ class KrausChannel:
     raises ``ValueError``.  The completeness sum K^dag K is the diagonal
     of sum |c|^2 per source.  If ``trace_preserving`` it must equal the
     identity within 1e-10; otherwise it must not exceed the identity.
-    ``operators`` holds the validated triples.
+    ``operators`` holds the validated triples, and ``dest``, ``src`` and
+    ``weights`` their entries concatenated over all operators, with
+    weights |c|^2: the population transfer that :func:`apply_channel`
+    applies.
     """
 
     basis: FockBasis
@@ -205,19 +194,21 @@ class KrausChannel:
         dim = self.basis.dim
         ops = tuple(_checked_lowering(k, dim) for k in self.operators)
         # index checks over all operators at once: operator j's index i is
-        # key j * dim + i, so a repeat counts only within one operator
+        # key j * dim + i, so only a repeat within one operator puts two
+        # equal keys next to each other once they are sorted
         lengths = [coeffs.size for _, _, coeffs in ops]
         owner = np.repeat(np.arange(len(ops)) * dim, lengths)
-        src_all = np.concatenate([src for _, src, _ in ops])
-        for idx in (np.concatenate([dest for dest, _, _ in ops]), src_all):
+        dest, src, coeffs = (np.concatenate(parts) for parts in zip(*ops))
+        for idx in (dest, src):
             if not idx.size:
                 continue
             if idx.min() < 0 or idx.max() >= dim:
                 raise ValueError(f"lowering-form indices must be basis indices below {dim}")
-            if np.bincount(owner + idx).max() > 1:
+            keys = np.sort(owner + idx)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("lowering-form operator repeats a source or destination index")
-        weights = np.abs(np.concatenate([coeffs for _, _, coeffs in ops])) ** 2
-        total = np.bincount(src_all, weights=weights, minlength=dim)
+        weights = np.abs(coeffs) ** 2
+        total = np.bincount(src, weights=weights, minlength=dim)
         defect = float(np.max(np.abs(total - 1.0)))
         if self.trace_preserving:
             if defect > TRACE_TOL:
@@ -230,6 +221,9 @@ class KrausChannel:
             )
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "completeness_defect", defect)
+        object.__setattr__(self, "dest", dest)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self):
         return len(self.operators)
@@ -239,9 +233,10 @@ def _checked_lowering(op: tuple, dim: int) -> tuple:
     """(dest, src, coeffs) arrays of a lowering-form operator, shape and dtype checked.
 
     Only a 3-tuple is accepted, so a dense matrix with three rows is not
-    mistaken for a triple.  The index range and repeated indices, which the
-    scatter of :func:`apply_channel` would silently drop, are checked by
-    :class:`KrausChannel` over all operators at once.
+    mistaken for a triple.  The index range and repeated indices, which
+    would make the population transfer of :func:`apply_channel` differ
+    from K rho K^dag, are checked by :class:`KrausChannel` over all
+    operators at once.
     """
     if not (isinstance(op, tuple) and len(op) == 3):
         raise ValueError("a Kraus operator must be a (dest, src, coeffs) triple")
@@ -386,39 +381,38 @@ def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
 
 
 def apply_channel(rho: DensityOperator, channel: KrausChannel) -> DensityOperator:
-    """Apply a Kraus channel: rho -> sum_k K rho K^dag.
+    """Apply a Kraus channel to populations: P -> diag(sum_k K rho K^dag).
 
-    Each operator adds the elementwise product c_i rho[src_i, src_j] c_j^*
-    onto the (dest, dest) block, with no matmul.
+    Every operator maps number states one-to-one, so the diagonal of
+    sum_k K rho K^dag is sum_i |c_i|^2 P[src_i] placed at dest_i, over the
+    entries of all operators: one weighted ``bincount``, exact for any rho
+    with populations P.
     """
     if channel.basis != rho.basis:
         raise ValueError("channel and state are defined on different bases")
-    out = np.zeros_like(rho.matrix)
-    for dest, src, coeffs in channel.operators:
-        out[dest[:, None], dest] += coeffs[:, None] * rho.matrix[src[:, None], src] * coeffs.conj()
-    out = 0.5 * (out + out.conj().T)  # suppress roundoff asymmetry
+    moved = channel.weights * rho.populations[channel.src]
+    out = np.bincount(channel.dest, weights=moved, minlength=rho.basis.dim)
     return DensityOperator(rho.basis, out)
 
 
-def _lowering_operators(basis: FockBasis, lowered, coeffs) -> tuple:
-    """Lowering-form operators K_j |n_d, n_p> = coeffs[j, i] |n_d - a_j, n_p - b_j>.
+def _lowering_operators(basis: FockBasis, lowered, op, src, coeffs) -> tuple:
+    """Lowering-form operators K_j |n_d, n_p> = c |n_d - a_j, n_p - b_j> from their entries.
 
-    ``lowered`` is a (J, 2) integer array of the pairs (a_j, b_j) and
-    ``coeffs`` a (J, dim) array over the basis index i of |n_d, n_p>.  A
-    nonzero coefficient on a state with n_d < a_j or n_p < b_j raises
-    ``ValueError``.  Operators without a nonzero coefficient are left out;
-    the others are (dest, src, coeffs) triples for :class:`KrausChannel`.
+    ``lowered`` is a (J, 2) integer array of the pairs (a_j, b_j).  Entry e
+    gives K_op[e] the coefficient ``coeffs[e]`` on the basis state
+    ``src[e]``; ``op`` is non-decreasing, so each operator's entries are
+    contiguous.  An entry on a state with n_d < a_j or n_p < b_j raises
+    ``ValueError``.  Operators without an entry are left out; the others
+    are (dest, src, coeffs) triples for :class:`KrausChannel`.
     """
     occ = np.array(basis.occupations)
     index = np.zeros((basis.n_max + 1,) * 2, dtype=int)
     index[occ[:, 0], occ[:, 1]] = np.arange(basis.dim)
-    op, src = np.nonzero(coeffs)
     dest = occ[src] - lowered[op]
     if dest.min(initial=0) < 0:
         raise ValueError("nonzero coefficient on a state that cannot be lowered")
-    # np.nonzero runs row-major, so each operator's entries are contiguous
     cuts = np.flatnonzero(np.diff(op)) + 1
-    parts = (np.split(a, cuts) for a in (index[dest[:, 0], dest[:, 1]], src, coeffs[op, src]))
+    parts = (np.split(a, cuts) for a in (index[dest[:, 0], dest[:, 1]], src, coeffs))
     return tuple(zip(*parts))
 
 
@@ -442,11 +436,14 @@ def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
     the channel is exactly trace preserving on the truncated space.
     """
     amp = np.sqrt(_thinning_weights(basis.n_max, eta))
-    # the operators are indexed by the lost pairs (l_d, l_p), which run over
-    # the occupation pairs of the basis
+    # operator j loses the pair occ[j]; it acts on the sources i with
+    # l <= n in each mode, and zero amplitudes (eta = 0 or 1) are left out
     occ = np.array(basis.occupations)
-    coeffs = amp[occ[None, :, 0], occ[:, None, 0]] * amp[occ[None, :, 1], occ[:, None, 1]]
-    return KrausChannel(basis, _lowering_operators(basis, occ, coeffs), trace_preserving=True)
+    j, i = np.nonzero((occ[:, None, 0] <= occ[None, :, 0]) & (occ[:, None, 1] <= occ[None, :, 1]))
+    coeffs = amp[occ[i, 0], occ[j, 0]] * amp[occ[i, 1], occ[j, 1]]
+    nonzero = coeffs != 0.0
+    ops = _lowering_operators(basis, occ, j[nonzero], i[nonzero], coeffs[nonzero])
+    return KrausChannel(basis, ops, trace_preserving=True)
 
 
 def number_povm(basis: FockBasis) -> PovmSet:
@@ -477,10 +474,10 @@ def lossy_number_povm(basis: FockBasis, eta: float) -> PovmSet:
 
 
 def measure(rho: DensityOperator, povm: PovmSet) -> CountDistribution:
-    """Outcome distribution p(label) = tr(rho M_label) = m_label . diag(rho)."""
+    """Outcome distribution p(label) = tr(rho M_label) = m_label . populations."""
     if povm.basis != rho.basis:
         raise ValueError("POVM and state are defined on different bases")
-    probs = povm.elements @ rho.matrix.diagonal().real
+    probs = povm.elements @ rho.populations
     return CountDistribution(dict(zip(povm.labels, probs.tolist())))
 
 

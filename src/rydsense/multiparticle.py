@@ -357,7 +357,8 @@ def interaction_channel_kraus(
     All operators only lower occupations, so the channel is trace
     preserving on the truncated space up to the weights below 1e-14 that
     are dropped.  They are built in the lowering form of
-    :class:`~rydsense.fockspace.KrausChannel`, with no dense operator
+    :class:`~rydsense.fockspace.KrausChannel` from the feasible
+    (operator, source) pairs, with no dense operator or coefficient array
     formed.  The completeness defect is checked once, on the returned
     channel (built as not trace preserving, so it is checked not to exceed
     the identity): above 1e-6 it raises ``ValueError``.
@@ -389,11 +390,9 @@ def interaction_channel_kraus(
         log_amp2 += rate - log_fact[lost]
         log_amp2 += log_fact[pool] - log_fact[pool - lost]
     amp = np.exp(0.5 * log_amp2)
-    coeffs = np.zeros((len(lowered), basis.dim))
-    coeffs[j, i] = np.where(amp > 1e-14, amp, 0.0)
-    channel = KrausChannel(
-        basis, _lowering_operators(basis, lowered, coeffs), trace_preserving=False
-    )
+    kept = amp > 1e-14
+    ops = _lowering_operators(basis, lowered, j[kept], i[kept], amp[kept])
+    channel = KrausChannel(basis, ops, trace_preserving=False)
     if channel.completeness_defect > 1e-6:
         raise ValueError(
             f"basis too small for gamma_tau={gamma_tau}: "

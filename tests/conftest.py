@@ -22,10 +22,13 @@ settings.load_profile("rydsense")
 def kraus_pipeline_family(n0, eta, gamma_tau, n_max=14, loss_order=LOSS_AFTER, mode="d"):
     """Angle -> brute-force count distribution via the full Fock-space pipeline.
 
-    Coherent input, mutual-decay Kraus channel, binomial detection loss and
-    a projective number measurement, marginalized onto one mode.  Serves as
-    the independent oracle for the analytic Poisson-mixture model.  The
-    channels and the measurement are built once for all angles.
+    Populations of a coherent input, the mutual-decay Kraus channel,
+    binomial detection loss and a projective number measurement,
+    marginalized onto one mode.  The channels act on the number-basis
+    populations only, which is exact because every operator maps number
+    states one-to-one.  Serves as the independent oracle for the analytic
+    Poisson-mixture model.  The channels and the measurement are built once
+    for all angles.
     """
     basis = FockBasis(n_max)
     channels = [interaction_channel_kraus(basis, gamma_tau, symmetric=True)]

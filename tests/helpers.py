@@ -1,10 +1,11 @@
 """Reference computations that only the tests use.
 
 None of these has a caller in the package, the demos or the benchmark, so
-they live next to the tests: the dense Kraus operators and Kraus sums
-that the lowering form is checked against, random lowering-form channels
-and diagonal POVMs, the finite-difference quantum Fisher information, the
-matrix-pipeline means of the error-prevention toy, shot sampling, the
+they live next to the tests: dense density matrices, the dense Kraus
+operators and Kraus sums that the lowering form and the population path
+are checked against, random lowering-form channels and diagonal POVMs, the
+finite-difference quantum Fisher information, the matrix-pipeline means of
+the error-prevention toy, shot sampling, the
 field / Rabi-frequency conversions and the quadrature of the excluded-volume
 constant J.
 """
@@ -22,10 +23,10 @@ from rydsense.estimation import HBAR, _draw_counts
 from rydsense.fockspace import (
     FI_STEP,
     MODES,
+    DensityOperator,
     FockBasis,
     KrausChannel,
     TwoModeFockState,
-    apply_channel,
     classical_fi,
     measure,
     mode_operator,
@@ -51,6 +52,16 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     mat = g @ g.conj().T
     return mat / np.trace(mat)
+
+
+def dense_density(state: TwoModeFockState) -> np.ndarray:
+    """Density matrix |psi><psi| of a state vector."""
+    return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
+def populations(basis: FockBasis, rho: np.ndarray) -> DensityOperator:
+    """The populations of a dense density matrix, its diagonal."""
+    return DensityOperator(basis, np.diagonal(rho).real)
 
 
 def tracemalloc_peak(call) -> int:
@@ -124,23 +135,25 @@ def creation_overflow_norm(basis: FockBasis, mode: str, state: TwoModeFockState)
 
 
 def povm_fi(rho_family, povm, theta: float):
-    """Classical FI of measuring ``povm`` on a density-operator family."""
-    return classical_fi(lambda t: measure(rho_family(t), povm), theta)
+    """Classical FI of measuring ``povm`` on a family of dense density matrices."""
+    return classical_fi(lambda t: measure(populations(povm.basis, rho_family(t)), povm), theta)
 
 
 def qfi(rho_family, theta: float, *, full_output: bool = False):
-    """Quantum Fisher information of a density-operator family.
+    """Quantum Fisher information of a family of dense density matrices.
 
     Uses the symmetric-logarithmic-derivative eigendecomposition formula
     F_Q = sum_{i,j: l_i + l_j > QFI_EIG_FLOOR} 2 |<i| drho |j>|^2 / (l_i + l_j)
-    with drho a central finite difference of step ``FI_STEP``.
+    with drho a central finite difference of step ``FI_STEP``.  A family
+    matrix that is not Hermitian within 1e-12 raises ``ValueError``.
     ``full_output`` also returns the step and the eigenvalues of rho.
     """
-    rho0 = rho_family(theta)
-    rp = rho_family(theta + FI_STEP)
-    rm = rho_family(theta - FI_STEP)
-    drho = (rp.matrix - rm.matrix) / (2.0 * FI_STEP)
-    evals, evecs = np.linalg.eigh(rho0.matrix)
+    rho0, rp, rm = (rho_family(t) for t in (theta, theta + FI_STEP, theta - FI_STEP))
+    for rho in (rho0, rp, rm):
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+            raise ValueError("density matrix is not Hermitian within 1e-12")
+    drho = (rp - rm) / (2.0 * FI_STEP)
+    evals, evecs = np.linalg.eigh(rho0)
     m = evecs.conj().T @ drho @ evecs
     pair_sums = evals[:, None] + evals[None, :]
     mask = pair_sums > QFI_EIG_FLOOR
@@ -153,20 +166,17 @@ def qfi(rho_family, theta: float, *, full_output: bool = False):
 def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, float]:
     """Matrix-pipeline evaluation of the four detected means at one angle.
 
-    Independent check for ``expectation_curves``: builds the rotated
-    state, applies the error-prevention channel where applicable, and takes
-    eta-scaled number-operator expectations.
+    Independent check for ``expectation_curves``: builds the dense density
+    matrix of the rotated state, applies the dense error-prevention Kraus
+    sum, and takes eta-scaled number-operator expectations tr(rho N).
     """
     basis = two_excitation_basis()
     nd_op = mode_operator(basis, "d", "number")
     np_op = mode_operator(basis, "p", "number")
-    rho_bare = rotated_state(theta).to_density()
-    rho_prev = apply_channel(rho_bare, error_prevention_channel())
-    return (
-        eta * rho_prev.expectation(nd_op),
-        eta * rho_prev.expectation(np_op),
-        eta * rho_bare.expectation(nd_op),
-        eta * rho_bare.expectation(np_op),
+    rho_bare = dense_density(rotated_state(theta))
+    rho_prev, _ = dense_kraus_sums(error_prevention_channel(), rho_bare)
+    return tuple(
+        eta * float(np.trace(rho @ op).real) for rho in (rho_prev, rho_bare) for op in (nd_op, np_op)
     )
 
 

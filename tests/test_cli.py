@@ -291,6 +291,16 @@ class TestMlExperiment:
         assert run_cli("ml-experiment", cfg) == 2
         assert "divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("thetas", [[4.0], [1.0, -1.0]])
+    def test_unreachable_true_angle_rejected(self, tmp_path, capsys, thetas):
+        out = tmp_path / "x.csv"
+        cfg = write_config(
+            tmp_path / "c.json", {**self.CONFIG, "output_path": str(out), "thetas": thetas}
+        )
+        assert run_cli("ml-experiment", cfg) == 2
+        assert "theta_true must lie in [0, pi]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "1", "-3"])
     def test_too_few_bootstrap_draws_rejected(self, tmp_path, capsys, value):
         out = tmp_path / "x.csv"

@@ -153,6 +153,12 @@ class TestRunEstimation:
         with pytest.raises(ValueError, match="n_bootstrap must be at least 2"):
             run_estimation(EXPERIMENT, 1.0, 1000, 100, seed=1, n_bootstrap=n_bootstrap)
 
+    @pytest.mark.parametrize("theta", [-1.0, -1e-9, math.pi + 1e-9, 4.0, math.nan])
+    def test_unreachable_true_angle_rejected(self, theta):
+        # the ML grid lies in (0, pi): theta = 4 used to give theta_hat 2.33
+        with pytest.raises(ValueError, match="theta_true must lie in"):
+            run_estimation(EXPERIMENT, theta, 1000, 100, seed=1, n_bootstrap=2)
+
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             run_estimation(EXPERIMENT, 1.0, 1000, 300, seed=1)

@@ -28,7 +28,9 @@ from rydsense.fockspace import (
 
 from helpers import (
     creation_overflow_norm,
+    dense_density,
     dense_kraus_sums,
+    populations,
     povm_fi,
     qfi,
     random_density,
@@ -52,14 +54,19 @@ def toy_error_prevention(basis):
 
 
 def rotated_pair_family(basis):
+    """Angle -> dense density matrix of the Rabi-rotated pair |2,0>."""
     psi0 = basis.state(2, 0).amplitudes
 
     def family(theta):
-        u = rabi_rotation(basis, theta)
-        vec = u @ psi0
-        return DensityOperator(basis, np.outer(vec, vec.conj()))
+        vec = rabi_rotation(basis, theta) @ psi0
+        return np.outer(vec, vec.conj())
 
     return family
+
+
+def assert_diagonal_matches(out, reference, tol):
+    """Populations ``out`` against the diagonal of a dense ``reference``."""
+    assert np.max(np.abs(out.populations - np.diagonal(reference).real)) <= tol
 
 
 class TestFockBasis:
@@ -182,21 +189,26 @@ class TestApplyChannel:
         mat = rng.normal(size=(basis.dim, basis.dim))
         mat = mat @ mat.T
         mat = mat / np.trace(mat)
-        rho = DensityOperator(basis, mat.astype(complex))
-        out = apply_channel(rho, ident)
-        assert np.allclose(out.matrix, rho.matrix)
+        assert np.allclose(dense_kraus_sums(ident, mat)[0], mat)
+        out = apply_channel(populations(basis, mat), ident)
+        assert np.allclose(out.populations, np.diagonal(mat))
 
     def test_error_prevention_transfers_one_one(self):
         basis = FockBasis(2)
         channel = toy_error_prevention(basis)
-        out = apply_channel(basis.state(1, 1).to_density(), channel)
-        assert np.allclose(out.matrix, basis.state(0, 0).to_density().matrix)
+        one_one, vacuum = basis.state(1, 1), basis.state(0, 0)
+        out = dense_kraus_sums(channel, dense_density(one_one))[0]
+        assert np.allclose(out, dense_density(vacuum))
+        out = apply_channel(one_one.to_density(), channel)
+        assert np.allclose(out.populations, vacuum.to_density().populations)
 
     def test_error_prevention_preserves_two_zero(self):
         basis = FockBasis(2)
         channel = toy_error_prevention(basis)
+        rho = dense_density(basis.state(2, 0))
+        assert np.allclose(dense_kraus_sums(channel, rho)[0], rho)
         rho = basis.state(2, 0).to_density()
-        assert np.allclose(apply_channel(rho, channel).matrix, rho.matrix)
+        assert np.allclose(apply_channel(rho, channel).populations, rho.populations)
 
     def test_dimension_mismatch(self):
         rho = FockBasis(2).state(0, 0).to_density()
@@ -209,9 +221,9 @@ class TestApplyChannel:
         channel = KrausChannel(basis, random_triples(rng, basis.dim, 4, trace_preserving=True))
         rho = random_density(rng, basis.dim)
         reference, defect = dense_kraus_sums(channel, rho)
-        out = apply_channel(DensityOperator(basis, rho), channel)
-        assert np.max(np.abs(out.matrix - reference)) < 1e-14
-        assert abs(out.trace() - 1.0) < 1e-14
+        out = apply_channel(populations(basis, rho), channel)
+        assert_diagonal_matches(out, reference, 1e-14)
+        assert abs(out.populations.sum() - 1.0) < 1e-14
         assert channel.completeness_defect < 1e-14 and defect < 1e-14
 
 
@@ -225,8 +237,8 @@ class TestSupportRestriction:
             channel = KrausChannel(basis, ops, trace_preserving=trace_preserving)
             rho = random_density(rng, d)
             reference, defect = dense_kraus_sums(channel, rho)
-            out = apply_channel(DensityOperator(basis, rho), channel)
-            assert np.max(np.abs(out.matrix - reference)) < 1e-14
+            out = apply_channel(populations(basis, rho), channel)
+            assert_diagonal_matches(out, reference, 1e-14)
             assert abs(channel.completeness_defect - defect) < 1e-14
 
     def test_measure_matches_dense_trace(self, rng):
@@ -234,10 +246,10 @@ class TestSupportRestriction:
         d = basis.dim
         rows = random_diagonal_povm(rng, d, 5)
         povm = PovmSet(basis, rows, tuple(range(len(rows))))
-        rho = DensityOperator(basis, random_density(rng, d))
-        dist = measure(rho, povm)
+        rho = random_density(rng, d)
+        dist = measure(populations(basis, rho), povm)
         for label, m in zip(povm.labels, povm.elements):
-            assert abs(dist.get(label) - np.trace(rho.matrix @ np.diag(m)).real) < 1e-14
+            assert abs(dist.get(label) - np.trace(rho @ np.diag(m)).real) < 1e-14
 
     def test_diagonal_elements_validated(self):
         basis = FockBasis(1)
@@ -340,8 +352,7 @@ class TestLoweringForm:
         channel = KrausChannel(basis, tuple(ops), trace_preserving=False)
         rho = random_density(rng, d)
         reference, defect = dense_kraus_sums(channel, rho)
-        out = apply_channel(DensityOperator(basis, rho), channel).matrix
-        assert np.max(np.abs(out - reference)) <= 1e-15
+        assert_diagonal_matches(apply_channel(populations(basis, rho), channel), reference, 1e-15)
         assert abs(channel.completeness_defect - defect) <= 1e-14
         assert channel.completeness_defect == 1.0  # a source without weight
 
@@ -352,8 +363,7 @@ class TestLoweringForm:
         channel = detection_loss_channel(basis, eta)
         rho = random_density(rng, basis.dim)
         reference, defect = dense_kraus_sums(channel, rho)
-        out = apply_channel(DensityOperator(basis, rho), channel).matrix
-        assert np.max(np.abs(out - reference)) <= 1e-15
+        assert_diagonal_matches(apply_channel(populations(basis, rho), channel), reference, 1e-15)
         assert abs(channel.completeness_defect - defect) <= 1e-14
 
     def test_loss_builds_without_dense_stack(self):
@@ -368,24 +378,28 @@ class TestDetectionLoss:
         channel = detection_loss_channel(basis, 1.0)
         vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         vec /= np.linalg.norm(vec)
-        rho = DensityOperator(basis, np.outer(vec, vec.conj()))
-        assert np.allclose(apply_channel(rho, channel).matrix, rho.matrix)
+        rho = np.outer(vec, vec.conj())
+        assert np.allclose(dense_kraus_sums(channel, rho)[0], rho)
+        out = apply_channel(populations(basis, rho), channel)
+        assert np.allclose(out.populations, np.abs(vec) ** 2)
 
     def test_eta_zero_maps_to_vacuum(self):
         basis = FockBasis(2)
         channel = detection_loss_channel(basis, 0.0)
-        out = apply_channel(basis.state(2, 0).to_density(), channel)
-        assert np.allclose(out.matrix, basis.state(0, 0).to_density().matrix)
+        pair, vacuum = basis.state(2, 0), basis.state(0, 0)
+        out = dense_kraus_sums(channel, dense_density(pair))[0]
+        assert np.allclose(out, dense_density(vacuum))
+        out = apply_channel(pair.to_density(), channel)
+        assert np.allclose(out.populations, vacuum.to_density().populations)
 
     def test_half_on_single_excitation(self):
         # |1,0><1,0| -> 0.5 |1,0><1,0| + 0.5 |0,0><0,0|
         basis = FockBasis(2)
-        out = apply_channel(
-            basis.state(1, 0).to_density(), detection_loss_channel(basis, 0.5)
-        )
-        expected = 0.5 * basis.state(1, 0).to_density().matrix
-        expected += 0.5 * basis.state(0, 0).to_density().matrix
-        assert np.max(np.abs(out.matrix - expected)) < 1e-12
+        channel = detection_loss_channel(basis, 0.5)
+        one, vacuum = basis.state(1, 0), basis.state(0, 0)
+        expected = 0.5 * dense_density(one) + 0.5 * dense_density(vacuum)
+        assert np.max(np.abs(dense_kraus_sums(channel, dense_density(one))[0] - expected)) < 1e-12
+        assert_diagonal_matches(apply_channel(one.to_density(), channel), expected, 1e-12)
 
     def test_product_binomial_on_number_state(self):
         basis = FockBasis(3)
@@ -400,7 +414,7 @@ class TestDetectionLoss:
                     math.comb(2, nd) * eta**nd * (1 - eta) ** (2 - nd)
                     * math.comb(1, np_) * eta**np_ * (1 - eta) ** (1 - np_)
                 )
-            assert out.matrix[i, i].real == pytest.approx(expected, abs=1e-12)
+            assert out.populations[i] == pytest.approx(expected, abs=1e-12)
 
     @given(
         st.floats(min_value=0.01, max_value=1.0),
@@ -413,10 +427,13 @@ class TestDetectionLoss:
         second = detection_loss_channel(basis, eta2)
         direct = detection_loss_channel(basis, eta1 * eta2)
         for occ in basis.occupations:
-            rho = basis.state(*occ).to_density()
-            a = apply_channel(apply_channel(rho, first), second).matrix
-            b = apply_channel(rho, direct).matrix
+            rho = dense_density(basis.state(*occ))
+            a = dense_kraus_sums(second, dense_kraus_sums(first, rho)[0])[0]
+            b = dense_kraus_sums(direct, rho)[0]
             assert np.max(np.abs(a - b)) < 1e-10
+            pops = populations(basis, rho)
+            a = apply_channel(apply_channel(pops, first), second).populations
+            assert np.max(np.abs(a - apply_channel(pops, direct).populations)) < 1e-10
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -433,7 +450,7 @@ class TestMeasure:
     def test_lossless_counting_of_rotated_pair(self):
         # squared amplitudes of the rotated pair state at theta = pi/2
         basis = FockBasis(2)
-        rho = rotated_pair_family(basis)(math.pi / 2)
+        rho = populations(basis, rotated_pair_family(basis)(math.pi / 2))
         dist = measure(rho, lossy_number_povm(basis, 1.0))
         assert dist.get((2, 0)) == pytest.approx(0.25, abs=1e-12)
         assert dist.get((1, 1)) == pytest.approx(0.5, abs=1e-12)
@@ -443,7 +460,7 @@ class TestMeasure:
         basis = FockBasis(2)
         vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         vec /= np.linalg.norm(vec)
-        rho = DensityOperator(basis, np.outer(vec, vec.conj()))
+        rho = populations(basis, np.outer(vec, vec.conj()))
         for povm in (number_povm(basis), lossy_number_povm(basis, 0.41)):
             assert measure(rho, povm).total() == pytest.approx(1.0, abs=1e-10)
 
@@ -456,7 +473,7 @@ class TestMeasure:
         basis = FockBasis(14)
         g = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
         mat = g @ g.conj().T
-        rho = DensityOperator(basis, mat / np.trace(mat))
+        rho = populations(basis, mat / np.trace(mat))
         heisenberg = measure(rho, lossy_number_povm(basis, eta))
         schroedinger = measure(
             apply_channel(rho, detection_loss_channel(basis, eta)), number_povm(basis)
@@ -473,8 +490,7 @@ class TestClassicalFi:
         basis = FockBasis(2)
         family = rotated_pair_family(basis)
         povm = lossy_number_povm(basis, 0.3)
-        fi = classical_fi(lambda t: measure(family(t), povm), 1.0)
-        assert fi == pytest.approx(0.6, abs=1e-6)
+        assert povm_fi(family, povm, 1.0) == pytest.approx(0.6, abs=1e-6)
 
     def test_poisson_family(self):
         # FI of Poisson(nbar cos^2(theta/2)) is nbar sin^2(theta/2)
@@ -508,7 +524,7 @@ class TestClassicalFi:
         family = rotated_pair_family(basis)
         povm = lossy_number_povm(basis, 0.3)
         fi, diag = classical_fi(
-            lambda t: measure(family(t), povm),
+            lambda t: measure(populations(basis, family(t)), povm),
             1.0,
             check_step=True,
             full_output=True,
@@ -524,7 +540,7 @@ class TestQfi:
 
     def test_theta_independent_family_is_zero(self):
         basis = FockBasis(2)
-        rho = basis.state(1, 1).to_density()
+        rho = dense_density(basis.state(1, 1))
         assert qfi(lambda t: rho, 0.8) == pytest.approx(0.0, abs=1e-9)
 
     def test_dominates_classical_fi_after_losses(self):
@@ -534,7 +550,7 @@ class TestQfi:
         loss = detection_loss_channel(basis, 0.02)
 
         def family(theta):
-            return apply_channel(apply_channel(pure(theta), prevention), loss)
+            return dense_kraus_sums(loss, dense_kraus_sums(prevention, pure(theta))[0])[0]
 
         q = qfi(family, math.pi / 2)
         c = povm_fi(family, number_povm(basis), math.pi / 2)
@@ -551,13 +567,11 @@ class TestQfi:
 
     def test_non_hermitian_rejected(self):
         basis = FockBasis(1)
-        bad = np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex)
+        bad = np.array([[0.5, 0.4, 0.0], [0.1, 0.5, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+        assert bad.shape == (basis.dim, basis.dim)
 
-        def family(theta):
-            return DensityOperator(basis, bad)
-
-        with pytest.raises(ValueError):
-            qfi(family, 0.3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            qfi(lambda theta: bad, 0.3)
 
 
 class TestTypedInvariants:
@@ -584,13 +598,18 @@ class TestTypedInvariants:
 
     def test_density_operator_validation(self):
         basis = FockBasis(1)
-        bad = np.eye(basis.dim, dtype=complex) / basis.dim
-        bad[0, 1] = 0.3  # breaks Hermiticity
-        with pytest.raises(ValueError):
-            DensityOperator(basis, bad)
-        rho = DensityOperator(basis, 0.5 * np.eye(basis.dim, dtype=complex))
-        with pytest.raises(ValueError):
-            rho.validate(normalized=True)  # trace is 1.5
+        for bad in (
+            np.eye(basis.dim) / basis.dim,  # a dense matrix, not populations
+            np.full(basis.dim + 1, 0.25),
+            np.array([0.6, 0.5, -0.1]),
+            np.array([0.5, np.nan, 0.5]),
+            np.array([0.5, np.inf, 0.5]),
+        ):
+            with pytest.raises(ValueError, match="populations"):
+                DensityOperator(basis, bad)
+        # rounding-level negatives and unnormalized totals are accepted
+        rho = DensityOperator(basis, [0.5, 1.0, -1e-11])
+        assert rho.populations.dtype == float and rho.populations.sum() == pytest.approx(1.5)
 
     def test_coherent_state_tail_enforced(self):
         small = FockBasis(2)

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp, xlogy
-from scipy.stats import poisson
+from scipy.stats import binom, poisson
 
 from rydsense import multiparticle
 from rydsense.error_prevention import error_prevention_channel
 from rydsense.errors import NumericalError
 from rydsense.fockspace import (
-    DensityOperator,
     FockBasis,
     apply_channel,
     classical_fi,
+    coherent_state,
     mode_operator,
 )
 from rydsense.multiparticle import (
@@ -33,7 +33,14 @@ from rydsense.multiparticle import (
 )
 
 from conftest import kraus_pipeline_distribution, kraus_pipeline_family
-from helpers import dense_kraus_sums, dense_operators, random_density, tracemalloc_peak
+from helpers import (
+    dense_density,
+    dense_kraus_sums,
+    dense_operators,
+    populations,
+    random_density,
+    tracemalloc_peak,
+)
 
 EXPERIMENT = ProtocolParams(n0=55.0, eta=0.02, gamma_tau=0.028)
 
@@ -332,18 +339,22 @@ class TestInteractionChannel:
     def test_strong_decay_empties_one_one(self):
         basis = FockBasis(2)
         channel = interaction_channel_kraus(basis, 25.0, symmetric=True)
-        out = apply_channel(basis.state(1, 1).to_density(), channel)
-        target = basis.state(0, 0).to_density()
-        assert np.max(np.abs(out.matrix - target.matrix)) < 1e-8
+        one_one, vacuum = basis.state(1, 1), basis.state(0, 0)
+        out = dense_kraus_sums(channel, dense_density(one_one))[0]
+        assert np.max(np.abs(out - dense_density(vacuum))) < 1e-8
+        out = apply_channel(one_one.to_density(), channel)
+        assert np.max(np.abs(out.populations - vacuum.to_density().populations)) < 1e-8
 
     def test_strong_decay_recovers_error_prevention_channel(self):
         basis = FockBasis(2)
         strong = interaction_channel_kraus(basis, 25.0, symmetric=True)
         reference = error_prevention_channel()
-        for occ in basis.occupations:
-            rho = basis.state(*occ).to_density()
-            a = apply_channel(rho, strong).matrix
-            b = apply_channel(rho, reference).matrix
+        for rho in [dense_density(basis.state(*occ)) for occ in basis.occupations]:
+            a = dense_kraus_sums(strong, rho)[0]
+            b = dense_kraus_sums(reference, rho)[0]
+            assert np.max(np.abs(a - b)) < 1e-8
+            a = apply_channel(populations(basis, rho), strong).populations
+            b = apply_channel(populations(basis, rho), reference).populations
             assert np.max(np.abs(a - b)) < 1e-8
 
     def test_single_mode_states_unaffected(self):
@@ -351,9 +362,10 @@ class TestInteractionChannel:
         for gamma_tau in (0.3, 2.0, 25.0):
             channel = interaction_channel_kraus(basis, gamma_tau, symmetric=True)
             for occ in ((2, 0), (0, 2)):
-                rho = basis.state(*occ).to_density()
-                out = apply_channel(rho, channel)
-                assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
+                rho = dense_density(basis.state(*occ))
+                assert np.max(np.abs(dense_kraus_sums(channel, rho)[0] - rho)) < 1e-12
+                out = apply_channel(populations(basis, rho), channel)
+                assert np.max(np.abs(out.populations - np.diagonal(rho).real)) < 1e-12
 
     def test_trace_preserving_on_truncated_space(self):
         basis = FockBasis(10)
@@ -368,7 +380,7 @@ class TestInteractionChannel:
         n_d = mode_operator(basis, "d", "number")
         for nd, np_ in ((1, 2), (2, 1), (3, 3)):
             out = apply_channel(basis.state(nd, np_).to_density(), channel)
-            assert out.expectation(n_d) == pytest.approx(
+            assert np.diagonal(n_d).real @ out.populations == pytest.approx(
                 nd * math.exp(-gamma_tau * np_), rel=1e-10
             )
 
@@ -384,8 +396,8 @@ class TestInteractionChannel:
         channel = interaction_channel_kraus(basis, gamma_tau, symmetric=symmetric)
         rho = random_density(rng, basis.dim)
         reference, defect = dense_kraus_sums(channel, rho)
-        out = apply_channel(DensityOperator(basis, rho), channel).matrix
-        assert np.max(np.abs(out - reference)) <= 1e-15
+        out = apply_channel(populations(basis, rho), channel).populations
+        assert np.max(np.abs(out - np.diagonal(reference).real)) <= 1e-15
         assert abs(channel.completeness_defect - defect) <= 1e-14
 
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -408,6 +420,39 @@ class TestOracleEquivalence:
         analytic = count_distribution(params, theta)
         oracle = kraus_pipeline_distribution(n0, 0.3, gamma_tau, theta, loss_order=order)
         assert analytic.tv_distance(oracle) < 1e-6
+
+    @pytest.mark.parametrize("gamma_tau", [0.034, 0.19])
+    def test_count_pmf_matches_population_oracle_at_experimental_point(self, gamma_tau):
+        # n0 = 55, eta = 0.02 on FockBasis(110), whose coherent tail is about
+        # 2e-11; the asymmetric channel damps d given p, which is all that
+        # the d counts see.  The population path keeps the peak far below
+        # the 309 MB of one dim^2 float array at this size.
+        n0, eta = 55.0, 0.02
+        basis = FockBasis(110)
+        occ_d = np.array(basis.occupations)[:, 0]
+        n = np.arange(basis.n_max + 1)
+        worst = []
+
+        def run():
+            channel = interaction_channel_kraus(basis, gamma_tau, symmetric=False)
+            for order in (LOSS_AFTER, LOSS_BEFORE):
+                scale = math.sqrt(n0 * (eta if order == LOSS_BEFORE else 1.0))
+                for theta in (0.6, 1.14, 2.0):
+                    state = coherent_state(
+                        basis, scale * math.cos(theta / 2), 1j * scale * math.sin(theta / 2)
+                    )
+                    pops = apply_channel(state.to_density(), channel).populations
+                    oracle = np.bincount(occ_d, weights=pops, minlength=n.size)
+                    if order == LOSS_AFTER:
+                        oracle = binom.pmf(n[:, None], n[None, :], eta) @ oracle
+                    params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
+                    analytic = count_pmf(params, theta, "d")
+                    size = max(analytic.size, oracle.size)
+                    analytic, oracle = (np.pad(p, (0, size - p.size)) for p in (analytic, oracle))
+                    worst.append(0.5 * np.abs(analytic - oracle).sum())
+
+        assert tracemalloc_peak(run) < 200e6
+        assert len(worst) == 6 and max(worst) < 1e-10
 
 
 def reference_fi(n0, eta, gamma_tau, theta, mode, order):
