@@ -143,16 +143,17 @@ def error_prevention_channel() -> KrausChannel:
     """Non-unitary operation transferring |1,1> to the vacuum.
 
     Kraus pair K0 = |0,0><1,1| and K1 = 1 - |1,1><1,1| on
-    :func:`two_excitation_basis`, in the (dest, src, coeffs) form of
+    :func:`two_excitation_basis`, as the (op, dest, src, coeffs) entries of
     :class:`~rydsense.fockspace.KrausChannel`: K0 maps |1,1> to |0,0> and
     K1 keeps every other basis state.  Trace preserving and idempotent as
     a channel.
     """
     i11 = _BASIS.index_of(1, 1)
     kept = np.delete(np.arange(_BASIS.dim), i11)
-    k0 = ([_BASIS.index_of(0, 0)], [i11], [1.0])
-    k1 = (kept, kept, np.ones(kept.size))
-    return KrausChannel(_BASIS, (k0, k1), trace_preserving=True)
+    op = np.repeat([0, 1], [1, kept.size])
+    dest = np.append(_BASIS.index_of(0, 0), kept)
+    src = np.append(i11, kept)
+    return KrausChannel(_BASIS, (op, dest, src, np.ones(src.size)), trace_preserving=True)
 
 
 def optimality_bound(eta: float) -> float:

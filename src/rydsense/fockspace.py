@@ -10,12 +10,13 @@ implemented elsewhere in the package.
 Every operation of the protocol maps number states to number states, and
 every read-out counts photons, so channels and measurements each have one
 form and only the number-basis populations of a state are carried.  A
-Kraus operator is given in lowering form, the triple (dest, src, coeffs)
-with K|src_i> = coeffs_i |dest_i> and K zero on every other basis state,
-no source or destination repeated.  Such a K maps the diagonal of rho to
-the diagonal of K rho K^dag by moving |c_i|^2 rho[src_i, src_i] onto
-dest_i, and K^dag K is diagonal with the entries |c_i|^2 on src, so no
-coherence of rho reaches a population and no dense operator is formed.  A
+channel is one table of entries (op, dest, src, coeffs): entry e states
+K_op[e] |src[e]> = coeffs[e] |dest[e]>, every operator is zero on the
+basis states it has no entry for, and no operator repeats a source or a
+destination.  Each such K maps the diagonal of rho to the diagonal of
+K rho K^dag by moving |c_e|^2 rho[src_e, src_e] onto dest_e, and K^dag K
+is diagonal with the entries |c_e|^2 on src, so no coherence of rho
+reaches a population and no dense operator is formed.  A
 POVM element is diagonal in the number basis and given by its diagonal m,
 so tr(rho M) is m . diag(rho).  These identities are exact, so the results
 are those of the dense density-matrix formulas.
@@ -85,17 +86,20 @@ class FockBasis:
             for nd in range(self.n_max + 1)
             for np_ in range(self.n_max + 1 - nd)
         )
-        self._index = {occ: i for i, occ in enumerate(self.occupations)}
         self.dim = len(self.occupations)
+        # basis index of (n_d, n_p), -1 outside the basis
+        occ = np.array(self.occupations)
+        self._index_table = np.full((self.n_max + 1,) * 2, -1, dtype=np.intp)
+        self._index_table[occ[:, 0], occ[:, 1]] = np.arange(self.dim)
 
     def index_of(self, n_d: int, n_p: int) -> int:
         """Basis index of |n_d, n_p>."""
-        try:
-            return self._index[(n_d, n_p)]
-        except KeyError:
-            raise ValueError(
-                f"occupation ({n_d}, {n_p}) outside basis with n_max={self.n_max}"
-            ) from None
+        # range first: the table would wrap negative occupations around
+        if 0 <= min(n_d, n_p) and max(n_d, n_p) <= self.n_max and n_d % 1 == n_p % 1 == 0:
+            index = int(self._index_table[int(n_d), int(n_p)])
+            if index >= 0:
+                return index
+        raise ValueError(f"occupation ({n_d}, {n_p}) outside basis with n_max={self.n_max}")
 
     def occupation(self, index: int) -> tuple[int, int]:
         """Occupation pair (n_d, n_p) of a basis index."""
@@ -106,9 +110,6 @@ class FockBasis:
         amp = np.zeros(self.dim, dtype=complex)
         amp[self.index_of(n_d, n_p)] = 1.0
         return TwoModeFockState(self, amp)
-
-    def vacuum(self) -> "TwoModeFockState":
-        return self.state(0, 0)
 
     def __eq__(self, other):
         return isinstance(other, FockBasis) and other.n_max == self.n_max
@@ -170,82 +171,67 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Quantum operation given by a list of Kraus operators on one basis.
+    """Quantum operation given by one table of Kraus entries on one basis.
 
-    Each operator is a triple ``(dest, src, coeffs)`` of equal-length
-    arrays (see the module docstring); anything else, a dense matrix
-    included, or a triple that repeats a source or a destination index
-    raises ``ValueError``.  The completeness sum K^dag K is the diagonal
-    of sum |c|^2 per source.  If ``trace_preserving`` it must equal the
+    ``entries`` is the tuple ``(op, dest, src, coeffs)`` of four 1-D
+    arrays of one length (see the module docstring); operators are labelled
+    by non-negative integers.  Anything else, a dense matrix included, or a
+    table that repeats a source or a destination within one operator raises
+    ``ValueError``.  The completeness sum K^dag K is the diagonal of
+    sum |c|^2 per source.  If ``trace_preserving`` it must equal the
     identity within 1e-10; otherwise it must not exceed the identity.
-    ``operators`` holds the validated triples, and ``dest``, ``src`` and
-    ``weights`` their entries concatenated over all operators, with
-    weights |c|^2: the population transfer that :func:`apply_channel`
-    applies.
+    ``entries`` holds the validated arrays, not copies, with intp
+    indices, and ``weights`` = |coeffs|^2 the population transfer that
+    :func:`apply_channel` applies.
     """
 
     basis: FockBasis
-    operators: tuple
+    entries: tuple
     trace_preserving: bool = True
 
     def __post_init__(self):
-        if not self.operators:
-            raise ValueError("channel needs at least one Kraus operator")
+        if not (isinstance(self.entries, tuple) and len(self.entries) == 4):
+            raise ValueError("Kraus entries must be an (op, dest, src, coeffs) tuple")
+        op, dest, src, coeffs = (np.asarray(a) for a in self.entries)
+        if not op.shape == dest.shape == src.shape == coeffs.shape == (coeffs.size,):
+            raise ValueError("lowering-form index and coefficient arrays differ in length")
         dim = self.basis.dim
-        ops = tuple(_checked_lowering(k, dim) for k in self.operators)
-        # index checks over all operators at once: operator j's index i is
-        # key j * dim + i, so only a repeat within one operator puts two
-        # equal keys next to each other once they are sorted
-        lengths = [coeffs.size for _, _, coeffs in ops]
-        owner = np.repeat(np.arange(len(ops)) * dim, lengths)
-        dest, src, coeffs = (np.concatenate(parts) for parts in zip(*ops))
+        # labels below intp max // dim keep the keys below from overflowing
+        stop = np.iinfo(np.intp).max // dim
+        op = _checked_indices(op, stop, f"Kraus operator labels must be integers in [0, {stop})")
+        indices = f"lowering-form indices must be basis indices below {dim}"
+        dest, src = (_checked_indices(idx, dim, indices) for idx in (dest, src))
+        # entry e has the key op[e] * dim + idx[e], so only a repeat within
+        # one operator puts two equal keys next to each other once sorted
         for idx in (dest, src):
-            if not idx.size:
-                continue
-            if idx.min() < 0 or idx.max() >= dim:
-                raise ValueError(f"lowering-form indices must be basis indices below {dim}")
-            keys = np.sort(owner + idx)
+            keys = op * dim
+            keys += idx
+            keys.sort()
             if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("lowering-form operator repeats a source or destination index")
         weights = np.abs(coeffs) ** 2
         total = np.bincount(src, weights=weights, minlength=dim)
         defect = float(np.max(np.abs(total - 1.0)))
+        # negated, so that a NaN coefficient fails both checks
         if self.trace_preserving:
-            if defect > TRACE_TOL:
+            if not defect <= TRACE_TOL:
                 raise ValueError(
                     f"Kraus completeness defect {defect:.3e} exceeds 1e-10"
                 )
-        elif total.max() > 1.0 + TRACE_TOL:
+        elif not total.max() <= 1.0 + TRACE_TOL:
             raise ValueError(
                 f"non-trace-preserving channel exceeds identity by {total.max() - 1.0:.3e}"
             )
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "entries", (op, dest, src, coeffs))
         object.__setattr__(self, "completeness_defect", defect)
-        object.__setattr__(self, "dest", dest)
-        object.__setattr__(self, "src", src)
         object.__setattr__(self, "weights", weights)
 
-    def __len__(self):
-        return len(self.operators)
 
-
-def _checked_lowering(op: tuple, dim: int) -> tuple:
-    """(dest, src, coeffs) arrays of a lowering-form operator, shape and dtype checked.
-
-    Only a 3-tuple is accepted, so a dense matrix with three rows is not
-    mistaken for a triple.  The index range and repeated indices, which
-    would make the population transfer of :func:`apply_channel` differ
-    from K rho K^dag, are checked by :class:`KrausChannel` over all
-    operators at once.
-    """
-    if not (isinstance(op, tuple) and len(op) == 3):
-        raise ValueError("a Kraus operator must be a (dest, src, coeffs) triple")
-    dest, src, coeffs = (np.asarray(a) for a in op)
-    if not dest.shape == src.shape == coeffs.shape == (coeffs.size,):
-        raise ValueError("lowering-form index and coefficient arrays differ in length")
-    if coeffs.size and (dest.dtype.kind not in "iu" or src.dtype.kind not in "iu"):
-        raise ValueError(f"lowering-form indices must be basis indices below {dim}")
-    return dest.astype(np.intp), src.astype(np.intp), coeffs.astype(complex)
+def _checked_indices(a: np.ndarray, stop: int, message: str) -> np.ndarray:
+    """``a`` as intp, if it is empty or an integer array with entries in [0, stop)."""
+    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= stop):
+        raise ValueError(message)
+    return a.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -384,36 +370,30 @@ def apply_channel(rho: DensityOperator, channel: KrausChannel) -> DensityOperato
     """Apply a Kraus channel to populations: P -> diag(sum_k K rho K^dag).
 
     Every operator maps number states one-to-one, so the diagonal of
-    sum_k K rho K^dag is sum_i |c_i|^2 P[src_i] placed at dest_i, over the
-    entries of all operators: one weighted ``bincount``, exact for any rho
-    with populations P.
+    sum_k K rho K^dag is sum_e |c_e|^2 P[src_e] placed at dest_e, over the
+    channel's entries: one weighted ``bincount``, exact for any rho with
+    populations P.
     """
     if channel.basis != rho.basis:
         raise ValueError("channel and state are defined on different bases")
-    moved = channel.weights * rho.populations[channel.src]
-    out = np.bincount(channel.dest, weights=moved, minlength=rho.basis.dim)
+    _, dest, src, _ = channel.entries
+    moved = channel.weights * rho.populations[src]
+    out = np.bincount(dest, weights=moved, minlength=rho.basis.dim)
     return DensityOperator(rho.basis, out)
 
 
-def _lowering_operators(basis: FockBasis, lowered, op, src, coeffs) -> tuple:
-    """Lowering-form operators K_j |n_d, n_p> = c |n_d - a_j, n_p - b_j> from their entries.
+def _lowered_destinations(basis: FockBasis, lowered, op, src) -> np.ndarray:
+    """Basis index of K_op[e] |src[e]> = c |n_d - a, n_p - b> for each entry e.
 
-    ``lowered`` is a (J, 2) integer array of the pairs (a_j, b_j).  Entry e
-    gives K_op[e] the coefficient ``coeffs[e]`` on the basis state
-    ``src[e]``; ``op`` is non-decreasing, so each operator's entries are
-    contiguous.  An entry on a state with n_d < a_j or n_p < b_j raises
-    ``ValueError``.  Operators without an entry are left out; the others
-    are (dest, src, coeffs) triples for :class:`KrausChannel`.
+    ``lowered[j]`` is the pair (a, b) of operator j.  An entry on a state
+    with n_d < a or n_p < b raises ``ValueError``.
     """
     occ = np.array(basis.occupations)
-    index = np.zeros((basis.n_max + 1,) * 2, dtype=int)
-    index[occ[:, 0], occ[:, 1]] = np.arange(basis.dim)
-    dest = occ[src] - lowered[op]
-    if dest.min(initial=0) < 0:
+    n_d = occ[src, 0] - lowered[op, 0]
+    n_p = occ[src, 1] - lowered[op, 1]
+    if min(n_d.min(initial=0), n_p.min(initial=0)) < 0:
         raise ValueError("nonzero coefficient on a state that cannot be lowered")
-    cuts = np.flatnonzero(np.diff(op)) + 1
-    parts = (np.split(a, cuts) for a in (index[dest[:, 0], dest[:, 1]], src, coeffs))
-    return tuple(zip(*parts))
+    return basis._index_table[n_d, n_p]
 
 
 def _thinning_weights(n_max: int, eta: float) -> np.ndarray:
@@ -431,7 +411,7 @@ def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
 
     Standard beam-splitter loss with a vacuum ancilla; Kraus operators are
     indexed by the number of excitations lost per mode, with amplitudes the
-    square roots of the thinning weights, and built in lowering form (no
+    square roots of the thinning weights, and built as one entry table (no
     dense operator is formed).  Losses only lower occupation numbers, so
     the channel is exactly trace preserving on the truncated space.
     """
@@ -442,8 +422,9 @@ def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
     j, i = np.nonzero((occ[:, None, 0] <= occ[None, :, 0]) & (occ[:, None, 1] <= occ[None, :, 1]))
     coeffs = amp[occ[i, 0], occ[j, 0]] * amp[occ[i, 1], occ[j, 1]]
     nonzero = coeffs != 0.0
-    ops = _lowering_operators(basis, occ, j[nonzero], i[nonzero], coeffs[nonzero])
-    return KrausChannel(basis, ops, trace_preserving=True)
+    j, i, coeffs = j[nonzero], i[nonzero], coeffs[nonzero]
+    dest = _lowered_destinations(basis, occ, j, i)
+    return KrausChannel(basis, (j, dest, i, coeffs), trace_preserving=True)
 
 
 def number_povm(basis: FockBasis) -> PovmSet:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .fockspace import CountDistribution, FockBasis, KrausChannel, _lowering_operators
+from .fockspace import CountDistribution, FockBasis, KrausChannel, _lowered_destinations
 
 __all__ = [
     "LOSS_AFTER",
@@ -356,12 +356,12 @@ def interaction_channel_kraus(
     two-excitation error-prevention pair in the limit gamma_tau -> inf.
     All operators only lower occupations, so the channel is trace
     preserving on the truncated space up to the weights below 1e-14 that
-    are dropped.  They are built in the lowering form of
-    :class:`~rydsense.fockspace.KrausChannel` from the feasible
-    (operator, source) pairs, with no dense operator or coefficient array
-    formed.  The completeness defect is checked once, on the returned
-    channel (built as not trace preserving, so it is checked not to exceed
-    the identity): above 1e-6 it raises ``ValueError``.
+    are dropped.  The feasible (operator, source) pairs are the entry
+    table of :class:`~rydsense.fockspace.KrausChannel`, with no dense
+    operator or coefficient array formed.  The completeness defect is
+    checked once, on the returned channel (built as not trace preserving,
+    so it is checked not to exceed the identity): above 1e-6 it raises
+    ``ValueError``.
     """
     if gamma_tau < 0:
         raise ValueError("gamma_tau must be non-negative")
@@ -382,17 +382,19 @@ def interaction_channel_kraus(
     feasible = (nd >= lost_d) & (np_ >= lost_p)
     feasible &= ((lost_p == 0) | (nd > 0)) & ((lost_d == 0) | (np_ > 0))
     j, i = np.nonzero(feasible)
-    log_amp2 = -(2.0 if symmetric else 1.0) * gt * nd[i] * np_[i]
+    nd_i, np_i = nd[i], np_[i]
+    log_amp2 = -(2.0 if symmetric else 1.0) * gt * nd_i * np_i
     # lose l of the m excitations of one mode at the rate driven by the
     # other mode's occupation c: (e^(gt c) - 1)^l / l! * m! / (m - l)!
-    for lost, pool, other in ((lost_p[j, 0], np_[i], nd[i]), (lost_d[j, 0], nd[i], np_[i])):
+    for lost, pool, other in ((lost_p[j, 0], np_i, nd_i), (lost_d[j, 0], nd_i, np_i)):
         rate = np.multiply(lost, log_rate[other], out=np.zeros(lost.shape), where=lost > 0)
         log_amp2 += rate - log_fact[lost]
         log_amp2 += log_fact[pool] - log_fact[pool - lost]
     amp = np.exp(0.5 * log_amp2)
     kept = amp > 1e-14
-    ops = _lowering_operators(basis, lowered, j[kept], i[kept], amp[kept])
-    channel = KrausChannel(basis, ops, trace_preserving=False)
+    j, i, amp = j[kept], i[kept], amp[kept]
+    dest = _lowered_destinations(basis, lowered, j, i)
+    channel = KrausChannel(basis, (j, dest, i, amp), trace_preserving=False)
     if channel.completeness_defect > 1e-6:
         raise ValueError(
             f"basis too small for gamma_tau={gamma_tau}: "

@@ -2,8 +2,9 @@
 
 None of these has a caller in the package, the demos or the benchmark, so
 they live next to the tests: dense density matrices, the dense Kraus
-operators and Kraus sums that the lowering form and the population path
-are checked against, random lowering-form channels and diagonal POVMs, the
+operators and Kraus sums that the channels' entry tables and the
+population path are checked against, entry tables assembled from
+per-operator triples, random entry tables and diagonal POVMs, the
 finite-difference quantum Fisher information, the matrix-pipeline means of
 the error-prevention toy, shot sampling, the
 field / Rabi-frequency conversions and the quadrature of the excluded-volume
@@ -75,18 +76,30 @@ def tracemalloc_peak(call) -> int:
 
 
 def dense_operators(channel: KrausChannel) -> list:
-    """The channel's Kraus operators as dim x dim matrices.
+    """The channel's Kraus operators as dim x dim matrices, in label order.
 
-    The operator (dest, src, coeffs) becomes the matrix with
-    K[dest_i, src_i] = coeffs_i and zeros elsewhere.
+    The entries with the label j make up the matrix K_j with
+    K_j[dest_e, src_e] = coeffs_e and zeros elsewhere.
     """
+    op, dest, src, coeffs = channel.entries
     d = channel.basis.dim
     out = []
-    for dest, src, coeffs in channel.operators:
+    for label in np.unique(op):
+        mine = op == label
         k = np.zeros((d, d), dtype=complex)
-        k[dest, src] = coeffs
+        k[dest[mine], src[mine]] = coeffs[mine]
         out.append(k)
     return out
+
+
+def entry_table(*operators) -> tuple:
+    """(op, dest, src, coeffs) entries of operators given as (dest, src, coeffs) triples.
+
+    Operator j of the list gets the label j.
+    """
+    op = np.repeat(np.arange(len(operators)), [len(coeffs) for _, _, coeffs in operators])
+    dest, src, coeffs = (np.concatenate(part) for part in zip(*operators))
+    return op, dest, src, coeffs
 
 
 def dense_kraus_sums(channel: KrausChannel, rho: np.ndarray) -> tuple:
@@ -97,8 +110,8 @@ def dense_kraus_sums(channel: KrausChannel, rho: np.ndarray) -> tuple:
     return out, float(defect)
 
 
-def random_triples(rng, d, count, trace_preserving):
-    """Random injective (dest, src, coeffs) operators on dimension ``d``.
+def random_entries(rng, d, count, trace_preserving):
+    """Entry table of ``count`` random injective operators on dimension ``d``.
 
     Each operator maps a random subset of the basis indices, all of them for
     the first, onto a random permutation of destinations with complex
@@ -110,11 +123,10 @@ def random_triples(rng, d, count, trace_preserving):
         size = d if j == 0 else int(rng.integers(1, d + 1))
         coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
         ops.append((rng.permutation(d)[:size], rng.permutation(d)[:size], coeffs))
-    weight = np.zeros(d)
-    for _, src, coeffs in ops:
-        weight[src] += np.abs(coeffs) ** 2
+    op, dest, src, coeffs = entry_table(*ops)
+    weight = np.bincount(src, weights=np.abs(coeffs) ** 2, minlength=d)
     top = weight if trace_preserving else np.full(d, weight.max())
-    return tuple((dest, src, coeffs / np.sqrt(top[src])) for dest, src, coeffs in ops)
+    return op, dest, src, coeffs / np.sqrt(top[src])
 
 
 def random_diagonal_povm(rng, d, count):

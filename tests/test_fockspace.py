@@ -30,12 +30,13 @@ from helpers import (
     creation_overflow_norm,
     dense_density,
     dense_kraus_sums,
+    entry_table,
     populations,
     povm_fi,
     qfi,
     random_density,
     random_diagonal_povm,
-    random_triples,
+    random_entries,
     tracemalloc_peak,
 )
 
@@ -50,7 +51,7 @@ def toy_error_prevention(basis):
     i11 = basis.index_of(1, 1)
     kept = np.delete(np.arange(basis.dim), i11)
     k0 = ([basis.index_of(0, 0)], [i11], [1.0])
-    return KrausChannel(basis, (k0, (kept, kept, np.ones(kept.size))))
+    return KrausChannel(basis, entry_table(k0, (kept, kept, np.ones(kept.size))))
 
 
 def rotated_pair_family(basis):
@@ -91,8 +92,10 @@ class TestFockBasis:
         with pytest.raises(ValueError):
             FockBasis(-1)
         basis = FockBasis(2)
-        with pytest.raises(ValueError):
-            basis.index_of(2, 1)
+        for occ in ((2, 1), (3, 0), (0, 3), (-1, 0), (0, -1), (-1, 3), (0.5, 0)):
+            with pytest.raises(ValueError, match="outside basis"):
+                basis.index_of(*occ)
+        assert basis.index_of(1.0, np.int64(1)) == basis.index_of(1, 1)
 
 
 class TestModeOperators:
@@ -185,7 +188,7 @@ class TestRabiRotation:
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         basis = FockBasis(2)
-        ident = KrausChannel(basis, (identity_triple(basis),))
+        ident = KrausChannel(basis, entry_table(identity_triple(basis)))
         mat = rng.normal(size=(basis.dim, basis.dim))
         mat = mat @ mat.T
         mat = mat / np.trace(mat)
@@ -212,13 +215,13 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self):
         rho = FockBasis(2).state(0, 0).to_density()
-        channel = KrausChannel(FockBasis(3), (identity_triple(FockBasis(3)),))
+        channel = KrausChannel(FockBasis(3), entry_table(identity_triple(FockBasis(3))))
         with pytest.raises(ValueError):
             apply_channel(rho, channel)
 
     def test_trace_preserved_for_random_channel(self, rng):
         basis = FockBasis(5)
-        channel = KrausChannel(basis, random_triples(rng, basis.dim, 4, trace_preserving=True))
+        channel = KrausChannel(basis, random_entries(rng, basis.dim, 4, trace_preserving=True))
         rho = random_density(rng, basis.dim)
         reference, defect = dense_kraus_sums(channel, rho)
         out = apply_channel(populations(basis, rho), channel)
@@ -233,8 +236,8 @@ class TestSupportRestriction:
         basis = FockBasis(5)
         d = basis.dim
         for _ in range(5):
-            ops = random_triples(rng, d, 7, trace_preserving)
-            channel = KrausChannel(basis, ops, trace_preserving=trace_preserving)
+            entries = random_entries(rng, d, 7, trace_preserving)
+            channel = KrausChannel(basis, entries, trace_preserving=trace_preserving)
             rho = random_density(rng, d)
             reference, defect = dense_kraus_sums(channel, rho)
             out = apply_channel(populations(basis, rho), channel)
@@ -277,70 +280,108 @@ def lowering(dest, src, coeffs):
     return (np.array(dest), np.array(src), np.array(coeffs, dtype=complex))
 
 
+def channel_of(basis, *operators, trace_preserving=False):
+    """Channel of (dest, src, coeffs) operators, by default not trace preserving."""
+    return KrausChannel(basis, entry_table(*operators), trace_preserving=trace_preserving)
+
+
 class TestLoweringForm:
     def test_repeated_index_rejected(self):
         basis = FockBasis(2)
         with pytest.raises(ValueError, match="repeats"):
-            KrausChannel(basis, (lowering([0, 0], [1, 2], [0.5, 0.5]),), trace_preserving=False)
+            channel_of(basis, lowering([0, 0], [1, 2], [0.5, 0.5]))
         with pytest.raises(ValueError, match="repeats"):
-            KrausChannel(basis, (lowering([0, 1], [2, 2], [0.5, 0.5]),), trace_preserving=False)
+            channel_of(basis, lowering([0, 1], [2, 2], [0.5, 0.5]))
 
     def test_repeat_in_last_operator_rejected(self):
         basis = FockBasis(2)
         ops = (lowering([0, 1], [1, 2], [0.5, 0.5]), lowering([3, 4], [3, 4], [0.5, 0.5]))
         for repeat in (lowering([5, 5], [0, 5], [0.5, 0.5]), lowering([0, 5], [5, 5], [0.5, 0.5])):
             with pytest.raises(ValueError, match="repeats"):
-                KrausChannel(basis, (*ops, repeat), trace_preserving=False)
+                channel_of(basis, *ops, repeat)
 
     def test_same_index_in_two_operators_accepted(self):
         # the loss channel's operators share sources and destinations; so do these
         basis = FockBasis(2)
         ops = (lowering([0, 1], [1, 2], [0.6, 0.6]), lowering([0, 1], [1, 2], [0.8, 0.8]))
-        assert KrausChannel(basis, ops, trace_preserving=False).completeness_defect == pytest.approx(1.0)
+        assert channel_of(basis, *ops).completeness_defect == pytest.approx(1.0)
 
     def test_index_range_and_dtype_rejected(self):
         basis = FockBasis(2)
         good = lowering([0], [0], [1.0])
-        bad_ops = (
-            lowering([0, 6], [1, 2], [0.5, 0.5]),
-            lowering([0, 1], [-1, 2], [0.5, 0.5]),
-            (np.array([0.0]), np.array([1]), np.array([0.5 + 0j])),
-            (np.array([0]), np.array([True]), np.array([0.5 + 0j])),
-        )
-        for bad in bad_ops:
+        for bad in (lowering([0, 6], [1, 2], [0.5, 0.5]), lowering([0, 1], [-1, 2], [0.5, 0.5])):
             with pytest.raises(ValueError, match="basis indices below 6"):
-                KrausChannel(basis, (good, bad), trace_preserving=False)
-        # an empty operator may carry any index dtype
-        empty = (np.array([]), np.array([]), np.array([], dtype=complex))
-        assert len(KrausChannel(basis, (good, empty), trace_preserving=False)) == 2
+                channel_of(basis, good, bad)
+        # a float or boolean index array; concatenation would promote these
+        op, dest, src, coeffs = entry_table(good, lowering([1], [1], [0.5]))
+        for entries in (
+            (op, dest.astype(float), src, coeffs),
+            (op, dest, src.astype(bool), coeffs),
+        ):
+            with pytest.raises(ValueError, match="basis indices below 6"):
+                KrausChannel(basis, entries, trace_preserving=False)
+        # an empty table may carry any index dtype; it is the zero map
+        empty = (np.array([]),) * 3 + (np.array([], dtype=complex),)
+        assert KrausChannel(basis, empty, trace_preserving=False).completeness_defect == 1.0
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel(basis, empty)
+
+    def test_operator_labels_validated(self):
+        basis = FockBasis(2)
+        _, dest, src, coeffs = entry_table(lowering([0, 1], [1, 2], [0.5, 0.5]))
+        for op in (np.array([0, -1]), np.array([0.0, 1.0]), np.array([0, 2**62])):
+            with pytest.raises(ValueError, match="labels must be integers in"):
+                KrausChannel(basis, (op, dest, src, coeffs), trace_preserving=False)
+        # labels need not be contiguous
+        channel = KrausChannel(basis, (np.array([3, 7]), dest, src, coeffs), trace_preserving=False)
+        assert channel.completeness_defect == 1.0
+
+    def test_destination_lookup(self):
+        # K lowers (n_d, n_p) by (1, 0) on |2,1> and |1,0>; |0,1> cannot be lowered
+        basis = FockBasis(3)
+        lowered = np.array([[0, 0], [1, 0]])
+        src = np.array([basis.index_of(2, 1), basis.index_of(1, 0)])
+        dest = fockspace._lowered_destinations(basis, lowered, np.array([1, 1]), src)
+        assert dest.tolist() == [basis.index_of(1, 1), basis.index_of(0, 0)]
+        with pytest.raises(ValueError, match="cannot be lowered"):
+            fockspace._lowered_destinations(
+                basis, lowered, np.array([1]), np.array([basis.index_of(0, 1)])
+            )
 
     def test_length_mismatch_rejected(self):
         basis = FockBasis(2)
-        with pytest.raises(ValueError, match="differ in length"):
-            KrausChannel(basis, (lowering([0, 1], [2, 3], [0.5]),), trace_preserving=False)
-        with pytest.raises(ValueError, match="differ in length"):
-            KrausChannel(basis, (lowering([0], [2, 3], [0.5, 0.5]),), trace_preserving=False)
+        pair = np.array([0, 1])
+        for entries in (
+            (pair, pair, np.array([2, 3]), np.array([0.5])),
+            (pair, np.array([0]), np.array([2, 3]), np.array([0.5, 0.5])),
+            (np.array([0]), pair, np.array([2, 3]), np.array([0.5, 0.5])),
+            (pair, pair, pair[:, None], np.array([0.5, 0.5])),  # a 2-D index array
+        ):
+            with pytest.raises(ValueError, match="differ in length"):
+                KrausChannel(basis, entries, trace_preserving=False)
 
-    def test_non_triples_rejected(self):
-        # a 3 x 3 matrix on FockBasis(1) must not be unpacked as a triple
+    def test_non_tables_rejected(self):
+        # a dense matrix, or a 2-D array of four rows, must not be unpacked as a table
         basis = FockBasis(1)
-        ident = identity_triple(basis)
-        for bad in (np.eye(basis.dim), list(ident), ident[:2], (*ident, ident[2])):
-            with pytest.raises(ValueError, match="triple"):
-                KrausChannel(basis, (bad,))
-        with pytest.raises(ValueError, match="triple"):
-            KrausChannel(FockBasis(2), (np.eye(FockBasis(2).dim),))
+        table = entry_table(identity_triple(basis))
+        for bad in (np.eye(basis.dim), np.stack(table), list(table), table[:3], (*table, table[3])):
+            with pytest.raises(ValueError, match="entries must be"):
+                KrausChannel(basis, bad)
+        with pytest.raises(ValueError, match="entries must be"):
+            KrausChannel(FockBasis(2), np.eye(FockBasis(2).dim))
+        with pytest.raises(ValueError, match="entries must be"):
+            KrausChannel(basis, (identity_triple(basis),))  # a tuple of triples
 
     def test_completeness_on_the_form(self):
         # |c|^2 summed per source: 0.36 + 0.64 on source 1, 1.2 on source 2
         basis = FockBasis(1)
         ops = (lowering([0, 1], [1, 2], [0.6, 1.2**0.5]), lowering([2], [1], [0.8j]))
         with pytest.raises(ValueError, match="exceeds identity"):
-            KrausChannel(basis, ops, trace_preserving=False)
+            channel_of(basis, *ops)
         ident = (lowering([0, 1, 2], [0, 1, 2], [1.0, 0.6, 1.0]), lowering([2], [1], [0.8j]))
-        assert KrausChannel(basis, ident).completeness_defect < 1e-15
+        assert channel_of(basis, *ident, trace_preserving=True).completeness_defect < 1e-15
 
-    def test_partial_triples_match_dense_reference(self, rng):
+    def test_partial_operators_match_dense_reference(self, rng):
         # three operators on 8 of 21 sources each, so some sources carry no
         # weight; |c| <= 0.5 keeps sum K^dag K at most 0.75 of the identity
         basis = FockBasis(5)
@@ -349,7 +390,7 @@ class TestLoweringForm:
         for _ in range(3):
             coeffs = 0.5 * rng.uniform(size=8) * np.exp(2j * np.pi * rng.uniform(size=8))
             ops.append(lowering(rng.permutation(d)[:8], rng.permutation(d)[:8], coeffs))
-        channel = KrausChannel(basis, tuple(ops), trace_preserving=False)
+        channel = channel_of(basis, *ops)
         rho = random_density(rng, d)
         reference, defect = dense_kraus_sums(channel, rho)
         assert_diagonal_matches(apply_channel(populations(basis, rho), channel), reference, 1e-15)
@@ -370,6 +411,11 @@ class TestLoweringForm:
         # one dense (J, dim, dim) stack at FockBasis(14) would take 27 MB
         basis = FockBasis(14)
         assert tracemalloc_peak(lambda: detection_loss_channel(basis, 0.41)) <= 2e6
+
+    def test_loss_build_memory_at_sixty(self):
+        # 6.4e5 entries: the kept table (four arrays and the weights) is 25 MB
+        basis = FockBasis(60)
+        assert tracemalloc_peak(lambda: detection_loss_channel(basis, 0.41)) < 60e6
 
 
 class TestDetectionLoss:
@@ -577,15 +623,19 @@ class TestQfi:
 class TestTypedInvariants:
     def test_kraus_completeness_enforced(self):
         basis = FockBasis(1)
-        dest, src, ones = identity_triple(basis)
-        bad = ((dest, src, 0.5 * ones),)
+        op, dest, src, ones = entry_table(identity_triple(basis))
+        bad = (op, dest, src, 0.5 * ones)
         with pytest.raises(ValueError):
             KrausChannel(basis, bad, trace_preserving=True)
         # but acceptable as a non-trace-preserving channel
         KrausChannel(basis, bad, trace_preserving=False)
-        over = ((dest, src, 1.2 * ones),)
+        over = (op, dest, src, 1.2 * ones)
         with pytest.raises(ValueError):
             KrausChannel(basis, over, trace_preserving=False)
+        nan = (op, dest, src, np.array([1.0, np.nan, 1.0]))
+        for trace_preserving in (True, False):
+            with pytest.raises(ValueError, match="nan"):
+                KrausChannel(basis, nan, trace_preserving=trace_preserving)
 
     def test_povm_positivity_and_completeness_enforced(self):
         basis = FockBasis(1)

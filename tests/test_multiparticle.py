@@ -332,9 +332,9 @@ class TestInteractionChannel:
     def test_zero_decay_is_identity(self):
         basis = FockBasis(3)
         for symmetric in (True, False):
-            channel = interaction_channel_kraus(basis, 0.0, symmetric=symmetric)
-            assert len(channel) == 1
-            assert np.allclose(dense_operators(channel)[0], np.eye(basis.dim))
+            ops = dense_operators(interaction_channel_kraus(basis, 0.0, symmetric=symmetric))
+            assert len(ops) == 1
+            assert np.allclose(ops[0], np.eye(basis.dim))
 
     def test_strong_decay_empties_one_one(self):
         basis = FockBasis(2)
@@ -406,6 +406,12 @@ class TestInteractionChannel:
         basis = FockBasis(14)
         peak = tracemalloc_peak(lambda: interaction_channel_kraus(basis, 0.7, symmetric=symmetric))
         assert peak <= 2e6
+
+    def test_symmetric_build_memory_at_sixty(self):
+        # 6.2e5 entries: the kept table (four arrays and the weights) is 25 MB
+        basis = FockBasis(60)
+        peak = tracemalloc_peak(lambda: interaction_channel_kraus(basis, 0.034, symmetric=True))
+        assert peak < 90e6
 
 
 class TestOracleEquivalence:
