@@ -18,7 +18,6 @@ from .fockspace import (
     classical_fi,
     coherent_state,
     detection_loss_channel,
-    lossy_number_povm,
     measure,
     mode_operator,
     number_povm,
@@ -32,7 +31,6 @@ from .error_prevention import (
     expectation_curves,
     fi_with_prevention,
     fi_without_prevention,
-    lossy_povm,
     optimality_bound,
 )
 from .dipolar import (

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "DipolarParams",
     "McReadout",
     "pair_potential",
-    "angular_factor",
     "excluded_volume_integral",
     "volumetric_rate_q",
     "decay_rate_gamma",
@@ -71,8 +69,9 @@ class CloudGeometry:
         if self.kind not in CLOUD_KINDS:
             raise ValueError(f"kind must be one of {CLOUD_KINDS}, got {self.kind!r}")
         dims = tuple(float(x) for x in self.dimensions)
-        if len(dims) != 3 or any(x <= 0 for x in dims):
-            raise ValueError("dimensions must be three positive lengths in um")
+        # negated, so that NaN fails too
+        if len(dims) != 3 or not all(0.0 < x < math.inf for x in dims):
+            raise ValueError("dimensions must be three positive finite lengths in um")
         object.__setattr__(self, "dimensions", dims)
 
     @property
@@ -92,8 +91,8 @@ class DipolarParams:
     cloud: CloudGeometry
 
     def __post_init__(self):
-        if self.c3_over_hbar <= 0:
-            raise ValueError("c3_over_hbar must be positive")
+        if not 0.0 < self.c3_over_hbar < math.inf:
+            raise ValueError("c3_over_hbar must be positive and finite")
 
     @classmethod
     def from_tabulated(cls, c3_over_2pi_hbar_ghz_um3: float, cloud: CloudGeometry):
@@ -101,20 +100,18 @@ class DipolarParams:
         return cls(2.0 * math.pi * 1e9 * c3_over_2pi_hbar_ghz_um3, cloud)
 
 
-def angular_factor(vartheta) -> np.ndarray:
-    """Orientation dependence (3 cos(2 vartheta) + 1) / 4 of the pair potential."""
-    return (3.0 * np.cos(2.0 * np.asarray(vartheta)) + 1.0) / 4.0
-
-
 def pair_potential(r: float, vartheta: float, params: DipolarParams) -> float:
     """Pair interaction energy over hbar in rad/s at separation r (um).
 
-    Positive along the quantization axis, changes sign where
-    cos^2(vartheta) = 1/3 and falls off as 1/r^3.
+    The orientation dependence is (3 cos(2 vartheta) + 1) / 4: positive
+    along the quantization axis, changing sign where cos^2(vartheta) = 1/3.
+    The potential falls off as 1/r^3.
     """
-    if r <= 0:
-        raise ValueError("separation r must be positive")
-    return params.c3_over_hbar / r**3 * float(angular_factor(vartheta))
+    if not 0.0 < r < math.inf:
+        raise ValueError("separation r must be positive and finite")
+    if not math.isfinite(vartheta):
+        raise ValueError("vartheta must be finite")
+    return params.c3_over_hbar / r**3 * ((3.0 * float(np.cos(2.0 * vartheta)) + 1.0) / 4.0)
 
 
 def excluded_volume_integral(t: float, params: DipolarParams) -> complex:
@@ -131,8 +128,8 @@ def excluded_volume_integral(t: float, params: DipolarParams) -> complex:
     whose real part gives Re A = Q t and whose imaginary part is
     -int_{-1}^{1} f ln|f| dc.
     """
-    if t <= 0:
-        raise ValueError("interaction time t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("interaction time t must be positive and finite")
     phase_volume = t * params.c3_over_hbar * 1e-6  # rad um^3 at time t in us
     return (2.0 * math.pi / 3.0) * phase_volume * J_CLOSED_FORM
 
@@ -158,13 +155,6 @@ class McReadout:
     value: float
     stderr: float
     samples: int
-    method: str
-
-
-def _gaussian_pdf(points: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    norm = (2.0 * math.pi) ** 1.5 * float(np.prod(sigma))
-    q = np.sum((points / sigma) ** 2, axis=-1)
-    return np.exp(-0.5 * q) / norm
 
 
 def _pair_phase(delta: np.ndarray, t: float, c3_int: float) -> np.ndarray:
@@ -177,18 +167,14 @@ def _pair_phase(delta: np.ndarray, t: float, c3_int: float) -> np.ndarray:
     return t * c3_int * f / (r2 * np.sqrt(r2))
 
 
-def _mc_shard(child, n, t, n_p, sigma, c3_int, a_t, method):
-    """(sum est, sum est^2, LDA factor max) over one shard of ``n`` samples.
+def _mc_shard(child, n, t, n_p, sigma, c3_int):
+    """(sum est, sum est^2) over one shard of ``n`` samples.
 
     Runs in a worker thread, so it calls only private helpers.
     """
     rng = np.random.default_rng(child)
     # the same draws as rng.normal(scale=sigma, size=(n, 3)), bit for bit
     x = rng.standard_normal((n, 3)) * sigma
-    if method == "lda":
-        factor = np.abs(1.0 - _gaussian_pdf(x, sigma) * a_t)
-        est = factor ** (2 * n_p)
-        return float(np.sum(est)), float(np.sum(est**2)), float(factor.max())
     # per control: draw in place, then form x - y with the components as
     # contiguous rows
     sigma_col = sigma[:, None]
@@ -210,7 +196,7 @@ def _mc_shard(child, n, t, n_p, sigma, c3_int, a_t, method):
     for _ in range(n_p):
         phase += control_phase()
     est = np.cos(phase)
-    return float(np.sum(est)), float(np.sum(est**2)), 0.0
+    return float(np.sum(est)), float(np.sum(est**2))
 
 
 def readout_expectation_mc(
@@ -219,18 +205,15 @@ def readout_expectation_mc(
     params: DipolarParams,
     samples: int = 100_000,
     seed: int | None = None,
-    method: str = "lda",
+    method: str = "direct",
 ) -> McReadout:
     """Read-out expectation per excitation with ``n_p`` control excitations.
 
-    Estimates the dephasing integral for a gaussian cloud by Monte Carlo.
-    ``method="lda"`` samples the outer position from the density and uses
-    the local-density approximation |1 - p(x) A(t)|^(2 n_p) with the
-    closed-form A(t); ``method="direct"`` samples all control positions and
-    averages the exact pair phases, which is unbiased for the
-    independent-control model.  Decays approximately as exp(-n_p gamma t).
-    The LDA warns where a factor |1 - p(x) A(t)| exceeds 1, which an
-    average of unit phases cannot.
+    Estimates the dephasing integral for a gaussian cloud by Monte Carlo:
+    it samples the read-out position and all control positions and averages
+    the exact pair phases, which is unbiased for the independent-control
+    model.  Decays approximately as exp(-n_p gamma t).  ``method`` names
+    this estimator; any value other than ``"direct"`` raises ``ValueError``.
 
     Sampling is split into shards of ``MC_SHARD_SIZE`` (8192) samples, the
     last one shorter, each drawing from its own seed spawned from ``seed``.
@@ -239,28 +222,27 @@ def readout_expectation_mc(
     combined in shard order, so the result does not depend on the number
     of workers or on the order in which shards finish.
     """
-    if method not in ("lda", "direct"):
-        raise ValueError(f"method must be 'lda' or 'direct', got {method!r}")
+    if method != "direct":
+        raise ValueError(f"method must be 'direct', got {method!r}")
     if params.cloud.kind != "gaussian":
         raise ValueError("Monte-Carlo read-out requires a gaussian cloud")
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"at least {MIN_MC_SAMPLES} samples required, got {samples}")
     if n_p < 0:
         raise ValueError("n_p must be non-negative")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be non-negative and finite")
     if t == 0 or n_p == 0:
-        return McReadout(1.0, 0.0, samples, method)
+        return McReadout(1.0, 0.0, samples)
 
     sigma = np.asarray(params.cloud.dimensions)
     c3_int = params.c3_over_hbar * 1e-6  # rad/us um^3
-    a_t = excluded_volume_integral(t, params) if method == "lda" else None
 
     children = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_SHARD_SIZE))
     sizes = [min(MC_SHARD_SIZE, samples - i * MC_SHARD_SIZE) for i in range(len(children))]
 
     def shard(child, n):
-        return _mc_shard(child, n, t, n_p, sigma, c3_int, a_t, method)
+        return _mc_shard(child, n, t, n_p, sigma, c3_int)
 
     with ThreadPoolExecutor(min(os.cpu_count() or 1, len(children))) as pool:
         parts = list(pool.map(shard, children, sizes))
@@ -268,18 +250,10 @@ def readout_expectation_mc(
     # from Python 3.12 on, which would change the last bits
     total = 0.0
     total_sq = 0.0
-    for part_sum, part_sq, _ in parts:
+    for part_sum, part_sq in parts:
         total += part_sum
         total_sq += part_sq
-    lda_factor_max = max(part[2] for part in parts)
-    if lda_factor_max > 1.0:
-        warnings.warn(
-            f"LDA factor |1 - p(x) A(t)| reaches {lda_factor_max:.3g}, but a read-out "
-            "averaging unit phases cannot exceed 1; the LDA is invalid here",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     stderr = math.sqrt(var / samples)
-    return McReadout(mean, stderr, samples, method)
+    return McReadout(mean, stderr, samples)

@@ -10,7 +10,8 @@ eta (2 - eta) times the quantum Fisher information of the pure state.
 
 Both Fisher informations are closed forms over the six outcome
 probabilities (no events are post-selected).  The Kraus pipeline (rotated
-state, channel, lossy POVM, finite-difference FI) remains their oracle:
+state, operation, detection-loss channel, number measurement,
+finite-difference FI) remains their oracle:
 :func:`enhancement_curve` checks its peak row against it on every call.
 """
 
@@ -26,12 +27,12 @@ from .fockspace import (
     CountDistribution,
     FockBasis,
     KrausChannel,
-    PovmSet,
     TwoModeFockState,
     apply_channel,
     classical_fi,
-    lossy_number_povm,
+    detection_loss_channel,
     measure,
+    number_povm,
     rabi_rotation,
 )
 
@@ -43,7 +44,6 @@ __all__ = [
     "two_excitation_basis",
     "initial_state",
     "rotated_state",
-    "lossy_povm",
     "error_prevention_channel",
     "optimality_bound",
     "fi_without_prevention",
@@ -121,24 +121,6 @@ def rotated_state(theta: float) -> TwoModeFockState:
     return TwoModeFockState(_BASIS, u @ initial_state().amplitudes)
 
 
-def lossy_povm(eta: float) -> PovmSet:
-    """Six-outcome measurement of counting both modes at efficiency ``eta``.
-
-    On the two-excitation sector the elements reduce to the familiar set
-
-        M_(2,0) = eta^2 |2,0><2,0|            M_(0,2) = eta^2 |0,2><0,2|
-        M_(1,1) = eta^2 |1,1><1,1|            M_(0,0) = (1-eta)^2 * 1
-        M_(1,0) = 2 eta(1-eta) |2,0><2,0| + eta(1-eta) |1,1><1,1|
-        M_(0,1) = 2 eta(1-eta) |0,2><0,2| + eta(1-eta) |1,1><1,1|
-
-    and the vacuum and single-excitation sectors carry the binomial
-    thinning weights of the same physical detector, so one measurement
-    model covers the branches with and without the error-prevention
-    operation and is complete on the full six-dimensional space.
-    """
-    return lossy_number_povm(_BASIS, eta)
-
-
 def error_prevention_channel() -> KrausChannel:
     """Non-unitary operation transferring |1,1> to the vacuum.
 
@@ -163,14 +145,15 @@ def optimality_bound(eta: float) -> float:
 
 def _fi_brute_force(eta, theta, with_prevention):
     """Kraus-pipeline FI at one angle, on populations: the oracle of the closed forms."""
-    povm = lossy_povm(eta)
+    loss = detection_loss_channel(_BASIS, eta)
+    povm = number_povm(_BASIS)
     channel = error_prevention_channel() if with_prevention else None
 
     def family(t: float) -> CountDistribution:
         rho = rotated_state(t).to_density()
         if channel is not None:
             rho = apply_channel(rho, channel)
-        return measure(rho, povm)
+        return measure(apply_channel(rho, loss), povm)
 
     return classical_fi(family, theta)
 

@@ -46,7 +46,6 @@ __all__ = [
     "apply_channel",
     "detection_loss_channel",
     "number_povm",
-    "lossy_number_povm",
     "measure",
     "classical_fi",
     "coherent_state",
@@ -433,25 +432,6 @@ def number_povm(basis: FockBasis) -> PovmSet:
     The element diagonals of |i><i| are the rows of the identity.
     """
     return PovmSet(basis, np.eye(basis.dim), basis.occupations)
-
-
-def lossy_number_povm(basis: FockBasis, eta: float) -> PovmSet:
-    """Photon counting preceded by efficiency-``eta`` loss, as one POVM.
-
-    The element for detected pair (i, j) has the diagonal entry
-    w[n_d, n_d - i] w[n_p, n_p - j] on every occupation (n_d, n_p) with
-    n_d >= i and n_p >= j, and zero elsewhere, where w is the
-    thinning-weight table of :func:`detection_loss_channel`.  This is the
-    Heisenberg picture of that channel followed by :func:`number_povm`.
-    """
-    w = _thinning_weights(basis.n_max, eta)
-    n = np.arange(basis.n_max + 1)
-    lost = n[:, None] - n[None, :]
-    # detected[n, i]: weight of detecting i of n excitations
-    detected = np.where(lost >= 0, w[n[:, None], lost], 0.0)
-    occ = np.array(basis.occupations)
-    els = detected[occ[None, :, 0], occ[:, None, 0]] * detected[occ[None, :, 1], occ[:, None, 1]]
-    return PovmSet(basis, els, basis.occupations)
 
 
 def measure(rho: DensityOperator, povm: PovmSet) -> CountDistribution:

@@ -4,8 +4,9 @@ None of these has a caller in the package, the demos or the benchmark, so
 they live next to the tests: dense density matrices, the dense Kraus
 operators and Kraus sums that the channels' entry tables and the
 population path are checked against, entry tables assembled from
-per-operator triples, random entry tables and diagonal POVMs, the
-finite-difference quantum Fisher information, the matrix-pipeline means of
+per-operator triples, random entry tables and diagonal POVMs, lossy
+counting through the detection-loss channel, the finite-difference
+quantum Fisher information, the matrix-pipeline means of
 the error-prevention toy, shot sampling, the
 field / Rabi-frequency conversions and the quadrature of the excluded-volume
 constant J.
@@ -28,9 +29,12 @@ from rydsense.fockspace import (
     FockBasis,
     KrausChannel,
     TwoModeFockState,
+    apply_channel,
     classical_fi,
+    detection_loss_channel,
     measure,
     mode_operator,
+    number_povm,
 )
 from rydsense.multiparticle import ProtocolParams
 
@@ -173,6 +177,12 @@ def qfi(rho_family, theta: float, *, full_output: bool = False):
     if full_output:
         return value, {"step": FI_STEP, "eigenvalues": evals}
     return value
+
+
+def lossy_counts(rho: DensityOperator, eta: float):
+    """Counts of both modes at efficiency ``eta``: the loss channel, then ``number_povm``."""
+    basis = rho.basis
+    return measure(apply_channel(rho, detection_loss_channel(basis, eta)), number_povm(basis))
 
 
 def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, float]:

@@ -1,12 +1,10 @@
 import math
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import roots_genlaguerre
 from scipy.stats import chi2
 
 from rydsense import dipolar
@@ -35,7 +33,9 @@ def lda_readout_oracle(t_us, n_p, params):
 
     For a gaussian cloud, sampling x from the density makes the quadratic
     form q = sum (x_i / sigma_i)^2 chi-squared with 3 degrees of freedom,
-    so E|1 - p(x) A|^(2 n_p) reduces to a one-dimensional integral.
+    so E|1 - p(x) A|^(2 n_p) reduces to a one-dimensional integral.  In the
+    dilute cloud of ``MC_PARAMS`` the read-out agrees with it within the
+    Monte-Carlo error.
     """
     a = excluded_volume_integral(t_us, params)
     sx, sy, sz = params.cloud.dimensions
@@ -47,21 +47,6 @@ def lda_readout_oracle(t_us, n_p, params):
     value, err = quad(f, 0.0, 80.0, limit=200)
     assert err < 1e-8
     return value
-
-
-def lda_readout_laguerre(t_us, n_p, params):
-    """The local-density readout functional by an 80-node Gauss-Laguerre rule.
-
-    With q = 2u the chi-squared(3) density of q becomes
-    (2 / sqrt(pi)) u^(1/2) e^(-u) du, so the generalized rule with weight
-    u^(1/2) e^(-u) integrates the smooth factor |1 - p0 e^(-u) A|^(2 n_p)
-    with no Monte-Carlo noise.
-    """
-    u, w = roots_genlaguerre(80, 0.5)
-    a = excluded_volume_integral(t_us, params)
-    p0 = 1.0 / ((2 * math.pi) ** 1.5 * math.prod(params.cloud.dimensions))
-    factor = np.abs(1.0 - p0 * np.exp(-u) * a) ** (2 * n_p)
-    return 2.0 / math.sqrt(math.pi) * float(np.sum(w * factor))
 
 
 class TestPairPotential:
@@ -87,6 +72,37 @@ class TestPairPotential:
     def test_zero_separation_rejected(self):
         with pytest.raises(ValueError):
             pair_potential(0.0, 0.1, PARAMS)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("dims", [
+        (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf),
+    ])
+    def test_cloud_geometry(self, dims):
+        with pytest.raises(ValueError, match="finite"):
+            CloudGeometry("box", dims)
+
+    @pytest.mark.parametrize("c3", [math.nan, math.inf, -math.inf])
+    def test_dipolar_params(self, c3):
+        with pytest.raises(ValueError, match="finite"):
+            DipolarParams(c3, BOX_CLOUD)
+
+    @pytest.mark.parametrize("r,vartheta", [
+        (math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_pair_potential(self, r, vartheta):
+        with pytest.raises(ValueError, match="finite"):
+            pair_potential(r, vartheta, PARAMS)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_excluded_volume_integral(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            excluded_volume_integral(t, PARAMS)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_readout_expectation_mc(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            readout_expectation_mc(t, 3, MC_PARAMS, samples=10_000, seed=0)
 
 
 class TestClosedForms:
@@ -204,12 +220,6 @@ class TestMonteCarloReadout:
         assert result.value == 1.0
         assert result.stderr == 0.0
 
-    def test_small_time_single_control_lda(self):
-        t = 0.3
-        r = readout_expectation_mc(t, 1, MC_PARAMS, samples=100_000, seed=3)
-        expected = 1 - 2 * volumetric_rate_q(MC_PARAMS) * 1e-6 * t / MC_CLOUD.effective_volume
-        assert abs(r.value - expected) <= 3 * r.stderr
-
     def test_small_time_single_control_direct(self):
         t = 0.3
         r = readout_expectation_mc(t, 1, MC_PARAMS, samples=60_000, seed=78, method="direct")
@@ -221,20 +231,6 @@ class TestMonteCarloReadout:
         r = readout_expectation_mc(t, n_p, MC_PARAMS, samples=100_000, seed=5)
         oracle = lda_readout_oracle(t, n_p, MC_PARAMS)
         assert abs(r.value - oracle) <= 3 * r.stderr
-
-    @pytest.mark.parametrize("t,n_p,cloud_um,seed", [
-        (0.3, 10, (60.0, 60.0, 3000.0), 5),
-        (1.0, 30, (60.0, 60.0, 3000.0), 6),
-        (0.03, 20, (20.0, 20.0, 20.0), 7),
-    ])
-    def test_lda_matches_gauss_laguerre_reference(self, t, n_p, cloud_um, seed):
-        params = DipolarParams.from_tabulated(
-            TABULATED_C3_GHZ_UM3, CloudGeometry("gaussian", cloud_um)
-        )
-        reference = lda_readout_laguerre(t, n_p, params)
-        assert reference == pytest.approx(lda_readout_oracle(t, n_p, params), abs=1e-12)
-        r = readout_expectation_mc(t, n_p, params, samples=100_000, seed=seed, method="lda")
-        assert abs(r.value - reference) <= 5 * r.stderr
 
     def test_many_controls_exponential_decay(self):
         t, n_p = 0.3, 10
@@ -265,20 +261,6 @@ class TestMonteCarloReadout:
         ratio = r2.stderr / r1.stderr
         assert abs(ratio - 1 / math.sqrt(2)) < 0.2 / math.sqrt(2)
 
-    def test_lda_warns_where_factor_exceeds_one(self):
-        # the exact read-out averages unit phases; this dense cloud drives
-        # the LDA estimate to about 3.5
-        dense = DipolarParams.from_tabulated(
-            TABULATED_C3_GHZ_UM3, CloudGeometry("gaussian", (10.0, 10.0, 20.0))
-        )
-        with pytest.warns(RuntimeWarning, match="cannot exceed 1"):
-            readout_expectation_mc(2.0, 2, dense, seed=1)
-
-    def test_lda_silent_on_dilute_cloud(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            readout_expectation_mc(0.3, 10, MC_PARAMS, samples=10_000, seed=5)
-
     def test_deterministic_under_seed(self):
         a = readout_expectation_mc(0.2, 2, MC_PARAMS, samples=20_000, seed=42)
         b = readout_expectation_mc(0.2, 2, MC_PARAMS, samples=20_000, seed=42)
@@ -301,14 +283,25 @@ class TestMonteCarloReadout:
         with pytest.raises(ValueError, match="method"):
             readout_expectation_mc(t, n_p, MC_PARAMS, samples=10_000, method="bogus")
 
+    def test_local_density_method_rejected(self):
+        with pytest.raises(ValueError, match="method"):
+            readout_expectation_mc(0.3, 10, MC_PARAMS, samples=10_000, seed=5, method="lda")
 
-def per_factor_readout(t, n_p, params, samples, seed, method):
+    def test_default_method_is_direct(self):
+        default = readout_expectation_mc(0.025, 23, MC_PARAMS, samples=20_000, seed=8)
+        direct = readout_expectation_mc(
+            0.025, 23, MC_PARAMS, samples=20_000, seed=8, method="direct"
+        )
+        assert default == direct
+
+
+def per_factor_readout(t, n_p, params, samples, seed):
     """The read-out as one complex exponential per control, multiplied up.
 
     Reference for :func:`readout_expectation_mc`: the same sharded streams
     (``dipolar.MC_SHARD_SIZE`` samples per shard, read at call time), drawn
     with ``rng.normal``, the pair phase through cos(vartheta) = z / r, and
-    the direct estimate as the real part of the product of
+    the estimate as the real part of the product of
     exp(-i phi) over n_p controls and exp(+i phi) over n_p more.
     """
     sigma = np.asarray(params.cloud.dimensions)
@@ -321,8 +314,6 @@ def per_factor_readout(t, n_p, params, samples, seed, method):
         f = (3.0 * cos_t**2 - 1.0) / 2.0
         return t * c3_int * f / (r2 * r)
 
-    a_t = excluded_volume_integral(t, params)
-    norm = (2.0 * math.pi) ** 1.5 * float(np.prod(sigma))
     total = total_sq = 0.0
     remaining = samples
     shard_size = dipolar.MC_SHARD_SIZE
@@ -331,15 +322,11 @@ def per_factor_readout(t, n_p, params, samples, seed, method):
         remaining -= n
         rng = np.random.default_rng(child)
         x = rng.normal(scale=sigma, size=(n, 3))
-        if method == "lda":
-            pdf = np.exp(-0.5 * np.sum((x / sigma) ** 2, axis=-1)) / norm
-            est = np.abs(1.0 - pdf * a_t) ** (2 * n_p)
-        else:
-            w = np.ones(n, dtype=complex)
-            for sign in (-1j,) * n_p + (1j,) * n_p:
-                y = rng.normal(scale=sigma, size=(n, 3))
-                w *= np.exp(sign * pair_phase(x - y))
-            est = w.real
+        w = np.ones(n, dtype=complex)
+        for sign in (-1j,) * n_p + (1j,) * n_p:
+            y = rng.normal(scale=sigma, size=(n, 3))
+            w *= np.exp(sign * pair_phase(x - y))
+        est = w.real
         total += float(np.sum(est))
         total_sq += float(np.sum(est**2))
     mean = total / samples
@@ -374,19 +361,9 @@ class TestPhaseSumReadout:
         monkeypatch.setattr(dipolar, "MC_SHARD_SIZE", 4096)
         params = self.params(cloud)
         r = readout_expectation_mc(t, n_p, params, samples=10_000, seed=seed, method="direct")
-        value, stderr = per_factor_readout(t, n_p, params, 10_000, seed, "direct")
+        value, stderr = per_factor_readout(t, n_p, params, 10_000, seed)
         assert abs(r.value - value) <= 1e-12
         assert abs(r.stderr - stderr) <= 1e-12
-
-    @pytest.mark.parametrize("t,n_p,seed,cloud", CASES)
-    def test_lda_is_bit_identical_to_reference(self, t, n_p, seed, cloud, monkeypatch):
-        monkeypatch.setattr(dipolar, "MC_SHARD_SIZE", 4096)
-        params = self.params(cloud)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            r = readout_expectation_mc(t, n_p, params, samples=10_000, seed=seed, method="lda")
-        assert (r.value, r.stderr) == per_factor_readout(t, n_p, params, 10_000, seed, "lda")
-
 
 class TestShardPool:
     PARAMS = TestPhaseSumReadout.ORACLE_PARAMS
@@ -405,8 +382,7 @@ class TestShardPool:
         monkeypatch.setattr(dipolar, "ThreadPoolExecutor", recording_pool)
         return sizes
 
-    @pytest.mark.parametrize("method", ["direct", "lda"])
-    def test_bit_identical_for_any_worker_count(self, method, monkeypatch):
+    def test_bit_identical_for_any_worker_count(self, monkeypatch):
         # two full shards and a short third one
         samples = 2 * dipolar.MC_SHARD_SIZE + 3616
         results = []
@@ -416,7 +392,7 @@ class TestShardPool:
             for workers in (1, 2, 3):
                 sizes = self.force_workers(monkeypatch, workers)
                 results.append(readout_expectation_mc(
-                    0.025, 23, self.PARAMS, samples=samples, seed=21, method=method
+                    0.025, 23, self.PARAMS, samples=samples, seed=21, method="direct"
                 ))
                 assert sizes == [workers]
         finally:

@@ -14,7 +14,6 @@ from rydsense.error_prevention import (
     fi_with_prevention,
     fi_without_prevention,
     initial_state,
-    lossy_povm,
     optimality_bound,
     rotated_state,
     two_excitation_basis,
@@ -33,67 +32,33 @@ from helpers import (
     dense_kraus_sums,
     dense_operators,
     expectation_oracle,
+    lossy_counts,
     populations,
 )
 
 GRID = np.linspace(0.07, math.pi - 0.07, 50)
 
 
-def two_excitation_sector(basis):
-    return [basis.index_of(2, 0), basis.index_of(1, 1), basis.index_of(0, 2)]
-
-
-def diagonals(povm):
-    """Element diagonals by label: the rows of ``povm.elements``."""
-    return dict(zip(povm.labels, povm.elements))
-
-
-class TestLossyPovm:
-    def test_eta_one_reduces_to_bare_projectors(self):
-        basis = two_excitation_basis()
-        by_label = diagonals(lossy_povm(1.0))
-        sector = two_excitation_sector(basis)
-        for occ in ((2, 0), (1, 1), (0, 2)):
-            expected = np.zeros(basis.dim)
-            expected[basis.index_of(*occ)] = 1.0
-            assert np.allclose(by_label[occ], expected)
-        for occ in ((1, 0), (0, 1)):
-            assert np.max(np.abs(by_label[occ][sector])) == 0.0
-
-    def test_eta_zero_leaves_only_vacuum_outcome(self):
-        basis = two_excitation_basis()
-        sector = two_excitation_sector(basis)
-        for label, m in diagonals(lossy_povm(0.0)).items():
-            if label == (0, 0):
-                assert np.allclose(m[sector], 1.0)
-            else:
-                assert np.max(np.abs(m[sector])) == 0.0
-
-    def test_elements_carry_cited_weights(self):
+class TestLossyDetection:
+    def test_outcomes_carry_cited_weights(self):
+        # the six outcome weights of the two-excitation sector:
+        # eta^2, 2 eta (1 - eta), eta (1 - eta) and (1 - eta)^2
         eta = 0.37
         basis = two_excitation_basis()
-        by_label = diagonals(lossy_povm(eta))
-        i20, i11, i02 = (basis.index_of(*occ) for occ in ((2, 0), (1, 1), (0, 2)))
-
-        assert by_label[(2, 0)][i20] == pytest.approx(eta**2, abs=1e-12)
-        assert by_label[(0, 2)][i02] == pytest.approx(eta**2, abs=1e-12)
-        assert by_label[(1, 1)][i11] == pytest.approx(eta**2, abs=1e-12)
-        assert by_label[(1, 0)][i20] == pytest.approx(2 * eta * (1 - eta), abs=1e-12)
-        assert by_label[(1, 0)][i11] == pytest.approx(eta * (1 - eta), abs=1e-12)
-        assert by_label[(0, 1)][i02] == pytest.approx(2 * eta * (1 - eta), abs=1e-12)
-        assert by_label[(0, 1)][i11] == pytest.approx(eta * (1 - eta), abs=1e-12)
-        for i in (i20, i11, i02):
-            assert by_label[(0, 0)][i] == pytest.approx((1 - eta) ** 2, abs=1e-12)
-
-    def test_completeness_on_full_space(self):
-        basis = two_excitation_basis()
-        elements = lossy_povm(0.37).elements
-        assert elements.shape == (basis.dim, basis.dim)
-        assert np.max(np.abs(elements.sum(axis=0) - 1.0)) < 1e-12
+        kept, one_lost, both_lost = eta**2, eta * (1 - eta), (1 - eta) ** 2
+        expected = {
+            (2, 0): {(2, 0): kept, (1, 0): 2 * one_lost, (0, 0): both_lost},
+            (1, 1): {(1, 1): kept, (1, 0): one_lost, (0, 1): one_lost, (0, 0): both_lost},
+            (0, 2): {(0, 2): kept, (0, 1): 2 * one_lost, (0, 0): both_lost},
+        }
+        for occ, weights in expected.items():
+            dist = lossy_counts(basis.state(*occ).to_density(), eta)
+            for label in basis.occupations:
+                assert dist.get(label) == pytest.approx(weights.get(label, 0.0), abs=1e-12)
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
-            lossy_povm(-0.1)
+            detection_loss_channel(two_excitation_basis(), -0.1)
 
 
 class TestErrorPreventionChannel:
@@ -171,10 +136,9 @@ class TestFiWithoutPrevention:
     def test_matches_manual_measure_pipeline(self):
         # oracle equivalence: assemble the same FI from the raw operations
         eta, theta = 0.41, 1.37
-        povm = lossy_povm(eta)
 
         def family(t):
-            return measure(rotated_state(t).to_density(), povm)
+            return lossy_counts(rotated_state(t).to_density(), eta)
 
         manual = classical_fi(family, theta)
         assert fi_without_prevention(eta, theta) == pytest.approx(manual, abs=1e-6)
@@ -201,11 +165,10 @@ class TestFiWithPrevention:
             assert fi_with_prevention(eta, theta) == pytest.approx(bound, abs=1e-8)
 
     def test_probabilities_sum_to_one_no_postselection(self):
-        povm = lossy_povm(0.23)
         channel = error_prevention_channel()
         for theta in GRID[::7]:
             rho = apply_channel(rotated_state(theta).to_density(), channel)
-            dist = measure(rho, povm)
+            dist = lossy_counts(rho, 0.23)
             assert len(dist.probabilities) == 6
             assert dist.total() == pytest.approx(1.0, abs=1e-10)
 
@@ -278,15 +241,14 @@ class TestConfigTypes:
 
 
 def dense_fi(eta, theta, with_prevention):
-    """Finite-difference FI of the dense pipeline: state, channel, lossy POVM."""
-    povm = lossy_povm(eta)
+    """Finite-difference FI of the Kraus pipeline: state, operation, loss, counting."""
     channel = error_prevention_channel()
 
     def family(t):
         rho = rotated_state(t).to_density()
         if with_prevention:
             rho = apply_channel(rho, channel)
-        return measure(rho, povm)
+        return lossy_counts(rho, eta)
 
     return classical_fi(family, theta)
 
