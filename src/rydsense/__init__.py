@@ -19,7 +19,6 @@ from .fockspace import (
     coherent_state,
     detection_loss_channel,
     measure,
-    mode_operator,
     number_povm,
     rabi_rotation,
 )
@@ -57,7 +56,6 @@ from .estimation import (
     EstimationResult,
     SensitivityReport,
     field_precision,
-    ml_estimate,
     run_estimation,
     sensitivity_from_model,
 )

@@ -28,6 +28,7 @@ from .fockspace import FI_CROSS_CHECK_MAX, classical_fi
 from .multiparticle import (
     BLOCK_ELEMENTS,
     ProtocolParams,
+    _mixture_means,
     _mixture_table,
     count_distribution,
     count_pmf,
@@ -41,7 +42,6 @@ __all__ = [
     "EstimationResult",
     "SensitivityReport",
     "default_theta_grid",
-    "ml_estimate",
     "run_estimation",
     "dipole_moment_si",
     "field_precision",
@@ -136,27 +136,11 @@ def _log_likelihood_table(
     params: ProtocolParams, grid: np.ndarray, n_cut: int
 ) -> np.ndarray:
     """log P(n | theta) for n = 0..n_cut on every grid angle, from the log-domain kernel."""
-    table = _mixture_table(params, grid, n_cut=n_cut, log=True)
+    b, d = _mixture_means(params, grid, "d")
+    table = _mixture_table(b, d, params.gamma_tau, n_cut=n_cut, log=True)
     if not table.min() > -np.inf:
         raise ValueError("likelihood vanished on the angle grid; requires eta > 0")
     return table
-
-
-def ml_estimate(counts, params: ProtocolParams) -> float:
-    """Maximum-likelihood angle for a slice of detected counts.
-
-    Maximizes the summed log-likelihood over :func:`default_theta_grid`
-    (2000 interior points of (0, pi)) and refines the argmax with a local
-    parabola.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ValueError("counts must be a non-empty 1-d array")
-    grid = default_theta_grid()
-    n_cut = int(counts.max())
-    log_table = _log_likelihood_table(params, grid, n_cut)
-    hist = np.bincount(counts, minlength=n_cut + 1).astype(float)
-    return float(_refine_argmax(grid, log_table @ hist)[0])
 
 
 def _histograms(bins: np.ndarray, rows: int, width: int) -> np.ndarray:

@@ -41,7 +41,6 @@ __all__ = [
     "KrausChannel",
     "PovmSet",
     "CountDistribution",
-    "mode_operator",
     "rabi_rotation",
     "apply_channel",
     "detection_loss_channel",
@@ -66,7 +65,6 @@ FI_CROSS_CHECK_MAX = 1e-6
 COHERENT_TAIL_TOL = 1e-8
 
 MODES = ("d", "p")
-OPERATOR_KINDS = ("annihilate", "create", "number")
 
 
 class FockBasis:
@@ -100,10 +98,6 @@ class FockBasis:
                 return index
         raise ValueError(f"occupation ({n_d}, {n_p}) outside basis with n_max={self.n_max}")
 
-    def occupation(self, index: int) -> tuple[int, int]:
-        """Occupation pair (n_d, n_p) of a basis index."""
-        return self.occupations[index]
-
     def state(self, n_d: int, n_p: int) -> "TwoModeFockState":
         """Basis ket |n_d, n_p> as a normalized state."""
         amp = np.zeros(self.dim, dtype=complex)
@@ -134,9 +128,6 @@ class TwoModeFockState:
                 f"amplitude vector has shape {amp.shape}, expected ({self.basis.dim},)"
             )
         object.__setattr__(self, "amplitudes", amp)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def to_density(self) -> "DensityOperator":
         """Number-basis populations |amplitudes|^2 of the state."""
@@ -265,9 +256,6 @@ class PovmSet:
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def __len__(self):
-        return len(self.elements)
-
 
 @dataclass
 class CountDistribution:
@@ -293,10 +281,6 @@ class CountDistribution:
     def total(self) -> float:
         return float(sum(self.probabilities.values()))
 
-    def mean(self) -> float:
-        """Mean outcome for integer-labelled distributions."""
-        return float(sum(n * p for n, p in self.probabilities.items()))
-
     def marginal(self, mode: str = "d") -> "CountDistribution":
         """Collapse (n_d, n_p) labels onto one mode's photon number."""
         axis = MODES.index(mode)
@@ -310,39 +294,6 @@ class CountDistribution:
         labels = set(self.probabilities) | set(other.probabilities)
         return 0.5 * sum(abs(self.get(l) - other.get(l)) for l in labels)
 
-    def sorted_items(self):
-        return sorted(self.probabilities.items())
-
-
-def mode_operator(basis: FockBasis, mode: str, kind: str) -> np.ndarray:
-    """Dense ladder or number operator for one mode.
-
-    ``annihilate`` maps |n, m> to sqrt(n) |n-1, m> (mode ``d``; mode ``p``
-    acts on the second slot).  ``create`` maps |n, m> to sqrt(n+1) |n+1, m>
-    and silently drops the components that would exceed the truncation.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
-    axis = MODES.index(mode)
-    op = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i, occ in enumerate(basis.occupations):
-        n = occ[axis]
-        if kind == "number":
-            op[i, i] = n
-        elif kind == "annihilate":
-            if n > 0:
-                target = list(occ)
-                target[axis] = n - 1
-                op[basis.index_of(*target), i] = math.sqrt(n)
-        else:  # create
-            if sum(occ) < basis.n_max:
-                target = list(occ)
-                target[axis] = n + 1
-                op[basis.index_of(*target), i] = math.sqrt(n + 1)
-    return op
-
 
 def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
     """Unitary of a microwave Rabi rotation by ``theta`` between the modes.
@@ -350,18 +301,21 @@ def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
     Implemented as exp(i (theta/2) G) with G = d^dag p + p^dag d; the sign
     fixes the phase convention in which |2,0> rotates to
     cos^2(theta/2)|2,0> + (i/sqrt(2)) sin(theta)|1,1> - sin^2(theta/2)|0,2>.
-    G is real symmetric, so one ``eigh`` G = V diag(w) V^T gives the
-    exponential as V diag(e^(i theta w / 2)) V^T.  The generator conserves
-    total excitation number, so the matrix stays exactly unitary on the
-    truncated space.
+    G couples |n_d, n_p> and |n_d + 1, n_p - 1> with the entry
+    sqrt(n_d + 1) sqrt(n_p) and is built from those pairs directly.  G is
+    real symmetric, so one ``eigh`` G = V diag(w) V^T gives the exponential
+    as V diag(e^(i theta w / 2)) V^T.  The generator conserves total
+    excitation number, so the matrix stays exactly unitary on the truncated
+    space.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    dd = mode_operator(basis, "d", "create")
-    pp = mode_operator(basis, "p", "create")
-    d_ = mode_operator(basis, "d", "annihilate")
-    p_ = mode_operator(basis, "p", "annihilate")
-    w, v = np.linalg.eigh(dd @ p_ + pp @ d_)
+    occ = np.array(basis.occupations)
+    src = np.flatnonzero(occ[:, 1] > 0)
+    dest = basis._index_table[occ[src, 0] + 1, occ[src, 1] - 1]
+    g = np.zeros((basis.dim, basis.dim), dtype=complex)
+    g[dest, src] = g[src, dest] = np.sqrt(occ[src, 0] + 1) * np.sqrt(occ[src, 1])
+    w, v = np.linalg.eigh(g)
     return (v * np.exp(0.5j * theta * w)) @ v.T
 
 

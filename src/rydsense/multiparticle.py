@@ -15,13 +15,14 @@ be placed after the interaction (experimental situation: B stays intrinsic,
 only D is thinned) or before it (B is thinned too, destroying the
 advantage).
 
-One angle-batched kernel evaluates the mixture in the factored form
-(D^n / n!) sum_k Pois(k; B) e^(-mu_k) e^(-gamma_tau k n): one exp of the k
-weights per block of angles, one matmul with the shared e^(-gamma_tau k n)
-per block of counts.  It returns the pmf, its B and D derivatives for the
-exact Fisher information, or log P for likelihood tables, and raises
-:class:`NumericalError` when a truncation or a full-window row could lose
-probability mass.
+One batched kernel evaluates the mixture for rows of means (B, D) in the
+factored form (D^n / n!) sum_k Pois(k; B) e^(-mu_k) e^(-gamma_tau k n):
+one exp of the k weights per block of rows, one matmul with the shared
+e^(-gamma_tau k n) per block of counts.  It returns the pmf, or log P for
+likelihood tables, and raises :class:`NumericalError` when a truncation or
+a full-window row could lose probability mass.  The exact Fisher
+information takes the B and D derivatives of P from the same kernel, as
+differences of pmfs at shifted means.
 
 The same physics is available as explicit Kraus channels on the truncated
 Fock space, which the analytic formulas are tested against.
@@ -175,24 +176,19 @@ def _tail_bound(mean: float, cut: int) -> float:
     return math.exp(log_head) / (1.0 - mean / (cut + 2))
 
 
-def _mixture_table(
-    params: ProtocolParams,
-    thetas,
-    mode: str = "d",
-    n_cut: int | None = None,
-    derivatives: bool = False,
-    log: bool = False,
-):
-    """P(n | theta) for n = 0..n_cut on every angle, shape (T, n_cut + 1).
+def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool = False):
+    """Mixture pmfs P(n; B, D) for n = 0..n_cut on every row, shape (T, n_cut + 1).
 
-    Angles run in blocks, and in each block k runs to the window of that
-    block's largest B; without ``n_cut``, n runs to the window of the
-    largest D on the whole grid.  :class:`NumericalError` if a block's
-    neglected mass could exceed ``TAIL_MASS_MAX``.  The sum is factored as
+    ``b`` and ``d`` are 1-D arrays of T means: B of the decay-driving mode
+    and D of the detected read-out mode.  Rows run in blocks, and in each
+    block k runs to the window of that block's largest B; without
+    ``n_cut``, n runs to the window of the largest D.
+    :class:`NumericalError` if a block's neglected mass could exceed
+    ``TAIL_MASS_MAX``.  The sum is factored as
 
         P(n) = (D^n / n!) sum_k Pois(k; B) e^(-mu_k) e^(-gamma_tau k n),
 
-    mu_k = D e^(-gamma_tau k).  For a block of angles and a block of counts
+    mu_k = D e^(-gamma_tau k).  For a block of rows and a block of counts
     from n_b on, the weights a_k = log Pois(k; B) - mu_k - gamma_tau k n_b
     are exponentiated once, shifted by their row maximum alpha, and one
     matmul with the shared e^(-gamma_tau k j), j = n - n_b, gives S; then
@@ -203,17 +199,10 @@ def _mixture_table(
     Without ``n_cut`` each row must hold its mass: a shortfall beyond
     ``ROW_MASS_DEFECT_MAX`` raises :class:`NumericalError`.
 
-    Count blocks keep every (angle, k) and (angle, n) temporary within
-    ``BLOCK_ELEMENTS``, and angle blocks within a quarter of it, so that
-    the k windows of a grid follow B.  With ``derivatives`` the matmul
-    takes three weight rows, Pois(k; B), Pois(k - 1; B) - Pois(k; B) and
-    Pois(k; B) e^(-gamma_tau k), each times
-    e^(-mu_k - gamma_tau k n_b - alpha), into S1, S2, S3, and the call
-    returns (P, dP/dB, dP/dD), each (T, n_cut + 1), from the shift forms
-    dP/dB = P S2 / S1 and dP/dD(n) = Q(n - 1) - Q(n), Q = P S3 / S1, which
-    divide by neither B nor D.
+    Count blocks keep every (row, k) and (row, n) temporary within
+    ``BLOCK_ELEMENTS``, and row blocks within a quarter of it, so that the
+    k windows of a grid follow B.
     """
-    b, d = _mixture_means(params, np.atleast_1d(np.asarray(thetas, dtype=float)), mode)
     k_cut = _window(float(b.max(initial=0.0)))
     full_window = n_cut is None
     n_neglected = 0.0
@@ -221,12 +210,11 @@ def _mixture_table(
         d_max = float(d.max(initial=0.0))
         n_cut = _window(d_max)
         n_neglected = _tail_bound(d_max, n_cut)
-    gt = params.gamma_tau
+    gt = gamma_tau
     k = np.arange(k_cut + 1)
     n = np.arange(n_cut + 1)
     log_fact = _log_factorials(max(k.size, n.size))
-    damp = np.exp(-gt * k)
-    neg_damp = -damp
+    neg_damp = -np.exp(-gt * k)
     with np.errstate(divide="ignore"):
         log_b, log_d = np.log(b)[:, None], np.log(d)[:, None]
     # n log D - log n!, with n log D = 0 at n = 0 also where D = 0
@@ -237,14 +225,11 @@ def _mixture_table(
     if gt * k_cut * (width - 1) > _EXP_SPAN:
         width = 1 + int(_EXP_SPAN / (gt * k_cut))
     shared = np.exp(-gt * np.outer(k, np.arange(width)))
-    weights = 3 if derivatives else 1
-    # log Pois and the weights of one angle block share a quarter of the
+    # log Pois and the weights of one row block share a quarter of the
     # budget, so that the blocks' k windows can follow B along the grid
-    rows = max(1, BLOCK_ELEMENTS // (4 * (weights + 1) * max(k.size, width)))
+    rows = max(1, BLOCK_ELEMENTS // (8 * max(k.size, width)))
     table = np.empty((b.size, n.size))
-    if derivatives:
-        ratio_b, ratio_q = np.empty_like(table), np.empty_like(table)
-    buffer = np.empty(min(rows, b.size) * (weights + 1) * k.size)
+    buffer = np.empty(min(rows, b.size) * 2 * k.size)
     for r0 in range(0, b.size, rows):
         rs = slice(r0, r0 + rows)
         b_top = float(b[rs].max())
@@ -263,34 +248,18 @@ def _mixture_table(
         np.multiply(log_b[rs], kb[1:], out=log_pois[:, 1:])
         log_pois -= b[rs, None]
         log_pois -= log_fact[: kb.size]
-        w = buffer[m * kb.size : (weights + 1) * m * kb.size].reshape(m, weights, kb.size)
+        a = buffer[m * kb.size : 2 * m * kb.size].reshape(m, kb.size)
         for n0 in range(0, n.size, width):
             cs = slice(n0, n0 + width)
-            a = w[:, 0]
             np.multiply(d[rs, None], neg_damp[: kb.size], out=a)
             if n0:
                 a -= (gt * n0) * kb
-            if derivatives:
-                # Pois(k - 1; B) times the same factors, 0 at k = 0
-                prev = w[:, 1]
-                np.add(a[:, 1:], log_pois[:, :-1], out=prev[:, 1:])
-                prev[:, 0] = -np.inf
             a += log_pois
             alpha = a.max(axis=1, keepdims=True)
             a -= alpha
             np.exp(a, out=a)
-            if derivatives:
-                prev -= alpha
-                np.exp(prev, out=prev)
-                prev -= a
-                np.multiply(a, damp[: kb.size], out=w[:, 2])
-            s = (w.reshape(-1, kb.size) @ shared[: kb.size, : n[cs].size]).reshape(
-                m, weights, -1
-            )
-            table[rs, cs] = alpha + head[rs, cs] + np.log(s[:, 0])
-            if derivatives:
-                ratio_b[rs, cs] = s[:, 1] / s[:, 0]
-                ratio_q[rs, cs] = s[:, 2] / s[:, 0]
+            s = a @ shared[: kb.size, : n[cs].size]
+            table[rs, cs] = alpha + head[rs, cs] + np.log(s)
     if log and not full_window:
         return table
     p = np.exp(table)
@@ -301,16 +270,17 @@ def _mixture_table(
                 f"Poisson-mixture rows lost mass {defect:.3e} > "
                 f"{ROW_MASS_DEFECT_MAX:.0e} on the full count window"
             )
-    if derivatives:
-        return p, p * ratio_b, -np.diff(p * ratio_q, prepend=0.0, axis=1)
     return table if log else p
 
 
-def count_pmf(
-    params: ProtocolParams, theta: float, mode: str = "d", n_cut: int | None = None
-) -> np.ndarray:
-    """Dense pmf over detected counts 0..n_cut (inclusive) in one mode."""
-    return _mixture_table(params, theta, mode, n_cut)[0]
+def count_pmf(params: ProtocolParams, theta: float, mode: str = "d") -> np.ndarray:
+    """Dense pmf over detected counts 0..n_cut (inclusive) in one mode.
+
+    n_cut is the kernel's window of the read-out mean D, so the neglected
+    tail stays below 1e-12.
+    """
+    b, d = _mixture_means(params, np.atleast_1d(np.asarray(theta, dtype=float)), mode)
+    return _mixture_table(b, d, params.gamma_tau)[0]
 
 
 def count_distribution(
@@ -406,16 +376,21 @@ def interaction_channel_kraus(
 def fisher_information(params: ProtocolParams, theta, mode: str = "d"):
     """Per-shot Fisher information of the detected counts, exact and angle-batched.
 
-    F(theta) = sum_n (dP/dtheta)^2 / P with dP/dtheta = B' dP/dB + D' dP/dD
-    from one kernel pass over all angles.  Outcomes with P = 0 at an angle
-    where B' = D' = 0 (mode p at theta = 0) contribute their limit
+    F(theta) = sum_n (dP/dtheta)^2 / P with dP/dtheta = B' dP/dB + D' dP/dD.
+    With P(n; B, D) the mixture and c = e^(-gamma_tau), the ladder
+    identities
+
+        dP/dB(n) = P(n; B, c D) - P(n; B, D),
+        dP/dD(n) = e^(-B (1 - c)) [P(n - 1; c B, D) - P(n; c B, D)]
+
+    (the second from Pois(k; B) c^k = e^(-B (1 - c)) Pois(k; c B)) divide by
+    neither B nor D, so one kernel call on the stacked rows (B, D),
+    (B, c D) and (c B, D) of all angles gives F; every row keeps the
+    kernel's mass check.  Outcomes with P = 0 exactly (n >= 1 at D = 0) at
+    an angle where B' = D' = 0 (mode p at theta = 0) contribute their limit
     2 d^2P/dtheta^2 = 2 (B'' dP/dB + D'' dP/dD).  A scalar ``theta`` gives a
     float, an array an array of its shape.  With n0 eta = 0 nothing is
     detected and F is exactly 0.
-
-    Rounding sets a floor: the n = 0 term of dP/dB is a telescoping sum that
-    cancels to rounding noise once mu_k is below an ulp, so F is accurate
-    to near machine precision only above about 1e-20 per shot.
     """
     thetas = np.asarray(theta, dtype=float)
     column = thetas.reshape(-1, 1)
@@ -423,14 +398,28 @@ def fisher_information(params: ProtocolParams, theta, mode: str = "d"):
     if params.detected_mean == 0:
         fi = np.zeros(column.shape[0])
     else:
-        p, dp_db, dp_dd = _mixture_table(params, column[:, 0], mode, derivatives=True)
-        d2b, d2d = _mixture_means(params, column, mode, order=2)
+        b, d = _mixture_means(params, column[:, 0], mode)
+        c = math.exp(-params.gamma_tau)
+        # the three rows of an angle sit together, so that each block's k
+        # window follows B along the grid
+        rows = _mixture_table(
+            np.stack((b, b, c * b), axis=1).ravel(),
+            np.stack((d, c * d, d), axis=1).ravel(),
+            params.gamma_tau,
+        )
+        p, p_lower_d, p_lower_b = rows.reshape(b.size, 3, -1).transpose(1, 0, 2)
+        dp_db = p_lower_d - p
+        dp_dd = np.diff(p_lower_b, prepend=0.0, axis=1)
+        dp_dd *= -np.exp(np.expm1(-params.gamma_tau) * b)[:, None]
         live = p > 0.0
         grad = db * dp_db + dd * dp_dd
         fi = np.sum(np.divide(grad**2, p, out=np.zeros_like(p), where=live), axis=1)
-        stationary = (db == 0.0) & (dd == 0.0)
-        limit = 2.0 * (d2b * dp_db + d2d * dp_dd)
-        fi += np.sum(limit, axis=1, where=~live & stationary)
+        # P(n >= 1) = 0 exactly only where D = 0; an outcome that merely
+        # underflows has dP/dtheta = 0 at a stationary angle and adds nothing
+        at = np.flatnonzero((db == 0.0) & (dd == 0.0) & (d[:, None] == 0.0))
+        d2b, d2d = _mixture_means(params, column[at], mode, order=2)
+        limit = 2.0 * (d2b * dp_db[at] + d2d * dp_dd[at])
+        fi[at] += np.sum(limit, axis=1, where=~live[at])
     return float(fi[0]) if thetas.ndim == 0 else fi.reshape(thetas.shape)
 
 

@@ -1,7 +1,8 @@
 """Reference computations that only the tests use.
 
 None of these has a caller in the package, the demos or the benchmark, so
-they live next to the tests: dense density matrices, the dense Kraus
+they live next to the tests: dense ladder and number operators (the
+reference for the Rabi generator), dense density matrices, the dense Kraus
 operators and Kraus sums that the channels' entry tables and the
 population path are checked against, entry tables assembled from
 per-operator triples, random entry tables and diagonal POVMs, lossy
@@ -33,10 +34,11 @@ from rydsense.fockspace import (
     classical_fi,
     detection_loss_channel,
     measure,
-    mode_operator,
     number_povm,
 )
 from rydsense.multiparticle import ProtocolParams
+
+OPERATOR_KINDS = ("annihilate", "create", "number")
 
 # Eigenvalue pairs of qfi whose sum is at most this are left out.
 QFI_EIG_FLOOR = 1e-12
@@ -50,6 +52,36 @@ PANEL_ORDER = 10
 S_MAX = 1200.0
 QUAD_LIMIT = 800
 J_RE_MAX_REL_ERROR = 5e-3
+
+
+def mode_operator(basis: FockBasis, mode: str, kind: str) -> np.ndarray:
+    """Dense ladder or number operator for one mode.
+
+    ``annihilate`` maps |n, m> to sqrt(n) |n-1, m> (mode ``d``; mode ``p``
+    acts on the second slot).  ``create`` maps |n, m> to sqrt(n+1) |n+1, m>
+    and silently drops the components that would exceed the truncation.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if kind not in OPERATOR_KINDS:
+        raise ValueError(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
+    axis = MODES.index(mode)
+    op = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i, occ in enumerate(basis.occupations):
+        n = occ[axis]
+        if kind == "number":
+            op[i, i] = n
+        elif kind == "annihilate":
+            if n > 0:
+                target = list(occ)
+                target[axis] = n - 1
+                op[basis.index_of(*target), i] = math.sqrt(n)
+        else:  # create
+            if sum(occ) < basis.n_max:
+                target = list(occ)
+                target[axis] = n + 1
+                op[basis.index_of(*target), i] = math.sqrt(n + 1)
+    return op
 
 
 def random_density(rng, d):

@@ -230,6 +230,17 @@ class TestFiScan:
         _, rows = read_csv(out)
         assert all(math.isfinite(float(r[3])) and float(r[3]) > 0 for r in rows)
 
+    def test_zero_angle_at_large_detected_mean(self, tmp_path):
+        # n0 eta (1 - e^-gamma_tau) = 787 is beyond the exp range of a double
+        out = tmp_path / "fi.csv"
+        extra = ["--output", str(out), "--set", "n0=2000.0", "--set", "eta=1.0",
+                 "--set", "gamma_taus=[0.5]", "--set", "theta_min=0.0",
+                 "--set", "theta_max=0.2", "--set", "theta_points=3"]
+        assert run_cli("fi-scan", extra=extra) == 0
+        _, rows = read_csv(out)
+        assert float(rows[0][2]) == 0.0
+        assert all(math.isfinite(float(cell)) for row in rows for cell in (row[3], row[4]))
+
     def test_truncation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(multiparticle, "_window", lambda mean: int(mean))
         cfg = write_config(
@@ -443,7 +454,7 @@ class TestBatchedCalls:
         original = getattr(multiparticle, name)
 
         def recording(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(multiparticle, name, recording)
@@ -470,7 +481,8 @@ class TestBatchedCalls:
                  "--set", "eta=0.02", "--set", "gamma_taus=[0.0, 0.028, 0.034]",
                  "--set", 'loss_orders=["after_interaction", "before_interaction"]']
         assert run_cli("fi-scan", extra=extra) == 0
-        assert [c.get("derivatives") for c in calls] == [True] * 6
+        # each call takes the three stacked rows of all 59 angles
+        assert [args[0].size for args in calls] == [3 * 59] * 6
 
     def test_sensitivity_one_derivative_call_and_three_pmfs(self, tmp_path, monkeypatch):
         kernel = self.record(monkeypatch, "_mixture_table")
@@ -480,8 +492,7 @@ class TestBatchedCalls:
             {**TestSensitivity.BASE, "grid_points": 512, "output_path": str(tmp_path / "s.json")},
         )
         assert run_cli("sensitivity", cfg) == 0
-        assert sum(bool(c.get("derivatives")) for c in kernel) == 1
-        assert len(kernel) == 4
+        assert sorted(args[0].size for args in kernel) == [1, 1, 1, 3 * 512]
         assert len(pmfs) == 3
 
 

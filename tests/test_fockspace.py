@@ -20,7 +20,6 @@ from rydsense.fockspace import (
     coherent_state,
     detection_loss_channel,
     measure,
-    mode_operator,
     number_povm,
     rabi_rotation,
 )
@@ -31,6 +30,7 @@ from helpers import (
     dense_kraus_sums,
     entry_table,
     lossy_counts,
+    mode_operator,
     populations,
     povm_fi,
     qfi,
@@ -82,7 +82,7 @@ class TestFockBasis:
         basis = FockBasis(n_max)
         seen = set()
         for i in range(basis.dim):
-            occ = basis.occupation(i)
+            occ = basis.occupations[i]
             assert basis.index_of(*occ) == i
             seen.add(occ)
         assert len(seen) == basis.dim
@@ -183,6 +183,18 @@ class TestRabiRotation:
     def test_nonfinite_theta_rejected(self):
         with pytest.raises(ValueError):
             rabi_rotation(FockBasis(1), math.nan)
+
+    @pytest.mark.parametrize("n_max", range(15))
+    def test_bit_identical_to_dense_generator(self, n_max):
+        # G = d^dag p + p^dag d from the dense ladder operators, through the
+        # same eigh and exponential
+        basis = FockBasis(n_max)
+        create = {m: mode_operator(basis, m, "create") for m in "dp"}
+        lower = {m: mode_operator(basis, m, "annihilate") for m in "dp"}
+        w, v = np.linalg.eigh(create["d"] @ lower["p"] + create["p"] @ lower["d"])
+        for theta in np.linspace(-8.0, 8.0, 21):
+            reference = (v * np.exp(0.5j * theta * w)) @ v.T
+            assert np.array_equal(rabi_rotation(basis, theta), reference)
 
 
 class TestApplyChannel:
@@ -653,7 +665,7 @@ class TestTypedInvariants:
         with pytest.raises(ValueError):
             coherent_state(small, 1.5, 0.5)
         state, tail = coherent_state(FockBasis(14), 1.0, 1.0j, full_output=True)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert tail < 1e-8
 
     def test_marginal_and_tv_distance(self):

@@ -17,7 +17,6 @@ from rydsense.fockspace import (
     apply_channel,
     classical_fi,
     coherent_state,
-    mode_operator,
 )
 from rydsense.multiparticle import (
     LOSS_AFTER,
@@ -37,12 +36,20 @@ from helpers import (
     dense_density,
     dense_kraus_sums,
     dense_operators,
+    mode_operator,
     populations,
     random_density,
     tracemalloc_peak,
 )
 
 EXPERIMENT = ProtocolParams(n0=55.0, eta=0.02, gamma_tau=0.028)
+
+
+def kernel(params, thetas, mode="d", **kwargs):
+    """``_mixture_table`` on the means of ``params`` at ``thetas``."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    b, d = multiparticle._mixture_means(params, thetas, mode)
+    return multiparticle._mixture_table(b, d, params.gamma_tau, **kwargs)
 
 
 def super_rabi_means_approx(params, theta):
@@ -134,14 +141,14 @@ class TestCountDistribution:
         theta = 1.1
         dist = count_distribution(params, theta)
         mean = 1.2 * math.cos(theta / 2) ** 2
-        for n, p in dist.sorted_items():
+        for n, p in dist.probabilities.items():
             assert p == pytest.approx(poisson.pmf(n, mean), abs=1e-12)
 
     def test_zero_angle_poisson_for_both_orders(self):
         for order in (LOSS_AFTER, LOSS_BEFORE):
             params = ProtocolParams(3.0, 0.4, 0.7, loss_order=order)
             dist = count_distribution(params, 0.0)
-            for n, p in dist.sorted_items():
+            for n, p in dist.probabilities.items():
                 assert p == pytest.approx(poisson.pmf(n, 1.2), abs=1e-12)
 
     @pytest.mark.parametrize("theta", [0.3, 1.2, 2.5])
@@ -150,7 +157,8 @@ class TestCountDistribution:
         params = ProtocolParams(8.0, 0.3, 0.2, loss_order=order)
         dist = count_distribution(params, theta)
         assert dist.total() == pytest.approx(1.0, abs=1e-9)
-        assert dist.mean() == pytest.approx(super_rabi_means(params, theta)[0], abs=1e-8)
+        mean = sum(n * p for n, p in dist.probabilities.items())
+        assert mean == pytest.approx(super_rabi_means(params, theta)[0], abs=1e-8)
 
     def test_too_narrow_window_raises_numerical_error(self, monkeypatch):
         monkeypatch.setattr(multiparticle, "_window", lambda mean: int(mean))
@@ -229,7 +237,7 @@ class TestMixtureKernel:
         # same k window as the kernel, so only the log-domain arithmetic is
         # compared; entries far below the linear table's range stay finite
         params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
-        log_p = multiparticle._mixture_table(params, theta, mode, log=True)[0]
+        log_p = kernel(params, theta, mode, log=True)[0]
         expected = reference_log_pmf(params, theta, mode, log_p.size - 1)
         assert np.array_equal(np.isneginf(log_p), np.isneginf(expected))
         finite = np.isfinite(expected)
@@ -238,7 +246,7 @@ class TestMixtureKernel:
     def test_log_table_keeps_entries_the_linear_table_underflows(self):
         params = ProtocolParams(55.0, 1.0, 0.0)
         thetas = [0.1, math.pi - 1e-3]
-        log_p = multiparticle._mixture_table(params, thetas, n_cut=200, log=True)
+        log_p = kernel(params, thetas, n_cut=200, log=True)
         assert np.all(np.isfinite(log_p))
         assert np.exp(log_p[1, 200]) == 0.0
         expected = reference_log_pmf(params, thetas[1], "d", 200)
@@ -254,12 +262,11 @@ class TestMixtureKernel:
             count_pmf(params, 0.05)
 
     def test_row_losing_mass_in_an_angle_grid_raises(self, monkeypatch):
+        # the Fisher information's stacked rows keep the check
         params = ProtocolParams(1000.0, 1.0, 0.5)
         monkeypatch.setattr(multiparticle, "_EXP_SPAN", math.inf)
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
-            NumericalError, match="lost mass"
-        ):
-            multiparticle._mixture_table(params, [0.03, 0.05, 0.04], derivatives=True)
+        with np.errstate(divide="ignore"), pytest.raises(NumericalError, match="lost mass"):
+            fisher_information(params, np.array([0.03, 0.05, 0.04]))
 
     @pytest.mark.parametrize("n0", [40.0, 70.0, 400.0])
     def test_block_windows_match_single_angle_calls(self, monkeypatch, n0):
@@ -273,24 +280,20 @@ class TestMixtureKernel:
             return window(mean)
 
         monkeypatch.setattr(multiparticle, "_window", recording_window)
-        table = multiparticle._mixture_table(params, thetas, derivatives=True)
-        # the k windows of the angle blocks differ from the grid's largest one
+        table = kernel(params, thetas)
+        fis = fisher_information(params, thetas)
+        # the k windows of the row blocks differ from the grid's largest one
         assert len({window(mean) for mean in means}) > 3
-        n_cut = table[0].shape[1] - 1
+        n_cut = table.shape[1] - 1
         b, _ = multiparticle._mixture_means(params, thetas, "d")
         for i, theta in enumerate(thetas):
             # a single angle sums k over its own, narrower window: the terms
             # it leaves out hold at most this mass
             neglected = multiparticle._tail_bound(b[i], window(b[i]))
             np.testing.assert_allclose(
-                table[0][i], count_pmf(params, theta, n_cut=n_cut), rtol=1e-13, atol=neglected
+                table[i], kernel(params, theta, n_cut=n_cut)[0], rtol=1e-13, atol=neglected
             )
-            single = multiparticle._mixture_table(params, theta, n_cut=n_cut, derivatives=True)
-            # derivatives change sign along a row and dP/dD is a difference
-            # of shifted terms, so their rounding is relative to the row's P
-            floor = 1e-13 * table[0][i].max() + 2.0 * neglected
-            for batched, alone in zip(table[1:], single[1:]):
-                np.testing.assert_allclose(batched[i], alone[0], rtol=1e-13, atol=floor)
+            assert fis[i] == pytest.approx(fisher_information(params, theta), rel=1e-12, abs=0)
 
     def test_truncation_checked_per_angle_block(self, monkeypatch):
         params = ProtocolParams(70.0, 0.02, 0.034)
@@ -298,7 +301,7 @@ class TestMixtureKernel:
         monkeypatch.setattr(multiparticle, "TAIL_MASS_MAX", 0.0)
         message = r"^Poisson-mixture truncation at k <= (\d+), n <= (\d+) may neglect mass \S+ > 0e\+00$"
         with pytest.raises(NumericalError, match=message) as info:
-            multiparticle._mixture_table(params, thetas, derivatives=True)
+            kernel(params, thetas)
         # the first block of angles fails, on its own narrower k window
         k_cut = int(re.match(message, str(info.value)).group(1))
         assert k_cut < multiparticle._window(70.0 * math.sin(thetas[-1] / 2) ** 2)
@@ -311,16 +314,16 @@ class TestMixtureKernel:
     def test_rows_match_single_angle_calls(self):
         params = ProtocolParams(30.0, 0.4, 0.1)
         thetas = [0.0, 0.8, 2.0, math.pi]
-        table = multiparticle._mixture_table(params, thetas, n_cut=25)
+        table = kernel(params, thetas, n_cut=25)
         for row, theta in zip(table, thetas):
-            assert np.max(np.abs(row - count_pmf(params, theta, n_cut=25))) <= 1e-14
+            assert np.max(np.abs(row - kernel(params, theta, n_cut=25)[0])) <= 1e-14
 
     def test_large_n0_memory_bounded_by_block_budget(self):
         # one (k, n) slab at n0 = 2000, eta = 1 holds 5.6e6 terms (45 MB) per angle
         params = ProtocolParams(2000.0, 1.0, 0.034)
         tracemalloc.start()
         try:
-            table = multiparticle._mixture_table(params, [0.0, math.pi / 2, math.pi])
+            table = kernel(params, [0.0, math.pi / 2, math.pi])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -506,13 +509,28 @@ class TestFisherInformation:
     @example(n0=47.0, eta=1.0, gamma_tau=0.5, theta=1e-8, mode="d", order=LOSS_AFTER)
     @example(n0=47.0, eta=1.0, gamma_tau=0.5, theta=math.pi - 1e-8, mode="p", order=LOSS_AFTER)
     def test_matches_ladder_identity_reference(self, n0, eta, gamma_tau, theta, mode, order):
-        # the 1e-20 absolute floor sits far above the rounding noise of the
-        # k-sums, about (n0 1e-16)^2, where the FI itself nearly vanishes
         params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
         expected = reference_fi(n0, eta, gamma_tau, theta, mode, order)
-        assert fisher_information(params, theta, mode) == pytest.approx(
-            expected, rel=1e-10, abs=1e-20
-        )
+        assert fisher_information(params, theta, mode) == pytest.approx(expected, rel=1e-10, abs=0)
+
+    def test_tiny_information_keeps_its_digits(self):
+        # 60-digit mpmath: exact mixture sums over k < 2600 and n < 40 (the
+        # neglected mass is 8e-42), F from a central difference in theta
+        # with h = 1e-25, 3.7239614838157787e-27
+        params = ProtocolParams(2000.0, 0.02, 0.034)
+        expected = 3.7239614838158e-27
+        assert fisher_information(params, 2.9) == pytest.approx(expected, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n0,gamma_tau", [(2000.0, 0.5), (30000.0, 0.034), (5000.0, 1.0)])
+    @pytest.mark.parametrize("order", [LOSS_AFTER, LOSS_BEFORE])
+    def test_zero_angle_at_large_detected_mean(self, n0, gamma_tau, order):
+        # B = 0 and D = n0: every P(n) > 0 and dP/dtheta = 0, so F = 0;
+        # n0 eta (1 - e^-gamma_tau) is far above the exp range of a double.
+        # At n0 = 5000, gamma_tau = 1 the counts that underflow P(n; 0, D)
+        # carry mass under P(n; 0, e^-1 D), which is no zero-probability limit
+        params = ProtocolParams(n0, 1.0, gamma_tau, loss_order=order)
+        fi = fisher_information(params, 0.0)
+        assert math.isfinite(fi) and abs(fi) < 1e-12
 
     def test_stationary_zero_probability_limit(self):
         # mode p at theta = 0: D = 0, so P(n >= 1) = 0 and only the
