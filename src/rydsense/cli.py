@@ -270,15 +270,13 @@ def cmd_decay_scan(cfg: dict) -> Path:
     thetas = np.asarray(cfg["thetas"])
     columns = ["theta_rad", "tau_s", "mean_nd", "fitted_rate_per_s", "p_population"]
     rows = []
-    # (tau, theta) means of mode d, one call per tau over every angle
-    means = np.array(
-        [
-            multiparticle.super_rabi_means(
-                ProtocolParams(cfg["n0"], cfg["eta"], cfg["gamma_per_s"] * tau), thetas
-            )[0]
-            for tau in taus
-        ]
-    )
+    # (tau, theta) means of mode d, D exp[-B (1 - e^-gamma tau)] as
+    # super_rabi_means forms them, from one (B, D) over every angle; the
+    # parameters at the longest time check gamma tau for every time
+    params = ProtocolParams(cfg["n0"], cfg["eta"], cfg["gamma_per_s"] * taus[-1])
+    b, d = multiparticle._mixture_means(params, thetas, "d")
+    decay = np.array([1.0 - math.exp(-cfg["gamma_per_s"] * tau) for tau in taus])
+    means = d * np.exp(-b * decay[:, None])
     for theta, theta_means in zip(cfg["thetas"], means.T):
         rate, _ = multiparticle.fit_exponential_decay(taus, theta_means)
         p_pop = cfg["n0"] * math.sin(theta / 2.0) ** 2

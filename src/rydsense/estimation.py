@@ -9,8 +9,11 @@ log-likelihood table comes from the kernel's log domain, so it stays finite
 where P(n | theta) underflows a double.  A bootstrap draw's realization
 histograms come straight from their exact law, by recursive hypergeometric
 splits of the count histogram, when few count values occur; otherwise the
-shots are permuted and histogrammed.  Each distinct histogram of all draws
-is evaluated once.
+shots are permuted and histogrammed.  Each distinct histogram of the
+realizations and of all draws is evaluated once, by an exact but pruned grid
+search: upper bounds of the log-likelihood on intervals of the angle grid
+leave out every interval that cannot hold the grid maximum, and the rest are
+evaluated as the full grid would be, bit for bit.
 The angle variance finally converts into a microwave field precision through
 Delta E = (sqrt(var) / T) (hbar / d) and a sensitivity S = Delta E sqrt(T).
 """
@@ -62,6 +65,16 @@ DEFAULT_BOOTSTRAP = 200
 _SPLIT_SHOTS_PER_VALUE = 11
 # numpy's hypergeometric takes ngood and nbad below 10**9
 _HYPERGEOMETRIC_MAX = 10**9
+# The ML search bounds the log-likelihood on intervals of _INTERVAL grid
+# angles and evaluates it in runs of _RUN angles, in products of at least
+# _MIN_GROUP_ROWS histograms (see _block_estimates).
+_RUN = 8
+_INTERVAL = 5 * _RUN
+_MIN_GROUP_ROWS = 32
+# Values of one block of bounds, or of one evaluated product, in the ML
+# search: half the kernel's block, which keeps the search's peak memory below
+# that of the full-grid search it replaced (BENCH_23.json)
+_SEARCH_ELEMENTS = BLOCK_ELEMENTS // 2
 
 
 @dataclass(frozen=True)
@@ -210,24 +223,133 @@ def _bootstrap_histograms(
     return hists
 
 
+def _distinct_rows(hists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of one row of each distinct row of ``hists``, and each row's distinct index.
+
+    Each row of the non-negative integer matrix is packed into one exact
+    int64 key, column by column in mixed radix (column max + 1).  Before a
+    column would overflow int64, the keys so far are replaced by their dense
+    rank, which keeps equal rows equal and distinct rows distinct.
+    """
+    limit = np.iinfo(np.int64).max
+    keys = np.zeros(hists.shape[0], dtype=np.int64)
+    top = 0
+    for column, radix in zip(hists.T, (hists.max(axis=0) + 1).tolist()):
+        if top > (limit - (radix - 1)) // radix:
+            _, keys = np.unique(keys, return_inverse=True)
+            top = int(keys.max())
+        keys *= radix
+        keys += column
+        top = top * radix + radix - 1
+    _, inverse = np.unique(keys, return_inverse=True)
+    rows = np.empty(inverse.max() + 1, dtype=np.intp)
+    rows[inverse] = np.arange(inverse.size)
+    return rows, inverse
+
+
 def _estimates_for_histograms(hists, grid, log_table):
     """ML estimate for each row of an integer (rows, n_cut + 1) histogram matrix.
 
-    Each distinct histogram is evaluated once, in near-equal matmul blocks
-    of at most ``BLOCK_ELEMENTS`` log-likelihood values, and the estimates
-    are scattered back to every row that holds it.
+    Each distinct histogram is evaluated once, and its estimate is scattered
+    back to every row that holds it.  The search is exact but pruned: the
+    grid is cut into intervals of ``_INTERVAL`` angles, and the rows are
+    taken in blocks of at most ``_SEARCH_ELEMENTS`` bounds, each searched by
+    :func:`_block_estimates`.
     """
-    keys = hists.view(np.dtype((np.void, hists.dtype.itemsize * hists.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = hists[first]
-    blocks = -(-distinct.shape[0] * grid.size // BLOCK_ELEMENTS)
+    rows, inverse = _distinct_rows(hists)
+    distinct = hists[rows]
+    bounds = _interval_bounds(log_table)
+    blocks = -(-distinct.shape[0] * bounds.shape[0] // _SEARCH_ELEMENTS)
     hats = np.concatenate(
         [
-            _refine_argmax(grid, block @ log_table.T)
+            _block_estimates(block, grid, log_table, bounds)
             for block in np.array_split(distinct, max(1, blocks))
         ]
     )
     return hats[inverse]
+
+
+def _interval_bounds(log_table):
+    """(2 J + 1, w) rows of log P(n | theta) for the J intervals of ``_INTERVAL`` angles.
+
+    Each interval's maximum over its angles, then its first angle's value,
+    then the largest |log P(n | theta)| over the grid.
+    """
+    starts = np.arange(0, log_table.shape[0], _INTERVAL)
+    return np.vstack(
+        [
+            np.maximum.reduceat(log_table, starts),
+            log_table[starts],
+            np.abs(log_table).max(axis=0),
+        ]
+    )
+
+
+def _kept_intervals(block, bounds):
+    """(rows, intervals) mask of the intervals where each row's grid maximum can lie.
+
+    A block thinner than ``_MIN_GROUP_ROWS`` keeps every interval.
+    """
+    n_intervals = (bounds.shape[0] - 1) // 2
+    if block.shape[0] < _MIN_GROUP_ROWS:
+        return np.ones((block.shape[0], n_intervals), dtype=bool)
+    values = block @ bounds.T
+    upper, heads = values[:, :n_intervals], values[:, n_intervals:-1]
+    margin = 4 * block.shape[1] * np.finfo(float).eps * values[:, -1]
+    return upper >= (heads.max(axis=1) - margin)[:, None]
+
+
+def _block_estimates(block, grid, log_table, bounds):
+    """Grid ML estimates of the histogram rows of ``block``, refined by a parabola.
+
+    With h >= 0, the log-likelihood h . log P(theta) on interval j is at most
+    U_j = h . max_j log P, and the grid maximum is at least the largest value
+    L* at the intervals' first angles.  Only the intervals with
+    U_j >= L* - margin are evaluated.  A computed dot product of w terms lies
+    within w eps / 2 sum |terms| of the exact one, and here every
+    sum |terms| is at most s = sum_n h_n max |log P(n | .)|; the margin
+    4 w eps s is twice the four such errors that separate a left-out value
+    from the computed maximum.  So every interval left out holds values
+    below the grid maximum, and the argmax, ties to the smaller angle
+    included, is the full grid's.  Rows are sorted by their first kept
+    interval and evaluated in groups, each on the union of its kept
+    intervals widened by one run of ``_RUN`` angles on each side, so that
+    :func:`_refine_argmax` always finds both neighbours of the maximum.
+
+    BLAS rounds a value by the kernel that computes it: OpenBLAS, for one,
+    sends single-row products to its vector kernel and products of a few
+    rows to a small-matrix kernel, and computes the columns past the last
+    multiple of 8 in an edge kernel.  So that each value is bit for bit the
+    full grid's, every product is shaped like the full grid's: columns in
+    runs of ``_RUN`` angles (the 2000-angle grid is 250 runs), and at least
+    ``_MIN_GROUP_ROWS`` rows.  A block with fewer rows keeps every interval.
+    """
+    rows = block.shape[0]
+    keep = _kept_intervals(block, bounds)
+    first = np.argmax(keep, axis=1)
+    order = np.argsort(first, kind="stable")
+    cuts = [0]
+    for cut in np.flatnonzero(np.diff(first[order])) + 1:
+        if cut - cuts[-1] >= _MIN_GROUP_ROWS <= rows - cut:
+            cuts.append(cut)
+    # each group's kept runs, then widened by one run on each side
+    runs = np.repeat(
+        np.logical_or.reduceat(keep[order], cuts, axis=0), _INTERVAL // _RUN, axis=1
+    )
+    runs[:, 1:] |= runs[:, :-1]
+    runs[:, :-1] |= runs[:, 1:]
+    hats = np.empty(rows)
+    for lo, hi, group_runs in zip(cuts, cuts[1:] + [rows], runs):
+        cols = np.flatnonzero(np.repeat(group_runs, _RUN)[: grid.size])
+        table, group_grid = log_table[cols].T, grid[cols]
+        # near-equal parts within the budget, none thinner than the minimum
+        parts = -(-(hi - lo) * cols.size // _SEARCH_ELEMENTS)
+        parts = max(1, min(parts, (hi - lo) // _MIN_GROUP_ROWS))
+        edges = lo + np.arange(parts + 1) * (hi - lo) // parts
+        for a, b in zip(edges[:-1], edges[1:]):
+            part = order[a:b]
+            hats[part] = _refine_argmax(group_grid, block[part] @ table)
+    return hats
 
 
 def _variance(theta_hats: np.ndarray) -> np.ndarray:
@@ -265,9 +387,13 @@ def run_estimation(
     when it is narrow, n >= ``_SPLIT_SHOTS_PER_VALUE`` (w_eff - 1) for the
     w_eff count values that occur (and n_total below numpy's hypergeometric
     limit of 10**9), and by permuting the shots otherwise; both draw from
-    the same law.  The draws' histograms are collected first and each
-    distinct one is evaluated once, with the same results as one likelihood
-    evaluation per draw.  Bit-identical results under a fixed seed;
+    the same law.  The histograms of the realizations and of all draws are
+    collected first and each distinct one is evaluated once, with the same
+    results as one likelihood evaluation per partition.  Each estimate is the argmax of the log-likelihood
+    over the whole grid, found by a search that evaluates only the grid
+    intervals whose upper bound reaches a lower bound of the maximum; it
+    returns the full grid's estimates bit for bit, ties to the smaller
+    angle included.  Bit-identical results under a fixed seed;
     per-stage random streams are spawned from the master seed, so the
     outcome does not depend on evaluation order.  A ``theta_true``
     outside [0, pi], which the estimator's grid cannot reach, raises
@@ -298,17 +424,23 @@ def run_estimation(
     # shot i of a realization-ordered sequence lands in the bins of row i // n
     offsets = np.repeat(np.arange(k) * width, n)
 
-    theta_hats = _estimates_for_histograms(
-        _histograms(counts + offsets, k, width), grid, log_table
-    )
+    # the realizations as drawn, then the bootstrap re-partitions, in one search
+    hats = _estimates_for_histograms(
+        np.concatenate(
+            [
+                _histograms(counts + offsets, k, width),
+                _bootstrap_histograms(
+                    counts, k, width, n_bootstrap, np.random.default_rng(boot_seq)
+                ).reshape(-1, width),
+            ]
+        ),
+        grid,
+        log_table,
+    ).reshape(n_bootstrap + 1, k)
+    theta_hats = hats[0]
     variance = float(_variance(theta_hats))
     fi_per_shot = 1.0 / (n * variance)
-
-    hists = _bootstrap_histograms(
-        counts, k, width, n_bootstrap, np.random.default_rng(boot_seq)
-    )
-    boot_hats = _estimates_for_histograms(hists.reshape(-1, width), grid, log_table)
-    boot_fis = 1.0 / (n * _variance(boot_hats.reshape(n_bootstrap, k)))
+    boot_fis = 1.0 / (n * _variance(hats[1:]))
     fi_error = float(np.std(boot_fis, ddof=1))
 
     return EstimationResult(

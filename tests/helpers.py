@@ -7,10 +7,10 @@ operators and Kraus sums that the channels' entry tables and the
 population path are checked against, entry tables assembled from
 per-operator triples, random entry tables and diagonal POVMs, lossy
 counting through the detection-loss channel, the finite-difference
-quantum Fisher information, the matrix-pipeline means of
-the error-prevention toy, shot sampling, the
-field / Rabi-frequency conversions and the quadrature of the excluded-volume
-constant J.
+quantum Fisher information, the matrix-pipeline means of the
+error-prevention toy, shot sampling, the full-grid ML search that the
+pruned one is checked against, the field / Rabi-frequency conversions and
+the quadrature of the excluded-volume constant J.
 """
 
 import functools
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from rydsense.error_prevention import error_prevention_channel, rotated_state, two_excitation_basis
-from rydsense.estimation import HBAR, _draw_counts
+from rydsense.estimation import HBAR, _draw_counts, _refine_argmax
 from rydsense.fockspace import (
     FI_STEP,
     MODES,
@@ -36,7 +36,7 @@ from rydsense.fockspace import (
     measure,
     number_povm,
 )
-from rydsense.multiparticle import ProtocolParams
+from rydsense.multiparticle import BLOCK_ELEMENTS, ProtocolParams
 
 OPERATOR_KINDS = ("annihilate", "create", "number")
 
@@ -262,6 +262,36 @@ def sample_shots(
         raise ValueError("n_shots must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return ShotBatch(_draw_counts(params, theta, n_shots, rng), theta, params, seed)
+
+
+def void_view_unique_rows(hists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-occurrence indices of the distinct rows of ``hists``, and each row's distinct index.
+
+    Each row is viewed as one opaque byte string and sorted by np.unique.
+    """
+    keys = hists.view(np.dtype((np.void, hists.dtype.itemsize * hists.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def full_grid_estimates(hists: np.ndarray, grid: np.ndarray, log_table: np.ndarray) -> np.ndarray:
+    """ML estimate of each histogram row from its log-likelihood on every grid angle.
+
+    The reference of the pruned search in
+    ``estimation._estimates_for_histograms``: the distinct rows, in
+    near-equal matmul blocks of at most ``BLOCK_ELEMENTS`` log-likelihood
+    values, each refined by ``estimation._refine_argmax``.
+    """
+    first, inverse = void_view_unique_rows(hists)
+    distinct = hists[first]
+    blocks = -(-distinct.shape[0] * grid.size // BLOCK_ELEMENTS)
+    hats = np.concatenate(
+        [
+            _refine_argmax(grid, block @ log_table.T)
+            for block in np.array_split(distinct, max(1, blocks))
+        ]
+    )
+    return hats[inverse]
 
 
 def electric_field_to_rabi(field_v_per_m: float, dipole_moment: float) -> float:

@@ -145,6 +145,28 @@ class TestDecayScan:
         slope = float(np.sum(pops * rates) / np.sum(pops**2))
         assert slope == pytest.approx(gamma, rel=2e-2)
 
+    def test_means_equal_super_rabi_means_at_each_time(self, tmp_path):
+        out = tmp_path / "decay.json"
+        n0, eta, gamma = 55.0, 0.02, 4250.0
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "output_path": str(out),
+                "format": "json",
+                "n0": n0,
+                "eta": eta,
+                "gamma_per_s": gamma,
+                "thetas": [0.0, 0.5, 1.5, 2.5],
+                "tau_max_s": 8e-6,
+            },
+        )
+        assert run_cli("decay-scan", cfg) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 4 * 21
+        for theta, tau, mean, _, _ in rows:
+            params = multiparticle.ProtocolParams(n0, eta, gamma * tau)
+            assert mean == multiparticle.super_rabi_means(params, theta)[0]
+
     def test_theta_at_pi_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -467,13 +489,15 @@ class TestBatchedCalls:
         assert run_cli("super-rabi", extra=extra) == 0
         assert len(calls) == 2
 
-    def test_decay_scan_one_mean_call_per_time(self, tmp_path, monkeypatch):
-        calls = self.record(monkeypatch, "super_rabi_means")
+    def test_decay_scan_one_means_call(self, tmp_path, monkeypatch):
+        # all 21 times and 3 angles from one (B, D) pair
+        means = self.record(monkeypatch, "_mixture_means")
+        super_rabi = self.record(monkeypatch, "super_rabi_means")
         extra = ["--output", str(tmp_path / "d.csv"), "--set", "n0=55.0",
                  "--set", "eta=0.02", "--set", "gamma_per_s=4250.0",
                  "--set", "thetas=[0.5, 1.5, 2.5]", "--set", "tau_max_s=8e-6"]
         assert run_cli("decay-scan", extra=extra) == 0
-        assert len(calls) == 21
+        assert len(means) == 1 and not super_rabi
 
     def test_fi_scan_one_kernel_call_per_curve(self, tmp_path, monkeypatch):
         calls = self.record(monkeypatch, "_mixture_table")

@@ -28,7 +28,14 @@ from rydsense.multiparticle import (
     fisher_information,
 )
 
-from helpers import electric_field_to_rabi, rabi_to_electric_field, sample_shots
+from helpers import (
+    electric_field_to_rabi,
+    full_grid_estimates,
+    rabi_to_electric_field,
+    sample_shots,
+    tracemalloc_peak,
+    void_view_unique_rows,
+)
 
 EXPERIMENT = ProtocolParams(55.0, 0.02, 0.03)
 POISSON_PARAMS = ProtocolParams(55.0, 0.02, 0.0)
@@ -346,6 +353,175 @@ class TestBootstrapEquivalence:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * BLOCK_ELEMENTS * 8
+
+
+def study_histograms(params, thetas, seed, n_bootstrap=20, n_total=10_000, n=100):
+    """(grid, log table, histograms) of run_estimation-like studies at each true angle.
+
+    The rows are each study's k = n_total / n realization histograms and its
+    bootstrap re-partitions, on one log-likelihood table wide enough for all.
+    """
+    rng = np.random.default_rng(seed)
+    k = n_total // n
+    counts = [estimation._draw_counts(params, theta, n_total, rng) for theta in thetas]
+    grid = default_theta_grid()
+    log_table = estimation._log_likelihood_table(params, grid, int(max(c.max() for c in counts)))
+    width = log_table.shape[1]
+    offsets = np.repeat(np.arange(k) * width, n)
+    hists = []
+    for c in counts:
+        hists.append(estimation._histograms(c + offsets, k, width))
+        hists.append(
+            estimation._bootstrap_histograms(c, k, width, n_bootstrap, rng).reshape(-1, width)
+        )
+    return grid, log_table, np.concatenate(hists)
+
+
+def assert_pruned_search_exact(hists, grid, log_table):
+    hats = estimation._estimates_for_histograms(hists, grid, log_table)
+    assert np.array_equal(hats, full_grid_estimates(hists, grid, log_table))
+    return hats
+
+
+def exceeds_int64(hists):
+    """Whether the mixed-radix key of a row needs more than int64, forcing a re-rank."""
+    return math.prod(int(top) + 1 for top in hists.max(axis=0)) > np.iinfo(np.int64).max
+
+
+class TestPrunedSearch:
+    """The bound-pruned grid search returns the full grid's estimates, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "params, thetas",
+        [
+            (EXPERIMENT, [0.7, 1.2, 2.4]),
+            (ProtocolParams(60.0, 0.025, 0.04), [0.5, 1.6, 2.6]),
+            (ProtocolParams(55.0, 0.003, 0.034), [1.2]),  # a nearly flat likelihood
+            (ProtocolParams(400.0, 0.05, 0.0), [1.0]),  # wide histograms
+        ],
+    )
+    def test_matches_full_grid_on_studies(self, params, thetas):
+        grid, log_table, hists = study_histograms(params, thetas, seed=5)
+        assert estimation._distinct_rows(hists)[0].size >= estimation._MIN_GROUP_ROWS
+        assert_pruned_search_exact(hists, grid, log_table)
+
+    def test_argmax_at_both_grid_edges(self):
+        # near theta = 0 the counts are high; near pi every shot counts
+        # zero, and the all-zero histogram peaks at the last angle
+        grid, log_table, hists = study_histograms(
+            ProtocolParams(55.0, 0.02, 0.034), [0.02, 1.2, 3.12], seed=6
+        )
+        hats = assert_pruned_search_exact(hists, grid, log_table)
+        assert np.any(hats == grid[0]) and np.any(hats == grid[-1])
+
+    def test_flat_likelihood_ties_break_to_the_first_angle(self):
+        # the eta -> 0 limit: P(0 | theta) = 1 at every angle, so every
+        # log-likelihood is exactly 0 and every angle ties
+        grid = default_theta_grid()
+        hists = np.arange(1, 41)[:, None]
+        hats = assert_pruned_search_exact(hists, grid, np.zeros((grid.size, 1)))
+        assert np.all(hats == grid[0])
+        # eta = 1e-9 on the kernel: flat to within rounding
+        log_table = estimation._log_likelihood_table(ProtocolParams(55.0, 1e-9, 0.03), grid, 0)
+        assert np.ptp(log_table) < 1e-6
+        assert_pruned_search_exact(hists, grid, log_table)
+
+    def test_exact_ties_across_intervals(self):
+        # log P on a lattice of 1/8 sums exactly, so the maxima are plateaus
+        # of exactly equal values, some across an interval boundary
+        grid, log_table, hists = study_histograms(EXPERIMENT, [0.8, 2.0], seed=7)
+        lattice = np.round(log_table * 8) / 8
+        values = hists @ lattice.T
+        at_max = values == values.max(axis=1, keepdims=True)
+        first = np.argmax(at_max, axis=1)
+        last = grid.size - 1 - np.argmax(at_max[:, ::-1], axis=1)
+        assert np.any(first // estimation._INTERVAL < last // estimation._INTERVAL)
+        assert_pruned_search_exact(hists, grid, lattice)
+
+    def test_maximum_next_to_a_pruned_interval_keeps_both_neighbours(self):
+        # column 0 peaks at the last angle of interval 10 and column 1 at
+        # the first angle of interval 30; the interval beyond each peak
+        # lies far below it and is pruned, yet the parabola needs its angle
+        grid = default_theta_grid()
+        i = np.arange(grid.size)
+        last, first = 11 * estimation._INTERVAL - 1, 30 * estimation._INTERVAL
+        log_table = np.stack(
+            [
+                np.where(i <= last, -1e-4 * (i - last) ** 2, -5.0 - 1e-3 * (i - last)),
+                np.where(i >= first, -1e-4 * (i - first) ** 2, -5.0 - 1e-3 * (first - i)),
+            ],
+            axis=1,
+        )
+        # two groups of 40 rows, which the dedupe orders column 1 first
+        hists = np.zeros((80, 2), dtype=np.int64)
+        hists[:40, 0] = hists[40:, 1] = np.arange(1, 41)
+        kept = estimation._kept_intervals(hists, estimation._interval_bounds(log_table))
+        assert np.count_nonzero(kept) == hists.shape[0]
+        hats = assert_pruned_search_exact(hists, grid, log_table)
+        # both refine off the grid, towards the gentle side of the peak
+        assert np.all((grid[last - 1] < hats[:40]) & (hats[:40] < grid[last]))
+        assert np.all((grid[first] < hats[40:]) & (hats[40:] < grid[first + 1]))
+
+    def test_counts_split_between_two_distant_values(self):
+        # a shots at 0 and 100 - a shots at m, far above the detected mean
+        grid = default_theta_grid()
+        log_table = estimation._log_likelihood_table(ProtocolParams(200.0, 1.0, 0.034), grid, 210)
+        hists = np.zeros((21 * 23, 211), dtype=np.int64)
+        for row, (m, a) in enumerate(itertools.product(range(100, 211, 5), range(0, 101, 5))):
+            hists[row, 0] = a
+            hists[row, m] += 100 - a
+        assert_pruned_search_exact(hists, grid, log_table)
+
+    def test_wide_histograms_force_the_key_re_rank(self):
+        grid, log_table, hists = study_histograms(ProtocolParams(1000.0, 0.5, 0.0), [1.0], seed=8)
+        assert exceeds_int64(hists)
+        assert_pruned_search_exact(hists, grid, log_table)
+
+    def test_bounds_and_evaluation_stay_within_the_block_budget(self):
+        # about 4900 of the 5000 bootstrap rows are distinct: their
+        # (rows, 2 intervals + 1) bounds alone would take 4 MB unblocked
+        grid, log_table, hists = study_histograms(
+            ProtocolParams(65.0, 0.03, 0.04), [0.5], seed=1, n_bootstrap=50
+        )
+        hists = hists[100:]
+        distinct = estimation._distinct_rows(hists)[0].size
+        assert distinct * estimation._interval_bounds(log_table).shape[0] > 3 * BLOCK_ELEMENTS
+        peak = tracemalloc_peak(
+            lambda: estimation._estimates_for_histograms(hists, grid, log_table)
+        )
+        assert peak <= 2 * BLOCK_ELEMENTS * 8
+
+
+def assert_same_grouping(hists):
+    """The packed-key dedupe splits the rows into the void-view np.unique's classes."""
+    rows, inverse = estimation._distinct_rows(hists)
+    ref_first, ref_inverse = void_view_unique_rows(hists)
+    assert rows.size == ref_first.size < hists.shape[0]
+    assert np.array_equal(hists[rows[inverse]], hists)
+    # rows share a distinct index exactly when they share the reference's
+    first_of = np.full(rows.size, hists.shape[0])
+    np.minimum.at(first_of, inverse, np.arange(hists.shape[0]))
+    assert np.array_equal(first_of[inverse], ref_first[ref_inverse])
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("top, re_rank", [(5, False), (1 << 16, True)])
+    def test_groups_rows_like_the_void_view_unique(self, top, re_rank):
+        rng = np.random.default_rng(top)
+        rows = rng.integers(0, top, size=(300, 5))
+        rows[0] = top - 1
+        # twins that differ in the first column only: an 80-bit key that
+        # wrapped around int64 would lose that column
+        twins = rows[1:100].copy()
+        twins[:, 0] = (twins[:, 0] + 1) % top
+        rows = np.concatenate([rows, twins])
+        hists = rows[rng.integers(0, rows.shape[0], size=1000)]
+        assert exceeds_int64(hists) == re_rank
+        assert_same_grouping(hists)
+
+    def test_study_histograms_group_like_the_void_view_unique(self):
+        _, _, hists = study_histograms(EXPERIMENT, [1.2], seed=9)
+        assert_same_grouping(hists)
 
 
 class TestBootstrapDraws:
