@@ -12,7 +12,6 @@ from .fockspace import (
     DensityOperator,
     FockBasis,
     KrausChannel,
-    PovmSet,
     TwoModeFockState,
     apply_channel,
     classical_fi,

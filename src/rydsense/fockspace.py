@@ -2,9 +2,9 @@
 
 The two collective spinwave modes are labelled ``d`` and ``p``.  States are
 plain complex vectors over the occupation basis {|n_d, n_p>, n_d + n_p <=
-n_max}, quantum operations are explicit Kraus lists and measurements are
-tables of POVM element diagonals.  Nothing is approximated, so this
-module serves as the brute-force oracle for the analytic photon statistics
+n_max}, quantum operations are explicit Kraus lists and the measurement
+counts both occupation numbers.  Nothing is approximated, so this module
+serves as the brute-force oracle for the analytic photon statistics
 implemented elsewhere in the package.
 
 Every operation of the protocol maps number states to number states, and
@@ -16,10 +16,12 @@ basis states it has no entry for, and no operator repeats a source or a
 destination.  Each such K maps the diagonal of rho to the diagonal of
 K rho K^dag by moving |c_e|^2 rho[src_e, src_e] onto dest_e, and K^dag K
 is diagonal with the entries |c_e|^2 on src, so no coherence of rho
-reaches a population and no dense operator is formed.  A
-POVM element is diagonal in the number basis and given by its diagonal m,
-so tr(rho M) is m . diag(rho).  These identities are exact, so the results
-are those of the dense density-matrix formulas.
+reaches a population and no dense operator is formed.  The number
+measurement has the projectors |n_d, n_p><n_d, n_p| onto the basis states
+as its elements, so the probability of outcome (n_d, n_p) is the
+population of that state and a measurement labels the populations by
+their occupations.  These identities are exact, so the results are those
+of the dense density-matrix formulas.
 
 All values are immutable after construction and all operations are pure
 functions, so parameter sweeps can be evaluated in parallel without shared
@@ -28,8 +30,8 @@ state.
 
 from __future__ import annotations
 
+import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,6 @@ __all__ = [
     "TwoModeFockState",
     "DensityOperator",
     "KrausChannel",
-    "PovmSet",
     "CountDistribution",
     "rabi_rotation",
     "apply_channel",
@@ -50,10 +51,8 @@ __all__ = [
     "coherent_state",
 ]
 
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-COMPLETENESS_TOL = 1e-10
 # Outcomes of classical_fi below this probability contribute their limit
 # 2 p'' instead of (p')^2 / p.
 PROB_FLOOR = 1e-15
@@ -224,50 +223,15 @@ def _checked_indices(a: np.ndarray, stop: int, message: str) -> np.ndarray:
     return a.astype(np.intp, copy=False)
 
 
-@dataclass(frozen=True)
-class PovmSet:
-    """Number-diagonal positive operator valued measure with labelled outcomes.
-
-    ``elements`` is a real (outcomes, dim) array whose row j is the
-    diagonal of the element with label ``labels[j]``.  On construction the
-    rows must be real within 1e-12 (Hermitian), non-negative within 1e-10
-    (positive semidefinite) and sum to one in every column within 1e-10
-    (complete); otherwise ``ValueError`` is raised.
-    """
-
-    basis: FockBasis
-    elements: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        els = np.asarray(self.elements)
-        d = self.basis.dim
-        if els.ndim != 2 or els.shape[1] != d:
-            raise ValueError(f"POVM elements have shape {els.shape}, expected (outcomes, {d})")
-        if len(els) != len(self.labels):
-            raise ValueError("one label per POVM element required")
-        if np.max(np.abs(els.imag)) > HERMITICITY_TOL:
-            raise ValueError("POVM element is not Hermitian: its diagonal is complex")
-        els = els.real.astype(float)
-        if els.min() < -PSD_TOL:
-            raise ValueError("POVM element is not positive semidefinite within 1e-10")
-        if np.max(np.abs(els.sum(axis=0) - 1.0)) > COMPLETENESS_TOL:
-            raise ValueError("POVM elements do not sum to the identity within 1e-10")
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-
 @dataclass
 class CountDistribution:
     """Probability mass function over measurement outcome labels.
 
     Labels are either detected occupation pairs (n_d, n_p) or plain photon
-    numbers n_d.  ``theta`` optionally records the rotation angle the
-    distribution was evaluated at.
+    numbers n_d.
     """
 
     probabilities: dict
-    theta: float | None = None
 
     def __post_init__(self):
         for label, p in self.probabilities.items():
@@ -288,7 +252,7 @@ class CountDistribution:
         for label, p in self.probabilities.items():
             n = label[axis]
             out[n] = out.get(n, 0.0) + p
-        return CountDistribution(out, theta=self.theta)
+        return CountDistribution(out)
 
     def tv_distance(self, other: "CountDistribution") -> float:
         labels = set(self.probabilities) | set(other.probabilities)
@@ -380,116 +344,63 @@ def detection_loss_channel(basis: FockBasis, eta: float) -> KrausChannel:
     return KrausChannel(basis, (j, dest, i, coeffs), trace_preserving=True)
 
 
-def number_povm(basis: FockBasis) -> PovmSet:
+def number_povm(basis: FockBasis) -> FockBasis:
     """Projective measurement of both occupation numbers.
 
-    The element diagonals of |i><i| are the rows of the identity.
+    Its elements are the projectors |n_d, n_p><n_d, n_p| onto the states of
+    ``basis``, so the basis itself is the measurement.
     """
-    return PovmSet(basis, np.eye(basis.dim), basis.occupations)
+    return basis
 
 
-def measure(rho: DensityOperator, povm: PovmSet) -> CountDistribution:
-    """Outcome distribution p(label) = tr(rho M_label) = m_label . populations."""
-    if povm.basis != rho.basis:
+def measure(rho: DensityOperator, povm: FockBasis) -> CountDistribution:
+    """Outcome distribution p(n_d, n_p) = <n_d, n_p| rho |n_d, n_p> of ``number_povm``.
+
+    Each outcome's probability is the population of its basis state, so
+    the populations are labelled by their occupations.
+    """
+    if povm != rho.basis:
         raise ValueError("POVM and state are defined on different bases")
-    probs = povm.elements @ rho.populations
-    return CountDistribution(dict(zip(povm.labels, probs.tolist())))
+    return CountDistribution(dict(zip(povm.occupations, rho.populations.tolist())))
 
 
-def _family_probabilities(dist_family, thetas):
-    dists = [dist_family(t) for t in thetas]
+def classical_fi(dist_family, theta: float) -> float:
+    """Classical Fisher information of ``dist_family`` at ``theta``.
+
+    ``dist_family`` maps an angle (radians) to a :class:`CountDistribution`;
+    the result is in 1/radian^2 and non-negative.  The derivatives are
+    central finite differences with the step ``FI_STEP`` (1e-5 rad).
+    Outcomes with probability below ``PROB_FLOOR`` (1e-15) leave the sum of
+    (p')^2 / p; their limit 2 p'', from the second difference, is added
+    instead, which makes the result correct at angles where probabilities
+    vanish quadratically.
+    """
+    step = FI_STEP
+    dists = [dist_family(t) for t in (theta, theta + step, theta - step)]
     labels = sorted(set().union(*(d.probabilities.keys() for d in dists)))
     table = np.array([[d.get(l) for l in labels] for d in dists])
     if table.min() < -1e-12:
         raise ValueError("distribution family produced negative probabilities")
-    return labels, np.clip(table, 0.0, None)
-
-
-def _fi_once(dist_family, theta, step):
-    labels, table = _family_probabilities(
-        dist_family, (theta, theta + step, theta - step)
-    )
-    p0, pp, pm = table
+    p0, pp, pm = np.clip(table, 0.0, None)
     dp = (pp - pm) / (2.0 * step)
     live = p0 >= PROB_FLOOR
     # For outcomes whose probability vanishes (generically quadratically in
     # theta), the limiting contribution (p')^2/p equals 2 p'' and is
     # recovered from the second central difference.
     curv = np.clip(pp + pm - 2.0 * p0, 0.0, None) * 2.0 / step**2
-    skipped = [labels[i] for i in np.nonzero(~live)[0]]
-    bound = float(np.sum(curv[~live]))
-    fi = float(np.sum(dp[live] ** 2 / p0[live])) + bound
-    diagnostics = {
-        "step": step,
-        "skipped_labels": skipped,
-        "skipped_bound": bound,
-        "degenerate": bool(skipped),
-    }
-    return fi, diagnostics
+    return float(np.sum(dp[live] ** 2 / p0[live])) + float(np.sum(curv[~live]))
 
 
-def classical_fi(
-    dist_family,
-    theta: float,
-    *,
-    check_step: bool = False,
-    full_output: bool = False,
-):
-    """Classical Fisher information of ``dist_family`` at ``theta``.
-
-    The derivatives are central finite differences with the step
-    ``FI_STEP`` (1e-5 rad).  Outcomes with probability below
-    ``PROB_FLOOR`` (1e-15) leave the sum of (p')^2 / p; their limit 2 p'',
-    from the second difference, is added instead, which makes the result
-    correct at angles where probabilities vanish quadratically.  The
-    diagnostics list them as ``skipped_labels`` with their total
-    contribution ``skipped_bound``.
-
-    Parameters
-    ----------
-    dist_family : callable
-        Maps an angle to a :class:`CountDistribution`.
-    theta : float
-        Evaluation point (radians).
-    check_step : bool
-        Re-evaluate at half the step and warn if the result moves by more
-        than 1e-4 relative (step-robustness check).
-    full_output : bool
-        Also return the diagnostics dict.
-
-    Returns
-    -------
-    float or (float, dict)
-        Fisher information in 1/radian^2 (non-negative).
-    """
-    fi, diag = _fi_once(dist_family, theta, FI_STEP)
-    if check_step:
-        fi_half, _ = _fi_once(dist_family, theta, FI_STEP / 2.0)
-        rel = abs(fi_half - fi) / max(abs(fi_half), 1e-30)
-        diag["step_check_rel_change"] = rel
-        if rel > 1e-4:
-            warnings.warn(
-                f"Fisher information changed by {rel:.2e} when halving the step; "
-                "result may not be converged",
-                stacklevel=2,
-            )
-    return (fi, diag) if full_output else fi
-
-
-def coherent_state(
-    basis: FockBasis,
-    alpha_d: complex,
-    alpha_p: complex,
-    *,
-    full_output: bool = False,
-):
+def coherent_state(basis: FockBasis, alpha_d: complex, alpha_p: complex) -> TwoModeFockState:
     """Truncated two-mode coherent state |alpha_d, alpha_p>.
 
-    The truncated tail mass must stay below ``COHERENT_TAIL_TOL`` (1e-8;
-    the basis is otherwise too small to serve as an oracle) and the
-    retained amplitudes are renormalized.  ``full_output`` also returns
-    the tail mass.
+    Non-finite amplitudes raise ``ValueError``, and so does a truncated
+    tail mass above ``COHERENT_TAIL_TOL`` (1e-8; the basis is otherwise too
+    small to serve as an oracle).  The retained amplitudes are
+    renormalized.
     """
+    if not (cmath.isfinite(alpha_d) and cmath.isfinite(alpha_p)):
+        raise ValueError(f"coherent amplitudes must be finite, got {alpha_d!r}, {alpha_p!r}")
     amp = np.zeros(basis.dim, dtype=complex)
     log_norm = -0.5 * (abs(alpha_d) ** 2 + abs(alpha_p) ** 2)
     for i, (nd, np_) in enumerate(basis.occupations):
@@ -499,12 +410,10 @@ def coherent_state(
         )
     captured = float(np.sum(np.abs(amp) ** 2))
     tail = 1.0 - captured
-    if tail > COHERENT_TAIL_TOL:
+    # negated, so that a NaN tail fails too
+    if not tail <= COHERENT_TAIL_TOL:
         raise ValueError(
             f"basis with n_max={basis.n_max} truncates coherent tail mass "
             f"{tail:.3e} > {COHERENT_TAIL_TOL:.0e}"
         )
-    state = TwoModeFockState(basis, amp / math.sqrt(captured))
-    if full_output:
-        return state, tail
-    return state
+    return TwoModeFockState(basis, amp / math.sqrt(captured))

@@ -293,7 +293,7 @@ def count_distribution(
     if the result is not normalized within 1e-9.
     """
     pmf = count_pmf(params, theta, mode)
-    dist = CountDistribution({int(n): float(p) for n, p in enumerate(pmf)}, theta=theta)
+    dist = CountDistribution({int(n): float(p) for n, p in enumerate(pmf)})
     defect = abs(dist.total() - 1.0)
     if defect > 1e-9:
         raise NumericalError(
@@ -331,10 +331,10 @@ def interaction_channel_kraus(
     operator or coefficient array formed.  The completeness defect is
     checked once, on the returned channel (built as not trace preserving,
     so it is checked not to exceed the identity): above 1e-6 it raises
-    ``ValueError``.
+    ``ValueError``, as does a negative or non-finite ``gamma_tau``.
     """
-    if gamma_tau < 0:
-        raise ValueError("gamma_tau must be non-negative")
+    if not 0.0 <= gamma_tau < math.inf:
+        raise ValueError(f"gamma_tau must be finite and non-negative, got {gamma_tau}")
     gt = float(gamma_tau)
     occ = np.array(basis.occupations)
     n = np.arange(basis.n_max + 1)

@@ -26,6 +26,7 @@ from rydsense.estimation import HBAR, _draw_counts, _refine_argmax
 from rydsense.fockspace import (
     FI_STEP,
     MODES,
+    CountDistribution,
     DensityOperator,
     FockBasis,
     KrausChannel,
@@ -182,19 +183,27 @@ def creation_overflow_norm(basis: FockBasis, mode: str, state: TwoModeFockState)
     return math.sqrt(leaked)
 
 
-def povm_fi(rho_family, povm, theta: float):
-    """Classical FI of measuring ``povm`` on a family of dense density matrices."""
-    return classical_fi(lambda t: measure(populations(povm.basis, rho_family(t)), povm), theta)
+def povm_fi(rho_family, rows, theta: float):
+    """Classical FI of a number-diagonal POVM on a family of dense density matrices.
+
+    ``rows`` is a real (outcomes, dim) array whose row j is the diagonal of
+    element j, so outcome j has probability rows[j] . diag(rho).
+    """
+
+    def family(t):
+        probs = rows @ np.diagonal(rho_family(t)).real
+        return CountDistribution(dict(enumerate(probs.tolist())))
+
+    return classical_fi(family, theta)
 
 
-def qfi(rho_family, theta: float, *, full_output: bool = False):
+def qfi(rho_family, theta: float):
     """Quantum Fisher information of a family of dense density matrices.
 
     Uses the symmetric-logarithmic-derivative eigendecomposition formula
     F_Q = sum_{i,j: l_i + l_j > QFI_EIG_FLOOR} 2 |<i| drho |j>|^2 / (l_i + l_j)
     with drho a central finite difference of step ``FI_STEP``.  A family
     matrix that is not Hermitian within 1e-12 raises ``ValueError``.
-    ``full_output`` also returns the step and the eigenvalues of rho.
     """
     rho0, rp, rm = (rho_family(t) for t in (theta, theta + FI_STEP, theta - FI_STEP))
     for rho in (rho0, rp, rm):
@@ -205,10 +214,7 @@ def qfi(rho_family, theta: float, *, full_output: bool = False):
     m = evecs.conj().T @ drho @ evecs
     pair_sums = evals[:, None] + evals[None, :]
     mask = pair_sums > QFI_EIG_FLOOR
-    value = float(np.sum(2.0 * np.abs(m[mask]) ** 2 / pair_sums[mask]))
-    if full_output:
-        return value, {"step": FI_STEP, "eigenvalues": evals}
-    return value
+    return float(np.sum(2.0 * np.abs(m[mask]) ** 2 / pair_sums[mask]))
 
 
 def lossy_counts(rho: DensityOperator, eta: float):

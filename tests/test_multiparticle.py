@@ -17,6 +17,8 @@ from rydsense.fockspace import (
     apply_channel,
     classical_fi,
     coherent_state,
+    measure,
+    number_povm,
 )
 from rydsense.multiparticle import (
     LOSS_AFTER,
@@ -391,6 +393,12 @@ class TestInteractionChannel:
         with pytest.raises(ValueError):
             interaction_channel_kraus(FockBasis(2), -0.1)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_non_finite_decay_rejected(self, value, symmetric):
+        with pytest.raises(ValueError, match="gamma_tau must be finite"):
+            interaction_channel_kraus(FockBasis(2), value, symmetric=symmetric)
+
     @pytest.mark.parametrize("n_max", [2, 9, 14])
     @pytest.mark.parametrize("gamma_tau", [0.0, 0.7, 25.0])
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -434,11 +442,12 @@ class TestOracleEquivalence:
     def test_count_pmf_matches_population_oracle_at_experimental_point(self, gamma_tau):
         # n0 = 55, eta = 0.02 on FockBasis(110), whose coherent tail is about
         # 2e-11; the asymmetric channel damps d given p, which is all that
-        # the d counts see.  The population path keeps the peak far below
-        # the 309 MB of one dim^2 float array at this size.
+        # the d counts see.  The population path and the number measurement
+        # keep the peak far below the 309 MB of one dim^2 float array at
+        # this size.
         n0, eta = 55.0, 0.02
         basis = FockBasis(110)
-        occ_d = np.array(basis.occupations)[:, 0]
+        povm = number_povm(basis)
         n = np.arange(basis.n_max + 1)
         worst = []
 
@@ -450,8 +459,9 @@ class TestOracleEquivalence:
                     state = coherent_state(
                         basis, scale * math.cos(theta / 2), 1j * scale * math.sin(theta / 2)
                     )
-                    pops = apply_channel(state.to_density(), channel).populations
-                    oracle = np.bincount(occ_d, weights=pops, minlength=n.size)
+                    counts = measure(apply_channel(state.to_density(), channel), povm)
+                    marginal = counts.marginal("d")
+                    oracle = np.array([marginal.get(k) for k in n.tolist()])
                     if order == LOSS_AFTER:
                         oracle = binom.pmf(n[:, None], n[None, :], eta) @ oracle
                     params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
