@@ -238,8 +238,6 @@ def cmd_toy_fi(cfg: dict) -> Path:
     ]
     rows = []
     for eta in cfg["etas"]:
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError(f"eta must lie in (0, 1], got {eta}")
         curves = error_prevention.enhancement_curve(
             error_prevention.ToyConfig(eta, tuple(thetas))
         )
@@ -274,7 +272,7 @@ def cmd_decay_scan(cfg: dict) -> Path:
     # super_rabi_means forms them, from one (B, D) over every angle; the
     # parameters at the longest time check gamma tau for every time
     params = ProtocolParams(cfg["n0"], cfg["eta"], cfg["gamma_per_s"] * taus[-1])
-    b, d = multiparticle._mixture_means(params, thetas, "d")
+    b, d = multiparticle._mixture_means(params, thetas)
     decay = np.array([1.0 - math.exp(-cfg["gamma_per_s"] * tau) for tau in taus])
     means = d * np.exp(-b * decay[:, None])
     for theta, theta_means in zip(cfg["thetas"], means.T):

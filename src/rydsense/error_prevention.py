@@ -41,8 +41,6 @@ __all__ = [
     "ToyFiCurve",
     "ExpectationCurves",
     "PURE_STATE_QFI",
-    "two_excitation_basis",
-    "initial_state",
     "rotated_state",
     "error_prevention_channel",
     "optimality_bound",
@@ -55,24 +53,19 @@ __all__ = [
 # QFI of the rotated two-excitation pure state, independent of theta.
 PURE_STATE_QFI = 2.0
 
+# the six-dimensional basis with at most two total excitations
 _BASIS = FockBasis(2)
-
-
-def two_excitation_basis() -> FockBasis:
-    """The six-dimensional basis with at most two total excitations."""
-    return _BASIS
 
 
 @dataclass(frozen=True)
 class ToyConfig:
-    """Detection efficiency and angle grid for protocol curves."""
+    """Detection efficiency eta in (0, 1] and angle grid for protocol curves."""
 
     eta: float
     theta_grid: tuple
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        _check_eta(self.eta)
         grid = tuple(float(t) for t in self.theta_grid)
         if len(grid) == 0:
             raise ValueError("theta_grid must not be empty")
@@ -110,22 +103,17 @@ class ExpectationCurves:
     np_without: np.ndarray
 
 
-def initial_state() -> TwoModeFockState:
-    """Both excitations in mode d: |2,0> on :func:`two_excitation_basis`."""
-    return _BASIS.state(2, 0)
-
-
 def rotated_state(theta: float) -> TwoModeFockState:
-    """Rabi-rotated initial state carrying the angle in its amplitudes."""
+    """|2,0> Rabi-rotated by ``theta``, carrying the angle in its amplitudes."""
     u = rabi_rotation(_BASIS, theta)
-    return TwoModeFockState(_BASIS, u @ initial_state().amplitudes)
+    return TwoModeFockState(_BASIS, u @ _BASIS.state(2, 0).amplitudes)
 
 
 def error_prevention_channel() -> KrausChannel:
     """Non-unitary operation transferring |1,1> to the vacuum.
 
-    Kraus pair K0 = |0,0><1,1| and K1 = 1 - |1,1><1,1| on
-    :func:`two_excitation_basis`, as the (op, dest, src, coeffs) entries of
+    Kraus pair K0 = |0,0><1,1| and K1 = 1 - |1,1><1,1| on ``FockBasis(2)``,
+    as the (op, dest, src, coeffs) entries of
     :class:`~rydsense.fockspace.KrausChannel`: K0 maps |1,1> to |0,0> and
     K1 keeps every other basis state.  Trace preserving and idempotent as
     a channel.

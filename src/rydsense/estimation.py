@@ -121,7 +121,7 @@ def _draw_counts(
     params: ProtocolParams, theta: float, n_shots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Inverse-CDF draws of ``n_shots`` detected mode-d counts."""
-    pmf = count_pmf(params, theta, "d")
+    pmf = count_pmf(params, theta)
     return np.searchsorted(np.cumsum(pmf), rng.random(n_shots)).clip(max=pmf.size - 1)
 
 
@@ -149,7 +149,7 @@ def _log_likelihood_table(
     params: ProtocolParams, grid: np.ndarray, n_cut: int
 ) -> np.ndarray:
     """log P(n | theta) for n = 0..n_cut on every grid angle, from the log-domain kernel."""
-    b, d = _mixture_means(params, grid, "d")
+    b, d = _mixture_means(params, grid)
     table = _mixture_table(b, d, params.gamma_tau, n_cut=n_cut, log=True)
     if not table.min() > -np.inf:
         raise ValueError("likelihood vanished on the angle grid; requires eta > 0")

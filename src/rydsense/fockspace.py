@@ -235,8 +235,9 @@ class CountDistribution:
 
     def __post_init__(self):
         for label, p in self.probabilities.items():
-            if p < -1e-12:
-                raise ValueError(f"negative probability {p} for outcome {label!r}")
+            # negated, so that a NaN probability fails too
+            if not p >= -1e-12:
+                raise ValueError(f"negative or NaN probability {p} for outcome {label!r}")
         self.probabilities = {k: max(float(v), 0.0) for k, v in self.probabilities.items()}
 
     def get(self, label, default=0.0) -> float:
@@ -401,6 +402,14 @@ def coherent_state(basis: FockBasis, alpha_d: complex, alpha_p: complex) -> TwoM
     """
     if not (cmath.isfinite(alpha_d) and cmath.isfinite(alpha_p)):
         raise ValueError(f"coherent amplitudes must be finite, got {alpha_d!r}, {alpha_p!r}")
+    # the total excitation number is Poisson(m), m = |alpha_d|^2 + |alpha_p|^2,
+    # with a median of at least m - ln 2: from m = n_max + 2 on, half of its
+    # mass lies beyond the basis (and |alpha|^2 may overflow a float)
+    if math.hypot(abs(alpha_d), abs(alpha_p)) >= math.sqrt(basis.n_max + 2):
+        raise ValueError(
+            f"basis with n_max={basis.n_max} truncates coherent tail mass "
+            f">= 0.5 > {COHERENT_TAIL_TOL:.0e}"
+        )
     amp = np.zeros(basis.dim, dtype=complex)
     log_norm = -0.5 * (abs(alpha_d) ** 2 + abs(alpha_p) ** 2)
     for i, (nd, np_) in enumerate(basis.occupations):

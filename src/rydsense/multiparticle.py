@@ -24,6 +24,10 @@ a full-window row could lose probability mass.  The exact Fisher
 information takes the B and D derivatives of P from the same kernel, as
 differences of pmfs at shifted means.
 
+The read-out is mode d.  Mode p at theta is mode d at pi - theta, where
+cos^2((pi - theta)/2) = sin^2(theta/2) swaps the two populations;
+:func:`super_rabi_means` still reports both modes' means.
+
 The same physics is available as explicit Kraus channels on the truncated
 Fock space, which the analytic formulas are tested against.
 """
@@ -100,28 +104,27 @@ class ProtocolParams:
         return self.n0 * self.eta
 
 
-def _mixture_means(params: ProtocolParams, theta, mode: str, order: int = 0):
-    """(B, D) at scalar or array ``theta``: decay-driving and detected read-out means.
+def _populations(theta):
+    """Rabi populations cos^2(theta/2) of mode d and sin^2(theta/2) of mode p."""
+    # both directly: 1 - cos^2(theta/2) keeps no digits near 0
+    return np.cos(theta / 2.0) ** 2, np.sin(theta / 2.0) ** 2
 
-    ``order`` 1 or 2 gives their first or second theta-derivative instead.
+
+def _means(params: ProtocolParams, pop_read, pop_ctrl):
+    """(B, D) from the populations of the read-out and the decay-driving mode."""
+    scale = params.n0 if params.loss_order == LOSS_AFTER else params.eta * params.n0
+    return scale * pop_ctrl, params.eta * params.n0 * pop_read
+
+
+def _mixture_means(params: ProtocolParams, theta, order: int = 0):
+    """(B, D) of the mode-d read-out at scalar or array ``theta``.
+
+    ``order=1`` gives their theta-derivatives instead.
     """
-    if mode not in ("d", "p"):
-        raise ValueError(f"mode must be 'd' or 'p', got {mode!r}")
     if order == 0:
-        # both populations directly: 1 - cos^2(theta/2) keeps no digits near 0
-        cos2, sin2 = np.cos(theta / 2.0) ** 2, np.sin(theta / 2.0) ** 2
-        pop_read, pop_ctrl = (cos2, sin2) if mode == "d" else (sin2, cos2)
-    else:
-        # cos^2(theta/2) = (1 + cos theta) / 2 and sin^2(theta/2) = (1 - cos theta) / 2
-        slope = 0.5 * (np.sin(theta) if order == 1 else np.cos(theta))
-        pop_read = -slope if mode == "d" else slope
-        pop_ctrl = -pop_read
-    d = params.eta * params.n0 * pop_read
-    if params.loss_order == LOSS_AFTER:
-        b = params.n0 * pop_ctrl
-    else:
-        b = params.eta * params.n0 * pop_ctrl
-    return b, d
+        return _means(params, *_populations(theta))
+    slope = 0.5 * np.sin(theta)  # cos^2(theta/2) = (1 + cos theta) / 2
+    return _means(params, -slope, slope)
 
 
 def super_rabi_means(params: ProtocolParams, theta):
@@ -130,15 +133,16 @@ def super_rabi_means(params: ProtocolParams, theta):
     Exact mean of the Poisson mixture: D exp[-B (1 - exp(-gamma_tau))]
     for each mode, which for losses after the interaction reads
     eta n0 cos^2(theta/2) exp[-n0 (1 - e^-gamma_tau) sin^2(theta/2)] in
-    mode d and its mirror image in mode p.  Reduces to the plain Rabi
-    populations at gamma_tau = 0.  A scalar ``theta`` gives two floats, an
-    array two arrays of its shape; every element equals the scalar call.
+    mode d and its mirror image in mode p, whose means swap the two
+    populations.  Reduces to the plain Rabi populations at gamma_tau = 0.
+    A scalar ``theta`` gives two floats, an array two arrays of its shape;
+    every element equals the scalar call.
     """
     thetas = np.asarray(theta, dtype=float)
     decay = 1.0 - math.exp(-params.gamma_tau)
+    cos2, sin2 = _populations(thetas)
     means = []
-    for mode in ("d", "p"):
-        b, d = _mixture_means(params, thetas, mode)
+    for b, d in (_means(params, cos2, sin2), _means(params, sin2, cos2)):
         means.append(d * np.exp(-b * decay))
     if thetas.ndim == 0:
         return float(means[0]), float(means[1])
@@ -273,26 +277,24 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
     return table if log else p
 
 
-def count_pmf(params: ProtocolParams, theta: float, mode: str = "d") -> np.ndarray:
-    """Dense pmf over detected counts 0..n_cut (inclusive) in one mode.
+def count_pmf(params: ProtocolParams, theta: float) -> np.ndarray:
+    """Dense pmf over detected counts 0..n_cut (inclusive) in mode d.
 
     n_cut is the kernel's window of the read-out mean D, so the neglected
     tail stays below 1e-12.
     """
-    b, d = _mixture_means(params, np.atleast_1d(np.asarray(theta, dtype=float)), mode)
+    b, d = _mixture_means(params, np.atleast_1d(np.asarray(theta, dtype=float)))
     return _mixture_table(b, d, params.gamma_tau)[0]
 
 
-def count_distribution(
-    params: ProtocolParams, theta: float, mode: str = "d"
-) -> CountDistribution:
-    """Distribution of the detected photon number in ``mode`` at ``theta``.
+def count_distribution(params: ProtocolParams, theta: float) -> CountDistribution:
+    """Distribution of the detected photon number in mode d at ``theta``.
 
     Truncated so that the neglected Poisson tails stay below 1e-12 in both
     the count and the decay-driving sums; raises :class:`NumericalError`
     if the result is not normalized within 1e-9.
     """
-    pmf = count_pmf(params, theta, mode)
+    pmf = count_pmf(params, theta)
     dist = CountDistribution({int(n): float(p) for n, p in enumerate(pmf)})
     defect = abs(dist.total() - 1.0)
     if defect > 1e-9:
@@ -373,7 +375,7 @@ def interaction_channel_kraus(
     return channel
 
 
-def fisher_information(params: ProtocolParams, theta, mode: str = "d"):
+def fisher_information(params: ProtocolParams, theta):
     """Per-shot Fisher information of the detected counts, exact and angle-batched.
 
     F(theta) = sum_n (dP/dtheta)^2 / P with dP/dtheta = B' dP/dB + D' dP/dD.
@@ -386,19 +388,17 @@ def fisher_information(params: ProtocolParams, theta, mode: str = "d"):
     (the second from Pois(k; B) c^k = e^(-B (1 - c)) Pois(k; c B)) divide by
     neither B nor D, so one kernel call on the stacked rows (B, D),
     (B, c D) and (c B, D) of all angles gives F; every row keeps the
-    kernel's mass check.  Outcomes with P = 0 exactly (n >= 1 at D = 0) at
-    an angle where B' = D' = 0 (mode p at theta = 0) contribute their limit
-    2 d^2P/dtheta^2 = 2 (B'' dP/dB + D'' dP/dD).  A scalar ``theta`` gives a
-    float, an array an array of its shape.  With n0 eta = 0 nothing is
-    detected and F is exactly 0.
+    kernel's mass check.  Outcomes whose P underflows to 0 add nothing.  A
+    scalar ``theta`` gives a float, an array an array of its shape.  With
+    n0 eta = 0 nothing is detected and F is exactly 0.
     """
     thetas = np.asarray(theta, dtype=float)
     column = thetas.reshape(-1, 1)
-    db, dd = _mixture_means(params, column, mode, order=1)  # also checks mode
     if params.detected_mean == 0:
         fi = np.zeros(column.shape[0])
     else:
-        b, d = _mixture_means(params, column[:, 0], mode)
+        db, dd = _mixture_means(params, column, order=1)
+        b, d = _mixture_means(params, column[:, 0])
         c = math.exp(-params.gamma_tau)
         # the three rows of an angle sit together, so that each block's k
         # window follows B along the grid
@@ -411,23 +411,16 @@ def fisher_information(params: ProtocolParams, theta, mode: str = "d"):
         dp_db = p_lower_d - p
         dp_dd = np.diff(p_lower_b, prepend=0.0, axis=1)
         dp_dd *= -np.exp(np.expm1(-params.gamma_tau) * b)[:, None]
-        live = p > 0.0
         grad = db * dp_db + dd * dp_dd
-        fi = np.sum(np.divide(grad**2, p, out=np.zeros_like(p), where=live), axis=1)
-        # P(n >= 1) = 0 exactly only where D = 0; an outcome that merely
-        # underflows has dP/dtheta = 0 at a stationary angle and adds nothing
-        at = np.flatnonzero((db == 0.0) & (dd == 0.0) & (d[:, None] == 0.0))
-        d2b, d2d = _mixture_means(params, column[at], mode, order=2)
-        limit = 2.0 * (d2b * dp_db[at] + d2d * dp_dd[at])
-        fi[at] += np.sum(limit, axis=1, where=~live[at])
+        fi = np.sum(np.divide(grad**2, p, out=np.zeros_like(p), where=p > 0.0), axis=1)
     return float(fi[0]) if thetas.ndim == 0 else fi.reshape(thetas.shape)
 
 
-def normalized_fi(params: ProtocolParams, theta, mode: str = "d"):
+def normalized_fi(params: ProtocolParams, theta):
     """Fisher information per mean detected photon, F / (n0 eta)."""
     if params.detected_mean <= 0:
         raise ValueError("normalized FI undefined for zero mean photon number")
-    return fisher_information(params, theta, mode) / params.detected_mean
+    return fisher_information(params, theta) / params.detected_mean
 
 
 def fit_exponential_decay(times, values) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from rydsense.error_prevention import error_prevention_channel, rotated_state, two_excitation_basis
+from rydsense.error_prevention import error_prevention_channel, rotated_state
 from rydsense.estimation import HBAR, _draw_counts, _refine_argmax
 from rydsense.fockspace import (
     FI_STEP,
@@ -230,7 +230,7 @@ def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, f
     matrix of the rotated state, applies the dense error-prevention Kraus
     sum, and takes eta-scaled number-operator expectations tr(rho N).
     """
-    basis = two_excitation_basis()
+    basis = FockBasis(2)
     nd_op = mode_operator(basis, "d", "number")
     np_op = mode_operator(basis, "p", "number")
     rho_bare = dense_density(rotated_state(theta))

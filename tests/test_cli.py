@@ -82,6 +82,13 @@ class TestToyFi:
         assert float(rows[0][2]) == pytest.approx(2.0, abs=1e-7)
         assert float(rows[0][3]) == pytest.approx(2.0, abs=1e-7)
 
+    def test_zero_eta_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "toy.csv"
+        cfg = write_config(tmp_path / "c.json", {"output_path": str(out), "etas": [0.3, 0.0]})
+        assert run_cli("toy-fi", cfg) == 2
+        assert "eta must lie in (0, 1], got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_finite_difference_disagreement_exit_code(self, tmp_path, capsys, monkeypatch):
         def shifted(family, theta, **kwargs):
             return classical_fi(family, theta, **kwargs) * (1.0 + 2e-6)

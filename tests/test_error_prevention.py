@@ -13,13 +13,12 @@ from rydsense.error_prevention import (
     expectation_curves,
     fi_with_prevention,
     fi_without_prevention,
-    initial_state,
     optimality_bound,
     rotated_state,
-    two_excitation_basis,
 )
 from rydsense.errors import NumericalError
 from rydsense.fockspace import (
+    FockBasis,
     apply_channel,
     classical_fi,
     detection_loss_channel,
@@ -44,7 +43,7 @@ class TestLossyDetection:
         # the six outcome weights of the two-excitation sector:
         # eta^2, 2 eta (1 - eta), eta (1 - eta) and (1 - eta)^2
         eta = 0.37
-        basis = two_excitation_basis()
+        basis = FockBasis(2)
         kept, one_lost, both_lost = eta**2, eta * (1 - eta), (1 - eta) ** 2
         expected = {
             (2, 0): {(2, 0): kept, (1, 0): 2 * one_lost, (0, 0): both_lost},
@@ -58,13 +57,13 @@ class TestLossyDetection:
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
-            detection_loss_channel(two_excitation_basis(), -0.1)
+            detection_loss_channel(FockBasis(2), -0.1)
 
 
 class TestErrorPreventionChannel:
     def test_mixed_state_vacuum_weight(self):
         # the transferred |1,1> component carries weight sin^2(theta)/2
-        basis = two_excitation_basis()
+        basis = FockBasis(2)
         channel = error_prevention_channel()
         for theta in (math.pi / 2, 0.9):
             rho = apply_channel(rotated_state(theta).to_density(), channel)
@@ -74,7 +73,7 @@ class TestErrorPreventionChannel:
             )
 
     def test_preserves_zero_two(self):
-        basis = two_excitation_basis()
+        basis = FockBasis(2)
         channel = error_prevention_channel()
         rho = dense_density(basis.state(0, 2))
         assert np.allclose(dense_kraus_sums(channel, rho)[0], rho)
@@ -82,7 +81,7 @@ class TestErrorPreventionChannel:
         assert np.allclose(apply_channel(rho, channel).populations, rho.populations)
 
     def test_idempotent_as_channel(self, rng):
-        basis = two_excitation_basis()
+        basis = FockBasis(2)
         channel = error_prevention_channel()
         for _ in range(5):
             mat = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(
@@ -103,7 +102,7 @@ class TestErrorPreventionChannel:
 
     def test_operators_are_the_cited_pair(self):
         # K0 = |0,0><1,1| and K1 = 1 - |1,1><1,1|, exactly
-        basis = two_excitation_basis()
+        basis = FockBasis(2)
         i00, i11 = basis.index_of(0, 0), basis.index_of(1, 1)
         k0 = np.zeros((basis.dim, basis.dim))
         k0[i00, i11] = 1.0
@@ -174,7 +173,7 @@ class TestFiWithPrevention:
 
     def test_wrong_channel_order_gives_no_advantage(self):
         # loss first, then the operation: never beats 2 eta at the peak angle
-        basis = two_excitation_basis()
+        basis = FockBasis(2)
         channel = error_prevention_channel()
         for eta in (0.02, 0.3, 0.7):
             loss = detection_loss_channel(basis, eta)
@@ -234,10 +233,13 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             ToyFiCurve(theta=1.0, fi_without=0.6, fi_with=1.4, qfi_bound=1.0)
 
-    def test_initial_state_is_two_zero(self):
-        basis = two_excitation_basis()
-        state = initial_state()
-        assert state.amplitudes[basis.index_of(2, 0)] == pytest.approx(1.0)
+    def test_eta_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\], got 0.0"):
+            ToyConfig(0.0, (0.1, 0.2))
+
+    def test_rotation_starts_from_two_zero(self):
+        expected = FockBasis(2).state(2, 0).amplitudes
+        np.testing.assert_allclose(rotated_state(0.0).amplitudes, expected, rtol=0, atol=1e-15)
 
 
 def dense_fi(eta, theta, with_prevention):

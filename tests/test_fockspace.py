@@ -662,6 +662,21 @@ class TestTypedInvariants:
         with pytest.raises(ValueError, match="finite"):
             coherent_state(basis, 0.5, alpha)
 
+    @pytest.mark.parametrize("alpha", [1e200, complex(0.0, 1e200), 1e154])
+    def test_coherent_amplitude_too_large_for_basis(self, alpha):
+        # |alpha|^2 or |alpha|^4 overflows a float
+        basis = FockBasis(4)
+        with pytest.raises(ValueError, match="tail mass"):
+            coherent_state(basis, alpha, 0.5)
+        with pytest.raises(ValueError, match="tail mass"):
+            coherent_state(basis, 0.5, alpha)
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match="NaN probability"):
+            CountDistribution({0: math.nan, 1: 1.0})
+        with pytest.raises(ValueError, match="NaN probability"):
+            classical_fi(lambda theta: CountDistribution({0: theta * math.nan}), 0.5)
+
     def test_marginal_and_tv_distance(self):
         dist = CountDistribution({(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.5})
         marg = dist.marginal("d")

@@ -47,20 +47,17 @@ from helpers import (
 EXPERIMENT = ProtocolParams(n0=55.0, eta=0.02, gamma_tau=0.028)
 
 
-def kernel(params, thetas, mode="d", **kwargs):
+def kernel(params, thetas, **kwargs):
     """``_mixture_table`` on the means of ``params`` at ``thetas``."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    b, d = multiparticle._mixture_means(params, thetas, mode)
+    b, d = multiparticle._mixture_means(params, thetas)
     return multiparticle._mixture_table(b, d, params.gamma_tau, **kwargs)
 
 
-def super_rabi_means_approx(params, theta):
-    """First-order variant of the means with exp(-B gamma_tau) decay."""
-    out = []
-    for mode in ("d", "p"):
-        b, d = multiparticle._mixture_means(params, theta, mode)
-        out.append(d * math.exp(-b * params.gamma_tau))
-    return tuple(out)
+def super_rabi_mean_approx(params, theta):
+    """First-order variant of the mode-d mean with exp(-B gamma_tau) decay."""
+    b, d = multiparticle._mixture_means(params, theta)
+    return d * math.exp(-b * params.gamma_tau)
 
 
 class TestProtocolParams:
@@ -105,10 +102,10 @@ class TestSuperRabiMeans:
         assert nd == pytest.approx(0.257, abs=5e-4)
 
     def test_approximate_form_close_for_small_decay(self):
-        exact = super_rabi_means(EXPERIMENT, 1.1)
-        approx = super_rabi_means_approx(EXPERIMENT, 1.1)
-        assert approx[0] == pytest.approx(exact[0], rel=2e-2)
-        assert approx[0] != exact[0]
+        exact = super_rabi_means(EXPERIMENT, 1.1)[0]
+        approx = super_rabi_mean_approx(EXPERIMENT, 1.1)
+        assert approx == pytest.approx(exact, rel=2e-2)
+        assert approx != exact
 
     def test_steepening_sum_below_detected_mean(self):
         for theta in np.linspace(0.2, math.pi - 0.2, 15):
@@ -168,22 +165,17 @@ class TestCountDistribution:
             count_distribution(ProtocolParams(20.0, 0.5, 0.3), math.pi / 2)
 
     def test_mode_symmetry_against_oracle(self):
-        # p-mode counts at theta equal d-mode counts at pi - theta, and both
-        # agree with the exact Fock pipeline
+        # the exact Fock pipeline's p-mode counts at theta are the model's
+        # d-mode counts at pi - theta
         params = ProtocolParams(1.5, 0.3, 0.6)
-        theta = 0.9
-        dist_p = count_distribution(params, theta, mode="p")
-        dist_d_swapped = count_distribution(params, math.pi - theta, mode="d")
-        assert dist_p.tv_distance(dist_d_swapped) < 1e-12
-        oracle = kraus_pipeline_distribution(1.5, 0.3, 0.6, theta, mode="p")
-        assert dist_p.tv_distance(oracle) < 1e-6
+        for theta in (0.0, 0.9, 2.0, math.pi):
+            oracle = kraus_pipeline_distribution(1.5, 0.3, 0.6, theta, mode="p")
+            assert count_distribution(params, math.pi - theta).tv_distance(oracle) < 1e-6
 
 
-def reference_pmf(n0, eta, gamma_tau, theta, mode, order, n_cut):
+def reference_pmf(n0, eta, gamma_tau, theta, order, n_cut):
     """Double sum of scipy Poisson pmfs over k and n = 0..n_cut."""
     read, ctrl = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
-    if mode == "p":
-        read, ctrl = ctrl, read
     b = n0 * ctrl * (eta if order == LOSS_BEFORE else 1.0)
     d = eta * n0 * read
     k = np.arange(int(b + 12 * math.sqrt(b) + 40))[:, None]
@@ -191,14 +183,14 @@ def reference_pmf(n0, eta, gamma_tau, theta, mode, order, n_cut):
     return (poisson.pmf(k, b) * poisson.pmf(n, d * np.exp(-gamma_tau * k))).sum(axis=0)
 
 
-def reference_log_pmf(params, theta, mode, n_cut):
+def reference_log_pmf(params, theta, n_cut):
     """logsumexp over the kernel's k window of scipy Poisson log-pmf terms.
 
     The count term n log mu_k - mu_k - log n! takes n log mu_k as
     n log D - gamma tau k n, so it stays accurate where
     mu_k = D exp(-gamma tau k) is subnormal.
     """
-    b, d = multiparticle._mixture_means(params, theta, mode)
+    b, d = multiparticle._mixture_means(params, theta)
     k = np.arange(multiparticle._window(b) + 1)[:, None]
     n = np.arange(n_cut + 1)[None, :]
     mu = d * np.exp(-params.gamma_tau * k)
@@ -213,16 +205,15 @@ class TestMixtureKernel:
         eta=st.floats(min_value=0.0, max_value=1.0),
         gamma_tau=st.floats(min_value=0.0, max_value=0.5),
         theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
-        mode=st.sampled_from(["d", "p"]),
         order=st.sampled_from([LOSS_AFTER, LOSS_BEFORE]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_scipy_double_sum(self, n0, eta, gamma_tau, theta, mode, order):
+    def test_matches_scipy_double_sum(self, n0, eta, gamma_tau, theta, order):
         params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
-        pmf = count_pmf(params, theta, mode)
+        pmf = count_pmf(params, theta)
         assert pmf.min() >= 0.0
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
-        expected = reference_pmf(n0, eta, gamma_tau, theta, mode, order, pmf.size - 1)
+        expected = reference_pmf(n0, eta, gamma_tau, theta, order, pmf.size - 1)
         assert np.max(np.abs(pmf - expected)) <= 1e-12
 
     @given(
@@ -230,17 +221,16 @@ class TestMixtureKernel:
         eta=st.floats(min_value=0.0, max_value=1.0),
         gamma_tau=st.floats(min_value=0.0, max_value=0.5),
         theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
-        mode=st.sampled_from(["d", "p"]),
         order=st.sampled_from([LOSS_AFTER, LOSS_BEFORE]),
     )
     @settings(max_examples=40, deadline=None)
-    @example(n0=184.0, eta=1.238198831430591e-254, gamma_tau=0.5, theta=math.pi, mode="d", order=LOSS_AFTER)
-    def test_log_table_matches_scipy_logsumexp(self, n0, eta, gamma_tau, theta, mode, order):
+    @example(n0=184.0, eta=1.238198831430591e-254, gamma_tau=0.5, theta=math.pi, order=LOSS_AFTER)
+    def test_log_table_matches_scipy_logsumexp(self, n0, eta, gamma_tau, theta, order):
         # same k window as the kernel, so only the log-domain arithmetic is
         # compared; entries far below the linear table's range stay finite
         params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
-        log_p = kernel(params, theta, mode, log=True)[0]
-        expected = reference_log_pmf(params, theta, mode, log_p.size - 1)
+        log_p = kernel(params, theta, log=True)[0]
+        expected = reference_log_pmf(params, theta, log_p.size - 1)
         assert np.array_equal(np.isneginf(log_p), np.isneginf(expected))
         finite = np.isfinite(expected)
         assert log_p[finite] == pytest.approx(expected[finite], rel=1e-12, abs=1e-12)
@@ -251,7 +241,7 @@ class TestMixtureKernel:
         log_p = kernel(params, thetas, n_cut=200, log=True)
         assert np.all(np.isfinite(log_p))
         assert np.exp(log_p[1, 200]) == 0.0
-        expected = reference_log_pmf(params, thetas[1], "d", 200)
+        expected = reference_log_pmf(params, thetas[1], 200)
         assert log_p[1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_row_losing_mass_to_underflow_raises(self, monkeypatch):
@@ -287,7 +277,7 @@ class TestMixtureKernel:
         # the k windows of the row blocks differ from the grid's largest one
         assert len({window(mean) for mean in means}) > 3
         n_cut = table.shape[1] - 1
-        b, _ = multiparticle._mixture_means(params, thetas, "d")
+        b, _ = multiparticle._mixture_means(params, thetas)
         for i, theta in enumerate(thetas):
             # a single angle sums k over its own, narrower window: the terms
             # it leaves out hold at most this mass
@@ -465,7 +455,7 @@ class TestOracleEquivalence:
                     if order == LOSS_AFTER:
                         oracle = binom.pmf(n[:, None], n[None, :], eta) @ oracle
                     params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
-                    analytic = count_pmf(params, theta, "d")
+                    analytic = count_pmf(params, theta)
                     size = max(analytic.size, oracle.size)
                     analytic, oracle = (np.pad(p, (0, size - p.size)) for p in (analytic, oracle))
                     worst.append(0.5 * np.abs(analytic - oracle).sum())
@@ -474,20 +464,17 @@ class TestOracleEquivalence:
         assert len(worst) == 6 and max(worst) < 1e-10
 
 
-def reference_fi(n0, eta, gamma_tau, theta, mode, order):
+def reference_fi(n0, eta, gamma_tau, theta, order):
     """Per-shot FI from P and dP/dtheta built with scipy Poisson pmfs.
 
     Ladder identity d/dmu Pois(n; mu) = Pois(n - 1; mu) - Pois(n; mu), in B
-    and in mu_k = D exp(-gamma_tau k).  Outcomes with P = 0 at an angle
-    where B' = D' = 0 contribute 2 d^2P/dtheta^2.
+    and in mu_k = D exp(-gamma_tau k).
     """
     read, ctrl = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
-    slope, curve = -math.sin(theta) / 2, -math.cos(theta) / 2  # of cos^2(theta/2)
-    if mode == "p":
-        read, ctrl, slope, curve = ctrl, read, -slope, -curve
+    slope = -math.sin(theta) / 2  # of cos^2(theta/2)
     scale = n0 * (eta if order == LOSS_BEFORE else 1.0)
-    b, db, d2b = scale * ctrl, -scale * slope, -scale * curve
-    d, dd, d2d = eta * n0 * read, eta * n0 * slope, eta * n0 * curve
+    b, db = scale * ctrl, -scale * slope
+    d, dd = eta * n0 * read, eta * n0 * slope
     k = np.arange(int(b + 12 * math.sqrt(b) + 40))[:, None]
     n = np.arange(int(d + 12 * math.sqrt(d) + 40))[None, :]
     damp = np.exp(-gamma_tau * k)
@@ -498,10 +485,7 @@ def reference_fi(n0, eta, gamma_tau, theta, mode, order):
     dp_dd = (w * damp * (poisson.pmf(n - 1, d * damp) - pk)).sum(axis=0)
     grad = db * dp_db + dd * dp_dd
     live = p > 0
-    fi = np.sum(grad[live] ** 2 / p[live])
-    if db == 0 and dd == 0:
-        fi += np.sum(2 * (d2b * dp_db + d2d * dp_dd)[~live])
-    return fi
+    return np.sum(grad[live] ** 2 / p[live])
 
 
 class TestFisherInformation:
@@ -510,18 +494,15 @@ class TestFisherInformation:
         eta=st.floats(min_value=1e-3, max_value=1.0),
         gamma_tau=st.floats(min_value=0.0, max_value=0.5),
         theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
-        mode=st.sampled_from(["d", "p"]),
         order=st.sampled_from([LOSS_AFTER, LOSS_BEFORE]),
     )
     @settings(max_examples=60, deadline=None)
-    # B = n0 sin^2(theta/2) keeps its relative precision near theta = 0 in
-    # mode d and near theta = pi in mode p
-    @example(n0=47.0, eta=1.0, gamma_tau=0.5, theta=1e-8, mode="d", order=LOSS_AFTER)
-    @example(n0=47.0, eta=1.0, gamma_tau=0.5, theta=math.pi - 1e-8, mode="p", order=LOSS_AFTER)
-    def test_matches_ladder_identity_reference(self, n0, eta, gamma_tau, theta, mode, order):
+    # B = n0 sin^2(theta/2) keeps its relative precision near theta = 0
+    @example(n0=47.0, eta=1.0, gamma_tau=0.5, theta=1e-8, order=LOSS_AFTER)
+    def test_matches_ladder_identity_reference(self, n0, eta, gamma_tau, theta, order):
         params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
-        expected = reference_fi(n0, eta, gamma_tau, theta, mode, order)
-        assert fisher_information(params, theta, mode) == pytest.approx(expected, rel=1e-10, abs=0)
+        expected = reference_fi(n0, eta, gamma_tau, theta, order)
+        assert fisher_information(params, theta) == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_tiny_information_keeps_its_digits(self):
         # 60-digit mpmath: exact mixture sums over k < 2600 and n < 40 (the
@@ -543,11 +524,12 @@ class TestFisherInformation:
         assert math.isfinite(fi) and abs(fi) < 1e-12
 
     def test_stationary_zero_probability_limit(self):
-        # mode p at theta = 0: D = 0, so P(n >= 1) = 0 and only the
-        # 2 D'' dP/dD limit of n = 1 remains, D'' = n0 eta / 2
+        # at theta = pi, D = n0 eta cos^2(theta/2) is 4e-33 but not 0, and
+        # the n = 1 term (D' dP/dD)^2 / P already equals the stationary limit
+        # 2 D'' dP/dD with D'' = n0 eta / 2
         params = ProtocolParams(55.0, 0.02, 0.034)
         expected = 1.1 * math.exp(-55.0 * (1.0 - math.exp(-0.034)))
-        assert fisher_information(params, 0.0, mode="p") == pytest.approx(expected, rel=1e-12)
+        assert fisher_information(params, math.pi) == pytest.approx(expected, rel=1e-12)
 
     def test_array_call_matches_scalar_calls(self):
         thetas = np.array([[0.0, 0.7], [2.0, math.pi]])
@@ -629,9 +611,8 @@ class TestFisherInformation:
     def test_zero_detected_mean_gives_exact_zero(self):
         thetas = np.linspace(0.0, math.pi, 33)
         for params in (ProtocolParams(55.0, 0.0, 0.03), ProtocolParams(0.0, 0.5, 0.03)):
-            for mode in ("d", "p"):
-                assert np.all(fisher_information(params, thetas, mode) == 0.0)
-                assert fisher_information(params, 1.2, mode) == 0.0
+            assert np.all(fisher_information(params, thetas) == 0.0)
+            assert fisher_information(params, 1.2) == 0.0
 
     def test_normalized_fi_rejects_zero_mean(self):
         with pytest.raises(ValueError):
