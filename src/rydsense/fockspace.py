@@ -236,8 +236,8 @@ class CountDistribution:
     def __post_init__(self):
         for label, p in self.probabilities.items():
             # negated, so that a NaN probability fails too
-            if not p >= -1e-12:
-                raise ValueError(f"negative or NaN probability {p} for outcome {label!r}")
+            if not -1e-12 <= p < math.inf:
+                raise ValueError(f"probability {p} for outcome {label!r} is negative or not finite")
         self.probabilities = {k: max(float(v), 0.0) for k, v in self.probabilities.items()}
 
     def get(self, label, default=0.0) -> float:

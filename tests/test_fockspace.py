@@ -671,11 +671,12 @@ class TestTypedInvariants:
         with pytest.raises(ValueError, match="tail mass"):
             coherent_state(basis, 0.5, alpha)
 
-    def test_nan_probability_rejected(self):
-        with pytest.raises(ValueError, match="NaN probability"):
-            CountDistribution({0: math.nan, 1: 1.0})
-        with pytest.raises(ValueError, match="NaN probability"):
-            classical_fi(lambda theta: CountDistribution({0: theta * math.nan}), 0.5)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match="negative or not finite"):
+            CountDistribution({0: bad, 1: 1.0})
+        with pytest.raises(ValueError, match="negative or not finite"):
+            classical_fi(lambda theta: CountDistribution({0: theta * bad}), 0.5)
 
     def test_marginal_and_tv_distance(self):
         dist = CountDistribution({(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.5})

@@ -107,6 +107,10 @@ def test_study_table_matches_reference(name, tmp_path):
     assert_matches_reference(run_study(name, tmp_path), STUDIES[name]["output"])
 
 
+def test_five_demos_found():
+    assert len(DEMOS) == 5
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_output_matches_reference(path):
     assert_matches_reference(run_demo(path), demo_reference(path))
