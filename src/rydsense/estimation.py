@@ -31,6 +31,7 @@ from .fockspace import FI_CROSS_CHECK_MAX, classical_fi
 from .multiparticle import (
     BLOCK_ELEMENTS,
     ProtocolParams,
+    _informative_mean,
     _mixture_means,
     _mixture_table,
     count_distribution,
@@ -408,6 +409,7 @@ def run_estimation(
         raise ValueError("shots_per_realization must divide n_total")
     if n_bootstrap < 2:
         raise ValueError("n_bootstrap must be at least 2")
+    _informative_mean(params)
     k = n_total // n
     if k < 10:
         warnings.warn(
@@ -509,11 +511,9 @@ def sensitivity_from_model(
     """
     if rabi_frequency <= 0:
         raise ValueError("rabi_frequency must be positive")
-    if params.detected_mean <= 0:
-        raise ValueError(
-            "sensitivity undefined: the detected mean n0 * eta is zero, so the "
-            "counts carry no information"
-        )
+    if fisher_override is not None and not fisher_override > 0:
+        raise ValueError(f"fisher_override must be positive, got {fisher_override}")
+    _informative_mean(params)
     grid = default_theta_grid(grid_points)
     fis = fisher_information(params, grid)
     best = int(np.argmax(fis))

@@ -410,13 +410,18 @@ def coherent_state(basis: FockBasis, alpha_d: complex, alpha_p: complex) -> TwoM
             f"basis with n_max={basis.n_max} truncates coherent tail mass "
             f">= 0.5 > {COHERENT_TAIL_TOL:.0e}"
         )
-    amp = np.zeros(basis.dim, dtype=complex)
-    log_norm = -0.5 * (abs(alpha_d) ** 2 + abs(alpha_p) ** 2)
-    for i, (nd, np_) in enumerate(basis.occupations):
-        coeff = alpha_d**nd * alpha_p**np_
-        amp[i] = coeff * math.exp(
-            log_norm - 0.5 * (math.lgamma(nd + 1) + math.lgamma(np_ + 1))
-        )
+    # log of alpha_d^n_d alpha_p^n_p e^(-m/2) / sqrt(n_d! n_p!): a power
+    # alone passes the float range once |alpha|^n_max > 1.8e308
+    occ = np.array(basis.occupations)
+    log_fact = np.array([math.lgamma(n + 1) for n in range(basis.n_max + 1)])
+    m = abs(alpha_d) ** 2 + abs(alpha_p) ** 2
+    log_amp = (-0.5 * (m + log_fact[occ].sum(axis=1))).astype(complex)
+    for n, alpha in zip(occ.T, (alpha_d, alpha_p)):
+        if alpha:
+            log_amp += n * cmath.log(alpha)
+        else:
+            log_amp[n > 0] = -math.inf
+    amp = np.exp(log_amp)
     captured = float(np.sum(np.abs(amp) ** 2))
     tail = 1.0 - captured
     # negated, so that a NaN tail fails too

@@ -104,6 +104,19 @@ class ProtocolParams:
         return self.n0 * self.eta
 
 
+def _informative_mean(params: ProtocolParams) -> float:
+    """The detected mean n0 eta; ``ValueError`` where it is zero.
+
+    A count then carries no information, so neither an FI per detected
+    photon nor an estimate of theta exists.
+    """
+    if params.detected_mean <= 0:
+        raise ValueError(
+            "the detected mean n0 * eta is zero, so the counts carry no information"
+        )
+    return params.detected_mean
+
+
 def _populations(theta):
     """Rabi populations cos^2(theta/2) of mode d and sin^2(theta/2) of mode p."""
     # both directly: 1 - cos^2(theta/2) keeps no digits near 0
@@ -291,17 +304,12 @@ def count_distribution(params: ProtocolParams, theta: float) -> CountDistributio
     """Distribution of the detected photon number in mode d at ``theta``.
 
     Truncated so that the neglected Poisson tails stay below 1e-12 in both
-    the count and the decay-driving sums; raises :class:`NumericalError`
-    if the result is not normalized within 1e-9.
+    the count and the decay-driving sums; the kernel raises
+    :class:`NumericalError` if the pmf falls short of unit mass by more
+    than ``ROW_MASS_DEFECT_MAX``.
     """
     pmf = count_pmf(params, theta)
-    dist = CountDistribution({int(n): float(p) for n, p in enumerate(pmf)})
-    defect = abs(dist.total() - 1.0)
-    if defect > 1e-9:
-        raise NumericalError(
-            f"count distribution not normalized: total mass defect {defect:.3e}"
-        )
-    return dist
+    return CountDistribution({int(n): float(p) for n, p in enumerate(pmf)})
 
 
 def _log_expm1(x: float) -> float:
@@ -418,9 +426,8 @@ def fisher_information(params: ProtocolParams, theta):
 
 def normalized_fi(params: ProtocolParams, theta):
     """Fisher information per mean detected photon, F / (n0 eta)."""
-    if params.detected_mean <= 0:
-        raise ValueError("normalized FI undefined for zero mean photon number")
-    return fisher_information(params, theta) / params.detected_mean
+    scale = _informative_mean(params)
+    return fisher_information(params, theta) / scale
 
 
 def fit_exponential_decay(times, values) -> tuple[float, float]:

@@ -9,7 +9,8 @@ per-operator triples, random entry tables and diagonal POVMs, lossy
 counting through the detection-loss channel, the finite-difference
 quantum Fisher information, the matrix-pipeline means of the
 error-prevention toy, shot sampling, the full-grid ML search that the
-pruned one is checked against, the field / Rabi-frequency conversions and
+pruned one is checked against, the closed-form eta -> 0 limit of the
+normalized Fisher information, the field / Rabi-frequency conversions and
 the quadrature of the excluded-volume constant J.
 """
 
@@ -298,6 +299,19 @@ def full_grid_estimates(hists: np.ndarray, grid: np.ndarray, log_table: np.ndarr
         ]
     )
     return hats[inverse]
+
+
+def small_eta_normalized_fi(x: float, theta):
+    """The eta -> 0 limit f_x of F / (n0 eta), in closed form.
+
+    As eta -> 0 only P(0) and P(1) matter, and P(1) -> mu =
+    D e^(-B (1 - e^(-gamma_tau))), so F -> mu'^2 / mu.  With loss after the
+    interaction that is f_x(u) = u (1 + x (1 - u))^2 e^(-x u), with
+    u = sin^2(theta/2) and x = n0 (1 - e^(-gamma_tau)).  With loss before
+    it B is thinned too, so x -> 0 and f_0 = u.
+    """
+    u = np.sin(np.asarray(theta, dtype=float) / 2.0) ** 2
+    return u * (1.0 + x * (1.0 - u)) ** 2 * np.exp(-x * u)
 
 
 def electric_field_to_rabi(field_v_per_m: float, dipole_moment: float) -> float:

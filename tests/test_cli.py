@@ -278,7 +278,7 @@ class TestFiScan:
         assert run_cli("fi-scan", cfg) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_bad_loss_order_rejected(self, tmp_path):
+    def test_bad_loss_order_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -290,6 +290,8 @@ class TestFiScan:
             },
         )
         assert run_cli("fi-scan", cfg) == 2
+        assert "loss_order must be" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestMlExperiment:
@@ -323,13 +325,17 @@ class TestMlExperiment:
         ]
         assert len(rows) == 2
 
-    def test_indivisible_shot_split_rejected(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {**self.CONFIG, "output_path": str(tmp_path / "x.csv"), "n_shots_total": 1999},
-        )
+    @pytest.mark.parametrize(
+        "split",
+        [{"n_shots_total": 1999}, {"shots_per_realization": 0}],
+        ids=["indivisible", "zero_per_realization"],
+    )
+    def test_indivisible_shot_split_rejected(self, tmp_path, capsys, split):
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path / "c.json", {**self.CONFIG, "output_path": str(out), **split})
         assert run_cli("ml-experiment", cfg) == 2
-        assert "divide" in capsys.readouterr().err
+        assert "shots_per_realization must divide" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("thetas", [[4.0], [1.0, -1.0]])
     def test_unreachable_true_angle_rejected(self, tmp_path, capsys, thetas):
@@ -448,12 +454,18 @@ class TestDipolar:
         assert gamma == pytest.approx(4.61e3, rel=1e-3)
         assert float(rows[0][5]) == pytest.approx(gamma / (2 * math.pi), rel=1e-12)
 
-    def test_nonpositive_time_rejected(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {**self.BASE, "output_path": str(tmp_path / "x.csv"), "t_values_us": [0.0]},
-        )
+    @pytest.mark.parametrize("key,value,message", [
+        ("t_values_us", [0.0], "interaction time t must be positive"),
+        ("t_values_us", [0.1, -1.0], "interaction time t must be positive"),
+        ("t_values_us", [], "key 't_values_us' must not be empty"),
+        ("cloud_dimensions_um", [80.0, 80.0], "dimensions must be three positive"),
+    ], ids=["zero_time", "negative_time", "no_times", "two_dimensions"])
+    def test_bad_geometry_or_time_rejected(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path / "c.json", {**self.BASE, "output_path": str(out), key: value})
         assert run_cli("dipolar", cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
         ("angular_panels", 256),
@@ -545,8 +557,8 @@ class TestCommonMachinery:
         assert len(rows) == 3
 
     def test_successive_calls_do_not_share_overrides(self, tmp_path):
-        # main reuses one parser; the --set list and --seed of one call must
-        # not reach the next
+        # main reuses one parser; the --set list of one call must not reach
+        # the next
         base = {**TestMlExperiment.CONFIG, "thetas": [1.2], "n_shots_total": 1000,
                 "n_bootstrap": 5}
         paths = {name: tmp_path / f"{name}.csv" for name in ("ref", "over", "again")}
@@ -555,7 +567,7 @@ class TestCommonMachinery:
             for name, path in paths.items()
         }
         assert run_cli("ml-experiment", cfgs["ref"]) == 0
-        extra = ["--set", "thetas=[1.2, 2.0]", "--seed", "11"]
+        extra = ["--set", "thetas=[1.2, 2.0]", "--set", "seed=11"]
         assert run_cli("ml-experiment", cfgs["over"], extra=extra) == 0
         assert run_cli("ml-experiment", cfgs["again"]) == 0
         assert paths["again"].read_bytes() == paths["ref"].read_bytes()
@@ -563,6 +575,20 @@ class TestCommonMachinery:
         _, over_rows = read_csv(paths["over"])
         assert len(over_rows) == 2
         assert over_rows[0] != ref_rows[0]  # seed 11, not the config's 7
+
+    def test_seed_and_format_only_through_set(self, tmp_path, capsys):
+        # a key's one way in besides the config file is --set (output_path
+        # also has --output); --set seed= is exercised above
+        for study, flag in (("ml-experiment", "--seed"), ("super-rabi", "--format")):
+            with pytest.raises(SystemExit) as info:
+                run_cli(study, extra=[flag, "1"])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        out = tmp_path / "rabi.json"
+        extra = ["--output", str(out), "--set", "n0=2.0", "--set", "eta=0.5",
+                 "--set", "gamma_tau=0.1", "--set", "theta_points=3", "--set", "format=json"]
+        assert run_cli("super-rabi", extra=extra) == 0
+        assert len(json.loads(out.read_text())["rows"]) == 3
 
     def test_output_flag_and_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RYDSENSE_OUTPUT_DIR", str(tmp_path / "outputs"))
@@ -648,32 +674,62 @@ class TestCommonMachinery:
         assert payload["version"] == 1
         assert len(payload["rows"]) == 3
 
-    @pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "NaN"])
-    def test_non_finite_floats_rejected(self, tmp_path, capsys, raw):
-        # a float key on two studies and a float-list key
-        rabi = {"n0": 2.0, "eta": 0.5, "gamma_tau": 0.1}
-        scan = {"n0": 2.0, "eta": 0.5, "gamma_taus": [0.1]}
-        out = tmp_path / "x.csv"
-        for study, cfg, key, text in (
-            ("super-rabi", rabi, "n0", raw),
-            ("fi-scan", scan, "n0", raw),
-            ("fi-scan", scan, "gamma_taus", f"[0.0, {raw}]"),
-        ):
-            path = write_config(tmp_path / "c.json", {**cfg, "output_path": str(out)})
-            assert run_cli(study, path, extra=["--set", f"{key}={text}"]) == 2
-            assert f"key {key!r} must be finite" in capsys.readouterr().err
-            assert not out.exists()
+    # the required keys of each study, with small grids and sample sizes
+    SMALL = {
+        "toy-fi": {"etas": [0.5], "theta_points": 3},
+        "decay-scan": {"n0": 2.0, "eta": 0.5, "gamma_per_s": 1e4, "thetas": [0.5],
+                       "tau_max_s": 1e-5, "tau_points": 3},
+        "super-rabi": {"n0": 2.0, "eta": 0.5, "gamma_tau": 0.1, "theta_points": 3},
+        "fi-scan": {"n0": 2.0, "eta": 0.5, "gamma_taus": [0.1], "theta_points": 3},
+        "ml-experiment": {"n0": 2.0, "eta": 0.5, "gamma_tau": 0.1, "thetas": [1.0],
+                          "n_shots_total": 1000, "shots_per_realization": 100,
+                          "n_bootstrap": 5},
+        "sensitivity": {"n0": 2.0, "eta": 0.5, "gamma_tau": 0.1, "rabi_frequency_hz": 1e6,
+                        "dipole_moment_ea0": 1950.0, "grid_points": 16},
+        "dipolar": {"c3_over_2pi_hbar_ghz_um3": 3.709, "cloud_dimensions_um": [8.0, 8.0, 40.0],
+                    "t_values_us": [0.1]},
+    }
+
+    @pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "NaN", "[]", "true", "0", "-1"])
+    def test_bad_values_of_every_key(self, tmp_path, capsys, raw):
+        # every key of every study: a bad value is a config error (exit 2)
+        # with no table written, and a zero or a negative number either runs
+        # or is one; a list key gets the number as its one entry
+        out = tmp_path / "x.out"
+        assert set(self.SMALL) == set(cli.SCHEMAS)
+        for study, schema in cli.SCHEMAS.items():
+            cfg = {**self.SMALL[study], "output_path": str(out)}
+            path = write_config(tmp_path / "c.json", cfg)
+            for key, spec in schema.items():
+                is_list = spec.kind.endswith("_list")
+                text = f"[{raw}]" if is_list and raw not in ("[]", "true") else raw
+                code = run_cli(study, path, extra=["--set", f"{key}={text}"])
+                err = capsys.readouterr().err
+                if raw in ("0", "-1") and code == 0:
+                    out.unlink()
+                    continue
+                assert code == 2, (study, key, text, err)
+                assert not out.exists(), (study, key, text)
+                if raw == "[]" and is_list:
+                    assert f"key {key!r} must not be empty" in err
+                elif raw == "true":
+                    assert f"key {key!r} expects a {spec.kind}" in err
+                elif raw in ("Infinity", "-Infinity", "NaN") and "float" in spec.kind:
+                    assert f"key {key!r} must be finite" in err
 
     def test_missing_config_file(self, capsys):
         assert run_cli("toy-fi", "/nonexistent/path.json") == 2
         assert "config" in capsys.readouterr().err
 
     @staticmethod
-    def loaded_after_import(module):
-        """Whether ``module`` is loaded after a fresh ``import rydsense, rydsense.cli``."""
+    def child_env():
+        """The environment with the package's source first on ``PYTHONPATH``."""
         src = Path(multiparticle.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+        return {**os.environ, "PYTHONPATH": path}
+
+    def loaded_after_import(self, module):
+        """Whether ``module`` is loaded after a fresh ``import rydsense, rydsense.cli``."""
         proc = subprocess.run(
             [
                 sys.executable,
@@ -682,7 +738,7 @@ class TestCommonMachinery:
             ],
             capture_output=True,
             text=True,
-            env=env,
+            env=self.child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip() == "True"
@@ -719,6 +775,7 @@ class TestCommonMachinery:
             [sys.executable, "-m", "rydsense", "toy-fi", "--config", cfg],
             capture_output=True,
             text=True,
+            env=self.child_env(),
         )
         assert proc.returncode == 0
         assert out.exists()

@@ -173,6 +173,12 @@ class TestRunEstimation:
         with pytest.raises(ValueError):
             run_estimation(EXPERIMENT, 1.0, 1000, 300, seed=1)
 
+    @pytest.mark.parametrize("n0,eta", [(0.0, 0.5), (55.0, 0.0)])
+    def test_zero_detected_mean_is_rejected(self, n0, eta):
+        # no count carries information: a config error, not a zero variance
+        with pytest.raises(ValueError, match="detected mean n0 \\* eta is zero"):
+            run_estimation(ProtocolParams(n0, eta, 0.03), 1.0, 1000, 100, seed=1)
+
     def test_zero_variance_raises_numerical_error(self):
         # n0 eta = 1e-3: every shot detects nothing, so every realization
         # gives the same estimate
@@ -698,3 +704,10 @@ class TestSensitivityPipeline:
     def test_validation(self):
         with pytest.raises(ValueError):
             sensitivity_from_model(EXPERIMENT, -1.0, REFERENCE_DIPOLE)
+
+    @pytest.mark.parametrize("override", [0.0, -1.0, math.nan])
+    def test_fisher_override_must_be_positive(self, override):
+        with pytest.raises(ValueError, match="fisher_override must be positive"):
+            sensitivity_from_model(
+                EXPERIMENT, REFERENCE_RABI, REFERENCE_DIPOLE, fisher_override=override
+            )

@@ -652,6 +652,28 @@ class TestTypedInvariants:
         pops = state.to_density().populations
         assert np.max(np.abs(pops - reference / reference.sum())) < 1e-15
 
+    @pytest.mark.parametrize("alpha", [math.sqrt(150.0), 1j * math.sqrt(150.0)])
+    def test_coherent_state_on_a_large_basis(self, alpha):
+        # alpha^300 passes the float range although the basis holds the state
+        basis = FockBasis(300)
+        pops = coherent_state(basis, alpha, 0.0).to_density().populations
+        occ = np.array(basis.occupations)
+        reference = poisson.pmf(occ[:, 0], 150.0) * (occ[:, 1] == 0)
+        assert 1.0 - reference.sum() < 1e-8
+        np.testing.assert_allclose(pops, reference / reference.sum(), rtol=1e-10, atol=1e-16)
+
+    @pytest.mark.parametrize("alpha_d,alpha_p", [(-0.7 + 0.2j, 0.5j), (0.0, -1.2), (0.0, 0.0)])
+    def test_coherent_amplitudes_match_the_power_form(self, alpha_d, alpha_p):
+        basis = FockBasis(14)
+        expected = np.array([
+            alpha_d**nd * alpha_p**np_ / math.sqrt(math.factorial(nd) * math.factorial(np_))
+            for nd, np_ in basis.occupations
+        ])
+        amplitudes = coherent_state(basis, alpha_d, alpha_p).amplitudes
+        np.testing.assert_allclose(
+            amplitudes, expected / np.linalg.norm(expected), rtol=1e-13, atol=1e-17
+        )
+
     @pytest.mark.parametrize(
         "alpha", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)]
     )

@@ -41,6 +41,7 @@ from helpers import (
     mode_operator,
     populations,
     random_density,
+    small_eta_normalized_fi,
     tracemalloc_peak,
 )
 
@@ -252,6 +253,9 @@ class TestMixtureKernel:
         monkeypatch.setattr(multiparticle, "_EXP_SPAN", math.inf)
         with np.errstate(divide="ignore"), pytest.raises(NumericalError, match="lost mass"):
             count_pmf(params, 0.05)
+        # count_distribution has no mass check of its own; the kernel's holds
+        with np.errstate(divide="ignore"), pytest.raises(NumericalError, match="lost mass"):
+            count_distribution(params, 0.05)
 
     def test_row_losing_mass_in_an_angle_grid_raises(self, monkeypatch):
         # the Fisher information's stacked rows keep the check
@@ -615,8 +619,36 @@ class TestFisherInformation:
             assert fisher_information(params, 1.2) == 0.0
 
     def test_normalized_fi_rejects_zero_mean(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="detected mean n0 \\* eta is zero"):
             normalized_fi(ProtocolParams(0.0, 0.5, 0.1), 1.0)
+
+
+class TestSmallEtaLimit:
+    """As eta -> 0, F / (n0 eta) tends to a closed form f_x that no loss removes."""
+
+    @pytest.mark.parametrize("order,bound", [(LOSS_AFTER, 1e-5), (LOSS_BEFORE, 3e-5)])
+    def test_normalized_fi_tends_to_the_closed_form(self, order, bound):
+        # the gap, relative to the peak, is at most 7.4e-6 (loss after) and
+        # 2.2e-5 (loss before) at eta = 1e-6, and first order in eta
+        thetas = np.linspace(0.0, math.pi, 201)[1:]
+        for gamma_tau in (0.028, 0.034, 0.04, 0.19, 0.5):
+            x = 55.0 * -math.expm1(-gamma_tau) if order == LOSS_AFTER else 0.0
+            limit = small_eta_normalized_fi(x, thetas)
+            gaps = []
+            for eta in (1e-6, 5e-7):
+                params = ProtocolParams(55.0, eta, gamma_tau, loss_order=order)
+                gap = np.abs(normalized_fi(params, thetas) - limit).max()
+                gaps.append(gap / limit.max())
+            assert gaps[0] < bound, gamma_tau
+            assert gaps[1] / gaps[0] == pytest.approx(0.5, abs=0.05), gamma_tau
+
+    def test_peak_at_pi_exactly_when_x_at_most_one_third(self):
+        # f_x'(u = 1) = (1 - 3x) e^(-x); at x = 1/3, f falls off as (pi - theta)^4,
+        # which this grid resolves
+        thetas = np.linspace(0.0, math.pi, 2001)
+        for x in (0.0, 0.1, 0.3, 1.0 / 3.0, 0.34, 0.5, 1.5, 8.0):
+            best = thetas[np.argmax(small_eta_normalized_fi(x, thetas))]
+            assert (best == math.pi) == (x <= 1.0 / 3.0), x
 
 
 class TestDecayFit:
