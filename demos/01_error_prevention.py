@@ -9,7 +9,6 @@ information with and without the operation and the resulting enhancement.
 import numpy as np
 
 from rydsense.error_prevention import (
-    ToyConfig,
     enhancement_curve,
     expectation_curves,
     fi_with_prevention,
@@ -30,14 +29,14 @@ print(f"optimality bound eta(2 - eta) F_Q:      {optimality_bound(eta):.6f}")
 print()
 
 grid = np.linspace(0.2, np.pi - 0.2, 9)
-rows = enhancement_curve(ToyConfig(eta, tuple(grid)))
-means = expectation_curves(eta, grid)
+fi_bare, fi_op = enhancement_curve(eta, grid)
+nd_with, _, nd_without, _ = expectation_curves(eta, grid)
+bound = optimality_bound(eta)
 
 print(f"{'theta':>8} {'FI bare':>10} {'FI with op':>11} {'bound':>9} "
       f"{'<n_d> with':>11} {'<n_d> bare':>11}")
-for row, nd_w, nd_wo in zip(rows, means.nd_with, means.nd_without):
-    print(f"{row.theta:8.3f} {row.fi_without:10.6f} {row.fi_with:11.6f} "
-          f"{row.qfi_bound:9.6f} {nd_w:11.6f} {nd_wo:11.6f}")
+for theta, a, b, nd_w, nd_wo in zip(grid, fi_bare, fi_op, nd_with, nd_without):
+    print(f"{theta:8.3f} {a:10.6f} {b:11.6f} {bound:9.6f} {nd_w:11.6f} {nd_wo:11.6f}")
 
 print()
 print("The bare FI is angle independent; the operation trades mean photon")

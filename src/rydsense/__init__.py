@@ -22,10 +22,7 @@ from .fockspace import (
     rabi_rotation,
 )
 from .error_prevention import (
-    ToyConfig,
-    ToyFiCurve,
     enhancement_curve,
-    error_prevention_channel,
     expectation_curves,
     fi_with_prevention,
     fi_without_prevention,

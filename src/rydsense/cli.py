@@ -2,13 +2,13 @@
 
 Each subcommand reads a flat JSON config file (``--config``), applies
 ``--set key=value`` overrides, runs the corresponding study and writes a
-CSV or JSON table.  Outputs are pure functions of (config, seed): re-runs
+CSV or JSON table (``sensitivity`` writes one JSON record).  Outputs are pure functions of (config, seed): re-runs
 produce byte-identical files.  Relative output paths resolve under
 ``$RYDSENSE_OUTPUT_DIR`` (default: current directory).
 
 Exit codes: 0 success, 2 config validation error, 3 numerical failure
 (Poisson-mixture truncation, zero ML variance, exact and finite-difference
-F(theta*) disagreeing).
+F(theta*) disagreeing, a toy FI outside its bound).
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ SCHEMAS = {
     },
     "sensitivity": {
         "output_path": _Key("str", required=True),
-        "format": _Key("str", default="json", choices=("json",)),
         "n0": _Key("float", required=True),
         "eta": _Key("float", required=True),
         "gamma_tau": _Key("float", required=True),
@@ -196,6 +195,18 @@ def resolve_output_path(path_str: str) -> Path:
     return path
 
 
+def _write_output(cfg: dict, text: str) -> Path:
+    path = resolve_output_path(cfg["output_path"])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _write_json(cfg: dict, payload: dict) -> Path:
+    return _write_output(cfg, json.dumps(payload, indent=1) + "\n")
+
+
 def write_table(cfg: dict, schema_name: str, columns: list, rows: list) -> Path:
     """Write ``columns`` and ``rows`` as a CSV or JSON table; returns its path.
 
@@ -205,23 +216,18 @@ def write_table(cfg: dict, schema_name: str, columns: list, rows: list) -> Path:
     ``csv.QUOTE_MINIMAL`` would quote (one holding a comma, a double quote
     or a line break) raises ``ValueError``.
     """
-    path = resolve_output_path(cfg["output_path"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if cfg["format"] == "csv":
-        lines = [",".join(map(_fmt, row)) for row in [columns, *rows]]
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
-    else:
-        payload = {
-            "schema": schema_name,
-            "version": SCHEMA_VERSION,
-            "columns": columns,
-            "rows": [list(row) for row in rows],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-    return path
+    if cfg["format"] == "json":
+        return _write_json(
+            cfg,
+            {
+                "schema": schema_name,
+                "version": SCHEMA_VERSION,
+                "columns": columns,
+                "rows": [list(row) for row in rows],
+            },
+        )
+    lines = [",".join(map(_fmt, row)) for row in [columns, *rows]]
+    return _write_output(cfg, "\r\n".join(lines) + "\r\n")
 
 
 def cmd_toy_fi(cfg: dict) -> Path:
@@ -238,23 +244,12 @@ def cmd_toy_fi(cfg: dict) -> Path:
     ]
     rows = []
     for eta in cfg["etas"]:
-        curves = error_prevention.enhancement_curve(
-            error_prevention.ToyConfig(eta, tuple(thetas))
-        )
-        means = error_prevention.expectation_curves(eta, thetas)
-        for row, nd_w, nd_wo in zip(curves, means.nd_with, means.nd_without):
-            rows.append(
-                (
-                    eta,
-                    row.theta,
-                    row.fi_without,
-                    row.fi_with,
-                    row.qfi_bound,
-                    row.fi_with / row.fi_without,
-                    float(nd_w),
-                    float(nd_wo),
-                )
-            )
+        without, with_op = error_prevention.enhancement_curve(eta, thetas)
+        bound = error_prevention.optimality_bound(eta)
+        nd_with, _, nd_without, _ = error_prevention.expectation_curves(eta, thetas)
+        curves = (thetas, without, with_op, with_op / without, nd_with, nd_without)
+        for theta, a, b, ratio, nd_w, nd_wo in zip(*(c.tolist() for c in curves)):
+            rows.append((eta, theta, a, b, bound, ratio, nd_w, nd_wo))
     return write_table(cfg, "rydsense.toy_fi", columns, rows)
 
 
@@ -272,6 +267,7 @@ def cmd_decay_scan(cfg: dict) -> Path:
     # super_rabi_means forms them, from one (B, D) over every angle; the
     # parameters at the longest time check gamma tau for every time
     params = ProtocolParams(cfg["n0"], cfg["eta"], cfg["gamma_per_s"] * taus[-1])
+    multiparticle._informative_mean(params)
     b, d = multiparticle._mixture_means(params, thetas)
     decay = np.array([1.0 - math.exp(-cfg["gamma_per_s"] * tau) for tau in taus])
     means = d * np.exp(-b * decay[:, None])
@@ -378,12 +374,7 @@ def cmd_sensitivity(cfg: dict) -> Path:
         "fisher_information": report.fisher_information,
         "normalized_fi": report.fisher_information / params.detected_mean,
     }
-    path = resolve_output_path(cfg["output_path"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-    return path
+    return _write_json(cfg, payload)
 
 
 def cmd_dipolar(cfg: dict) -> Path:

@@ -8,16 +8,15 @@ per shot is 2 eta for every angle; with it the peak value rises to
 2 eta (2 - eta) at theta = pi/2, which saturates the known optimality bound
 eta (2 - eta) times the quantum Fisher information of the pure state.
 
-Both Fisher informations are closed forms over the six outcome
-probabilities (no events are post-selected).  The Kraus pipeline (rotated
-state, operation, detection-loss channel, number measurement,
-finite-difference FI) remains their oracle:
-:func:`enhancement_curve` checks its peak row against it on every call.
+Both Fisher informations and the detected means are closed forms over
+arrays of angles (no events are post-selected), and the curves are plain
+arrays in the shape of the angle grid.  The Kraus pipeline (rotated state,
+operation, detection-loss channel, number measurement, finite-difference
+FI) remains their oracle: :func:`enhancement_curve` checks its peak row
+against it on every call.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +36,6 @@ from .fockspace import (
 )
 
 __all__ = [
-    "ToyConfig",
-    "ToyFiCurve",
-    "ExpectationCurves",
-    "PURE_STATE_QFI",
-    "rotated_state",
-    "error_prevention_channel",
     "optimality_bound",
     "fi_without_prevention",
     "fi_with_prevention",
@@ -55,52 +48,6 @@ PURE_STATE_QFI = 2.0
 
 # the six-dimensional basis with at most two total excitations
 _BASIS = FockBasis(2)
-
-
-@dataclass(frozen=True)
-class ToyConfig:
-    """Detection efficiency eta in (0, 1] and angle grid for protocol curves."""
-
-    eta: float
-    theta_grid: tuple
-
-    def __post_init__(self):
-        _check_eta(self.eta)
-        grid = tuple(float(t) for t in self.theta_grid)
-        if len(grid) == 0:
-            raise ValueError("theta_grid must not be empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("theta_grid must be strictly increasing")
-        object.__setattr__(self, "theta_grid", grid)
-
-
-@dataclass(frozen=True)
-class ToyFiCurve:
-    """One row of the protocol comparison: FI with/without the operation."""
-
-    theta: float
-    fi_without: float
-    fi_with: float
-    qfi_bound: float
-
-    def __post_init__(self):
-        if min(self.theta, self.fi_without, self.fi_with, self.qfi_bound) < -1e-9:
-            raise ValueError("curve entries must be non-negative")
-        if self.fi_with > self.qfi_bound + 1e-6:
-            raise ValueError(
-                f"fi_with={self.fi_with} exceeds the optimality bound {self.qfi_bound}"
-            )
-
-
-@dataclass(frozen=True)
-class ExpectationCurves:
-    """Detected excitation-number means versus angle, with and without the operation."""
-
-    theta: np.ndarray
-    nd_with: np.ndarray
-    np_with: np.ndarray
-    nd_without: np.ndarray
-    np_without: np.ndarray
 
 
 def rotated_state(theta: float) -> TwoModeFockState:
@@ -131,16 +78,17 @@ def optimality_bound(eta: float) -> float:
     return eta * (2.0 - eta) * PURE_STATE_QFI
 
 
-def _fi_brute_force(eta, theta, with_prevention):
-    """Kraus-pipeline FI at one angle, on populations: the oracle of the closed forms."""
+def _fi_brute_force(eta, theta):
+    """Kraus-pipeline FI with the operation at one angle, on populations.
+
+    The oracle of :func:`fi_with_prevention`.
+    """
     loss = detection_loss_channel(_BASIS, eta)
     povm = number_povm(_BASIS)
-    channel = error_prevention_channel() if with_prevention else None
+    channel = error_prevention_channel()
 
     def family(t: float) -> CountDistribution:
-        rho = rotated_state(t).to_density()
-        if channel is not None:
-            rho = apply_channel(rho, channel)
+        rho = apply_channel(rotated_state(t).to_density(), channel)
         return measure(apply_channel(rho, loss), povm)
 
     return classical_fi(family, theta)
@@ -192,51 +140,54 @@ def fi_with_prevention(eta: float, theta):
     return _shaped_like(theta, 2.0 * g * sin2 + vacuum_term)
 
 
-def enhancement_curve(config: ToyConfig) -> list[ToyFiCurve]:
-    """FI with and without the operation across the configured angle grid.
+def enhancement_curve(eta: float, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """FI without and with the operation, ``(fi_without, fi_with)``, over ``thetas``.
 
-    Each closed form runs once over the grid.  The peak row of the FI with
-    the operation is checked against the Kraus pipeline; a gap above
-    ``FI_CROSS_CHECK_MAX`` of the optimality bound (the peak value, or the
-    scale of the curve where the grid misses the peak) raises
-    :class:`NumericalError`.
+    Both arrays have the shape of the angle grid, which may hold any
+    angles in any order; the bound they obey is :func:`optimality_bound`.
+    An empty grid raises ``ValueError``.  Each closed form runs once over
+    the grid, and their values are checked together: an FI below -1e-9,
+    an ``fi_with`` above the bound by more than 1e-6, or a NaN raises
+    :class:`NumericalError`.  The peak row of ``fi_with`` is checked
+    against the Kraus pipeline; a gap above ``FI_CROSS_CHECK_MAX`` of the
+    bound (the peak value, or the scale of the curve where the grid misses
+    the peak) raises :class:`NumericalError` too.
     """
-    thetas = np.asarray(config.theta_grid)
-    without = fi_without_prevention(config.eta, thetas)
-    with_op = fi_with_prevention(config.eta, thetas)
-    bound = optimality_bound(config.eta)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.size == 0:
+        raise ValueError("the angle grid must not be empty")
+    without = np.asarray(fi_without_prevention(eta, thetas))
+    with_op = np.asarray(fi_with_prevention(eta, thetas))
+    bound = optimality_bound(eta)
+    if not (min(without.min(), with_op.min()) >= -1e-9 and with_op.max() <= bound + 1e-6):
+        raise NumericalError(
+            f"an FI at eta = {eta} leaves [0, {bound:.12g}], "
+            "the range the optimality bound allows"
+        )
     peak = int(np.argmax(with_op))
-    fi_fd = _fi_brute_force(config.eta, float(thetas[peak]), True)
-    gap = abs(with_op[peak] - fi_fd) / bound
+    theta_peak, fi_peak = float(thetas.flat[peak]), float(with_op.flat[peak])
+    fi_fd = _fi_brute_force(eta, theta_peak)
+    gap = abs(fi_peak - fi_fd) / bound
     if not gap <= FI_CROSS_CHECK_MAX:
         raise NumericalError(
-            f"closed-form F = {with_op[peak]:.12g} and finite-difference F = "
-            f"{fi_fd:.12g} at theta = {thetas[peak]:.6g} differ by {gap:.2e} "
+            f"closed-form F = {fi_peak:.12g} and finite-difference F = "
+            f"{fi_fd:.12g} at theta = {theta_peak:.6g} differ by {gap:.2e} "
             "of the optimality bound"
         )
-    return [
-        ToyFiCurve(theta=theta, fi_without=a, fi_with=b, qfi_bound=bound)
-        for theta, a, b in zip(config.theta_grid, without.tolist(), with_op.tolist())
-    ]
+    return without, with_op
 
 
-def expectation_curves(eta: float, theta_grid) -> ExpectationCurves:
+def expectation_curves(eta: float, thetas) -> tuple[np.ndarray, ...]:
     """Detected mean excitation numbers in both modes versus angle.
 
-    With the operation the means are 2 eta cos^4(theta/2) and
+    Returns ``(nd_with, np_with, nd_without, np_without)`` in the shape of
+    ``thetas``: with the operation the means are 2 eta cos^4(theta/2) and
     2 eta sin^4(theta/2); without it 2 eta cos^2(theta/2) and
     2 eta sin^2(theta/2).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    theta = np.asarray(list(theta_grid), dtype=float)
+    theta = np.asarray(thetas, dtype=float)
     c2 = np.cos(theta / 2.0) ** 2
     s2 = np.sin(theta / 2.0) ** 2
-    return ExpectationCurves(
-        theta=theta,
-        nd_with=2.0 * eta * c2**2,
-        np_with=2.0 * eta * s2**2,
-        nd_without=2.0 * eta * c2,
-        np_without=2.0 * eta * s2,
-    )
-
+    return 2.0 * eta * c2**2, 2.0 * eta * s2**2, 2.0 * eta * c2, 2.0 * eta * s2

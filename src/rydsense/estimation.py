@@ -398,9 +398,9 @@ def run_estimation(
     per-stage random streams are spawned from the master seed, so the
     outcome does not depend on evaluation order.  A ``theta_true``
     outside [0, pi], which the estimator's grid cannot reach, raises
-    ``ValueError``.  Raises :class:`NumericalError` if the estimates of the
-    realizations, or of any bootstrap re-partition, are all equal (zero
-    variance).
+    ``ValueError``, as does a negative ``seed``.  Raises
+    :class:`NumericalError` if the estimates of the realizations, or of any
+    bootstrap re-partition, are all equal (zero variance).
     """
     if not 0.0 <= theta_true <= math.pi:
         raise ValueError(f"theta_true must lie in [0, pi], got {theta_true}")
@@ -409,6 +409,8 @@ def run_estimation(
         raise ValueError("shots_per_realization must divide n_total")
     if n_bootstrap < 2:
         raise ValueError("n_bootstrap must be at least 2")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _informative_mean(params)
     k = n_total // n
     if k < 10:
@@ -506,11 +508,14 @@ def sensitivity_from_model(
     reports, read at the best grid angle, is checked once against the
     finite-difference FI there; a relative gap above ``FI_CROSS_CHECK_MAX``
     raises :class:`NumericalError`.  ``fisher_override`` substitutes an
-    externally measured F while keeping the model's theta*.  A zero
-    detected mean n0 eta raises ``ValueError``.
+    externally measured F while keeping the model's theta*.  A
+    non-positive ``rabi_frequency`` or ``dipole_moment`` and a zero
+    detected mean n0 eta raise ``ValueError`` before the scan.
     """
     if rabi_frequency <= 0:
         raise ValueError("rabi_frequency must be positive")
+    if not dipole_moment > 0:
+        raise ValueError(f"dipole_moment must be positive, got {dipole_moment}")
     if fisher_override is not None and not fisher_override > 0:
         raise ValueError(f"fisher_override must be positive, got {fisher_override}")
     _informative_mean(params)

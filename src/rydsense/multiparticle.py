@@ -326,35 +326,34 @@ def interaction_channel_kraus(
 ) -> KrausChannel:
     """Mutual interaction-induced decay as a Kraus channel on ``basis``.
 
-    The asymmetric variant damps mode d at a rate set by the occupation of
-    mode p, with operators indexed by the number l of lost d excitations:
+    The operators K_{k,m} damp both modes mutually, each at a rate set by
+    the occupation of the other:
 
-        K_l = d^l sqrt((e^(gt n_p) - 1)^l / l!) e^(-gt n_p n_d / 2)
+        K_{k,m} = d^m p^k sqrt((e^(gt n_p) - 1)^m / m! (e^(gt n_d) - 1)^k / k!)
+                  e^(-gt n_d n_p)
 
-    (gt = gamma_tau, number operators evaluated on the input state).  The
-    symmetric variant K_{k,m} damps both modes mutually and recovers the
-    two-excitation error-prevention pair in the limit gamma_tau -> inf.
-    All operators only lower occupations, so the channel is trace
-    preserving on the truncated space up to the weights below 1e-14 that
-    are dropped.  The feasible (operator, source) pairs are the entry
-    table of :class:`~rydsense.fockspace.KrausChannel`, with no dense
-    operator or coefficient array formed.  The completeness defect is
-    checked once, on the returned channel (built as not trace preserving,
-    so it is checked not to exceed the identity): above 1e-6 it raises
-    ``ValueError``, as does a negative or non-finite ``gamma_tau``.
+    (gt = gamma_tau, number operators evaluated on the input state), and
+    recover the two-excitation error-prevention pair in the limit
+    gamma_tau -> inf.  All operators only lower occupations, so the
+    channel is trace preserving on the truncated space up to the weights
+    below 1e-14 that are dropped.  The feasible (operator, source) pairs
+    are the entry table of :class:`~rydsense.fockspace.KrausChannel`, with
+    no dense operator or coefficient array formed.  The completeness
+    defect is checked once, on the returned channel (built as not trace
+    preserving, so it is checked not to exceed the identity): above 1e-6
+    it raises ``ValueError``, as does a negative or non-finite
+    ``gamma_tau``.  ``symmetric`` names this channel; any value other than
+    ``True`` raises ``ValueError``.
     """
+    if symmetric is not True:
+        raise ValueError(f"symmetric must be True, got {symmetric!r}")
     if not 0.0 <= gamma_tau < math.inf:
         raise ValueError(f"gamma_tau must be finite and non-negative, got {gamma_tau}")
     gt = float(gamma_tau)
     occ = np.array(basis.occupations)
     n = np.arange(basis.n_max + 1)
-    if gt == 0.0:
-        lowered = np.zeros((1, 2), dtype=int)
-    elif symmetric:
-        # K_{k,m} lowers (n_d, n_p) by (m, k); (k, m) runs in basis order
-        lowered = occ[:, ::-1]
-    else:
-        lowered = np.stack((n, np.zeros_like(n)), axis=1)
+    # K_{k,m} lowers (n_d, n_p) by (m, k); (k, m) runs in basis order
+    lowered = np.zeros((1, 2), dtype=int) if gt == 0.0 else occ[:, ::-1]
     log_fact = _log_factorials(n.size)
     log_rate = np.array([_log_expm1(gt * i) for i in n])
     nd, np_ = occ[:, 0], occ[:, 1]
@@ -363,7 +362,7 @@ def interaction_channel_kraus(
     feasible &= ((lost_p == 0) | (nd > 0)) & ((lost_d == 0) | (np_ > 0))
     j, i = np.nonzero(feasible)
     nd_i, np_i = nd[i], np_[i]
-    log_amp2 = -(2.0 if symmetric else 1.0) * gt * nd_i * np_i
+    log_amp2 = -2.0 * gt * nd_i * np_i
     # lose l of the m excitations of one mode at the rate driven by the
     # other mode's occupation c: (e^(gt c) - 1)^l / l! * m! / (m - l)!
     for lost, pool, other in ((lost_p[j, 0], np_i, nd_i), (lost_d[j, 0], nd_i, np_i)):

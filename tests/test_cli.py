@@ -82,6 +82,28 @@ class TestToyFi:
         assert float(rows[0][2]) == pytest.approx(2.0, abs=1e-7)
         assert float(rows[0][3]) == pytest.approx(2.0, abs=1e-7)
 
+    def test_negative_angles_follow_the_closed_forms(self, tmp_path):
+        out = tmp_path / "toy.csv"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"output_path": str(out), "etas": [0.3], "theta_min": -1, "theta_points": 9},
+        )
+        assert run_cli("toy-fi", cfg) == 0
+        _, rows = read_csv(out)
+        thetas = np.linspace(-1.0, 3.1, 9)
+        expected = np.column_stack(
+            [
+                np.full(9, 0.3),
+                thetas,
+                error_prevention.fi_without_prevention(0.3, thetas),
+                error_prevention.fi_with_prevention(0.3, thetas),
+                np.full(9, error_prevention.optimality_bound(0.3)),
+                error_prevention.fi_with_prevention(0.3, thetas) / 0.6,
+                *error_prevention.expectation_curves(0.3, thetas)[::2],
+            ]
+        )
+        np.testing.assert_allclose(np.array(rows, dtype=float), expected, rtol=1e-11, atol=1e-15)
+
     def test_zero_eta_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "toy.csv"
         cfg = write_config(tmp_path / "c.json", {"output_path": str(out), "etas": [0.3, 0.0]})
@@ -99,6 +121,22 @@ class TestToyFi:
         )
         assert run_cli("toy-fi", cfg) == 3
         assert "finite-difference" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_fi_above_the_bound_exit_code(self, tmp_path, capsys, monkeypatch):
+        closed_form = error_prevention.fi_with_prevention
+
+        def above(eta, theta):
+            return closed_form(eta, theta) + 1e-5
+
+        monkeypatch.setattr(error_prevention, "fi_with_prevention", above)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"output_path": str(tmp_path / "x.csv"), "etas": [0.5], "theta_points": 31,
+             "theta_min": math.pi / 2 - 1.5, "theta_max": math.pi / 2 + 1.5},
+        )
+        assert run_cli("toy-fi", cfg) == 3
+        assert "leaves [0, 1.5]" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
@@ -385,6 +423,13 @@ class TestSensitivity:
         )
         assert run_cli("sensitivity", cfg) == 2
         assert "detected mean" in capsys.readouterr().err
+
+    def test_format_is_not_a_key(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        cfg = write_config(tmp_path / "c.json", {**self.BASE, "output_path": str(out)})
+        assert run_cli("sensitivity", cfg, extra=["--set", "format=json"]) == 2
+        assert "unknown config keys for sensitivity: format" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fisher_override(self, tmp_path):
         out = tmp_path / "sens.json"
@@ -716,6 +761,23 @@ class TestCommonMachinery:
                     assert f"key {key!r} expects a {spec.kind}" in err
                 elif raw in ("Infinity", "-Infinity", "NaN") and "float" in spec.kind:
                     assert f"key {key!r} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "study,key,value,message",
+        [
+            ("decay-scan", "n0", 0.0, "detected mean n0 * eta is zero"),
+            ("decay-scan", "eta", 0.0, "detected mean n0 * eta is zero"),
+            ("ml-experiment", "seed", -1, "seed must be non-negative, got -1"),
+            ("sensitivity", "dipole_moment_ea0", 0.0, "dipole_moment must be positive"),
+        ],
+        ids=["decay_n0", "decay_eta", "ml_seed", "sensitivity_dipole"],
+    )
+    def test_bad_value_names_its_rule(self, tmp_path, capsys, study, key, value, message):
+        out = tmp_path / "x.out"
+        cfg = {**self.SMALL[study], "output_path": str(out), key: value}
+        assert run_cli(study, write_config(tmp_path / "c.json", cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, capsys):
         assert run_cli("toy-fi", "/nonexistent/path.json") == 2

@@ -6,8 +6,6 @@ import pytest
 
 from rydsense import error_prevention
 from rydsense.error_prevention import (
-    ToyConfig,
-    ToyFiCurve,
     enhancement_curve,
     error_prevention_channel,
     expectation_curves,
@@ -190,52 +188,53 @@ class TestFiWithPrevention:
 class TestCurves:
     def test_enhancement_ratio_is_two_minus_eta(self):
         for eta, expected in ((1.0, 1.0), (1e-6, 2.0), (0.02, 1.98)):
-            rows = enhancement_curve(ToyConfig(eta, (math.pi / 2,)))
-            ratio = rows[0].fi_with / rows[0].fi_without
-            assert ratio == pytest.approx(expected, abs=1e-5)
+            without, with_op = enhancement_curve(eta, [math.pi / 2])
+            assert with_op[0] / without[0] == pytest.approx(expected, abs=1e-5)
 
-    def test_curve_rows_respect_bound_invariant(self):
-        rows = enhancement_curve(ToyConfig(0.3, tuple(GRID[::10])))
-        for row in rows:
-            assert isinstance(row, ToyFiCurve)
-            assert row.qfi_bound == pytest.approx(optimality_bound(0.3))
+    def test_curves_are_the_closed_forms_in_the_grid_shape(self):
+        # any angles in any order: negative, descending, beyond pi
+        thetas = np.array([[2.0, 1.0, -0.5], [-1.0, 4.0, math.pi / 2]])
+        without, with_op = enhancement_curve(0.3, thetas)
+        assert without.shape == with_op.shape == thetas.shape
+        assert np.array_equal(without, fi_without_prevention(0.3, thetas))
+        assert np.array_equal(with_op, fi_with_prevention(0.3, thetas))
+        assert with_op.max() <= optimality_bound(0.3)
 
     def test_detected_means_at_reference_angles(self):
         eta = 0.4
-        curves = expectation_curves(eta, [0.0, math.pi / 2])
-        assert curves.nd_with[0] == pytest.approx(2 * eta, abs=1e-12)
-        assert curves.nd_without[0] == pytest.approx(2 * eta, abs=1e-12)
+        nd_with, _, nd_without, _ = expectation_curves(eta, [0.0, math.pi / 2])
+        assert nd_with[0] == pytest.approx(2 * eta, abs=1e-12)
+        assert nd_without[0] == pytest.approx(2 * eta, abs=1e-12)
         ones = expectation_curves(1.0, [math.pi / 2])
-        assert ones.nd_with[0] == pytest.approx(0.5, abs=1e-12)
+        assert ones[0][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matrix_oracle_agrees(self):
         thetas = [0.0, 0.6, math.pi / 2, 2.4]
         eta = 0.27
         curves = expectation_curves(eta, thetas)
         for i, theta in enumerate(thetas):
-            nd_w, np_w, nd_wo, np_wo = expectation_oracle(eta, theta)
-            assert curves.nd_with[i] == pytest.approx(nd_w, abs=1e-10)
-            assert curves.np_with[i] == pytest.approx(np_w, abs=1e-10)
-            assert curves.nd_without[i] == pytest.approx(nd_wo, abs=1e-10)
-            assert curves.np_without[i] == pytest.approx(np_wo, abs=1e-10)
+            for curve, expected in zip(curves, expectation_oracle(eta, theta)):
+                assert curve[i] == pytest.approx(expected, abs=1e-10)
 
 
-class TestConfigTypes:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ToyConfig(1.2, (0.1, 0.2))
-        with pytest.raises(ValueError):
-            ToyConfig(0.5, ())
-        with pytest.raises(ValueError):
-            ToyConfig(0.5, (0.2, 0.1))
+class TestInputChecks:
+    def test_eta_and_grid_validation(self):
+        with pytest.raises(ValueError, match="eta must lie"):
+            enhancement_curve(1.2, (0.1, 0.2))
+        with pytest.raises(ValueError, match="must not be empty"):
+            enhancement_curve(0.5, ())
 
-    def test_curve_bound_violation_rejected(self):
-        with pytest.raises(ValueError):
-            ToyFiCurve(theta=1.0, fi_without=0.6, fi_with=1.4, qfi_bound=1.0)
+    def test_fi_above_the_bound_raises(self, monkeypatch):
+        def above(eta, theta):
+            return fi_with_prevention(eta, theta) + 1e-5
+
+        monkeypatch.setattr(error_prevention, "fi_with_prevention", above)
+        with pytest.raises(NumericalError, match=r"leaves \[0, 1\.02\]"):
+            enhancement_curve(0.3, (1.0, math.pi / 2))
 
     def test_eta_zero_rejected(self):
         with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\], got 0.0"):
-            ToyConfig(0.0, (0.1, 0.2))
+            enhancement_curve(0.0, (0.1, 0.2))
 
     def test_rotation_starts_from_two_zero(self):
         expected = FockBasis(2).state(2, 0).amplitudes
@@ -294,9 +293,8 @@ class TestClosedFormFi:
             return classical_fi(family, theta, **kwargs)
 
         monkeypatch.setattr(error_prevention, "classical_fi", counted)
-        rows = enhancement_curve(ToyConfig(0.3, tuple(GRID)))
-        peak = max(rows, key=lambda row: row.fi_with)
-        assert calls == [peak.theta]
+        _, with_op = enhancement_curve(0.3, GRID)
+        assert calls == [GRID[np.argmax(with_op)]]
 
     def test_cross_check_disagreement_raises(self, monkeypatch):
         def shifted(family, theta, **kwargs):
@@ -304,10 +302,10 @@ class TestClosedFormFi:
 
         monkeypatch.setattr(error_prevention, "classical_fi", shifted)
         with pytest.raises(NumericalError, match="finite-difference"):
-            enhancement_curve(ToyConfig(0.3, (1.0, math.pi / 2)))
+            enhancement_curve(0.3, (1.0, math.pi / 2))
 
     def test_cross_check_passes_where_the_grid_misses_the_peak(self):
         # at multiples of pi the FI with the operation is 0 for eta < 1,
         # and the finite difference leaves about 1e-11 there
-        rows = enhancement_curve(ToyConfig(0.5, (0.0, math.pi)))
-        assert [row.fi_with for row in rows] == pytest.approx([0.0, 0.0], abs=1e-15)
+        _, with_op = enhancement_curve(0.5, (0.0, math.pi))
+        assert with_op.tolist() == pytest.approx([0.0, 0.0], abs=1e-15)

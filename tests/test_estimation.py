@@ -179,6 +179,10 @@ class TestRunEstimation:
         with pytest.raises(ValueError, match="detected mean n0 \\* eta is zero"):
             run_estimation(ProtocolParams(n0, eta, 0.03), 1.0, 1000, 100, seed=1)
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_estimation(EXPERIMENT, 1.0, 1000, 100, seed=-1)
+
     def test_zero_variance_raises_numerical_error(self):
         # n0 eta = 1e-3: every shot detects nothing, so every realization
         # gives the same estimate
@@ -704,6 +708,15 @@ class TestSensitivityPipeline:
     def test_validation(self):
         with pytest.raises(ValueError):
             sensitivity_from_model(EXPERIMENT, -1.0, REFERENCE_DIPOLE)
+
+    @pytest.mark.parametrize("dipole", [0.0, -1.0, math.nan])
+    def test_dipole_moment_is_checked_before_the_scan(self, monkeypatch, dipole):
+        def scan(*args):
+            raise AssertionError("the FI scan ran")
+
+        monkeypatch.setattr(estimation, "fisher_information", scan)
+        with pytest.raises(ValueError, match="dipole_moment must be positive"):
+            sensitivity_from_model(EXPERIMENT, REFERENCE_RABI, dipole)
 
     @pytest.mark.parametrize("override", [0.0, -1.0, math.nan])
     def test_fisher_override_must_be_positive(self, override):

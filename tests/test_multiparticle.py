@@ -35,10 +35,10 @@ from rydsense.multiparticle import (
 
 from conftest import kraus_pipeline_distribution, kraus_pipeline_family
 from helpers import (
+    d_damping_channel,
     dense_density,
     dense_kraus_sums,
     dense_operators,
-    mode_operator,
     populations,
     random_density,
     small_eta_normalized_fi,
@@ -330,10 +330,9 @@ class TestMixtureKernel:
 class TestInteractionChannel:
     def test_zero_decay_is_identity(self):
         basis = FockBasis(3)
-        for symmetric in (True, False):
-            ops = dense_operators(interaction_channel_kraus(basis, 0.0, symmetric=symmetric))
-            assert len(ops) == 1
-            assert np.allclose(ops[0], np.eye(basis.dim))
+        ops = dense_operators(interaction_channel_kraus(basis, 0.0))
+        assert len(ops) == 1
+        assert np.allclose(ops[0], np.eye(basis.dim))
 
     def test_strong_decay_empties_one_one(self):
         basis = FockBasis(2)
@@ -367,49 +366,37 @@ class TestInteractionChannel:
                 assert np.max(np.abs(out.populations - np.diagonal(rho).real)) < 1e-12
 
     def test_trace_preserving_on_truncated_space(self):
-        basis = FockBasis(10)
-        for symmetric in (True, False):
-            channel = interaction_channel_kraus(basis, 0.8, symmetric=symmetric)
-            assert channel.completeness_defect < 1e-9
-
-    def test_asymmetric_damps_d_conditioned_on_p(self):
-        basis = FockBasis(6)
-        gamma_tau = 0.7
-        channel = interaction_channel_kraus(basis, gamma_tau, symmetric=False)
-        n_d = mode_operator(basis, "d", "number")
-        for nd, np_ in ((1, 2), (2, 1), (3, 3)):
-            out = apply_channel(basis.state(nd, np_).to_density(), channel)
-            assert np.diagonal(n_d).real @ out.populations == pytest.approx(
-                nd * math.exp(-gamma_tau * np_), rel=1e-10
-            )
+        channel = interaction_channel_kraus(FockBasis(10), 0.8)
+        assert channel.completeness_defect < 1e-9
 
     def test_negative_decay_rejected(self):
         with pytest.raises(ValueError):
             interaction_channel_kraus(FockBasis(2), -0.1)
 
+    def test_only_the_mutual_decay(self):
+        with pytest.raises(ValueError, match="symmetric must be True, got False"):
+            interaction_channel_kraus(FockBasis(2), 0.7, symmetric=False)
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_non_finite_decay_rejected(self, value, symmetric):
+    def test_non_finite_decay_rejected(self, value):
         with pytest.raises(ValueError, match="gamma_tau must be finite"):
-            interaction_channel_kraus(FockBasis(2), value, symmetric=symmetric)
+            interaction_channel_kraus(FockBasis(2), value)
 
     @pytest.mark.parametrize("n_max", [2, 9, 14])
     @pytest.mark.parametrize("gamma_tau", [0.0, 0.7, 25.0])
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_lowering_form_matches_dense_reference(self, rng, n_max, gamma_tau, symmetric):
+    def test_lowering_form_matches_dense_reference(self, rng, n_max, gamma_tau):
         basis = FockBasis(n_max)
-        channel = interaction_channel_kraus(basis, gamma_tau, symmetric=symmetric)
+        channel = interaction_channel_kraus(basis, gamma_tau)
         rho = random_density(rng, basis.dim)
         reference, defect = dense_kraus_sums(channel, rho)
         out = apply_channel(populations(basis, rho), channel).populations
         assert np.max(np.abs(out - np.diagonal(reference).real)) <= 1e-15
         assert abs(channel.completeness_defect - defect) <= 1e-14
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_builds_without_dense_stack(self, symmetric):
+    def test_builds_without_dense_stack(self):
         # one dense (J, dim, dim) stack at FockBasis(14) would take 27 MB
         basis = FockBasis(14)
-        peak = tracemalloc_peak(lambda: interaction_channel_kraus(basis, 0.7, symmetric=symmetric))
+        peak = tracemalloc_peak(lambda: interaction_channel_kraus(basis, 0.7))
         assert peak <= 2e6
 
     def test_symmetric_build_memory_at_sixty(self):
@@ -432,11 +419,23 @@ class TestOracleEquivalence:
         oracle = kraus_pipeline_distribution(n0, 0.3, gamma_tau, theta, loss_order=order)
         assert analytic.tv_distance(oracle) < 1e-6
 
+    @pytest.mark.parametrize("gamma_tau", [0.0, 0.7, 25.0])
+    def test_d_damping_gives_the_d_counts_of_the_mutual_decay(self, rng, gamma_tau):
+        basis = FockBasis(9)
+        povm = number_povm(basis)
+        rho = populations(basis, random_density(rng, basis.dim))
+        counts = [
+            measure(apply_channel(rho, channel), povm).marginal("d")
+            for channel in (interaction_channel_kraus(basis, gamma_tau),
+                            d_damping_channel(basis, gamma_tau))
+        ]
+        assert counts[0].tv_distance(counts[1]) < 1e-13
+
     @pytest.mark.parametrize("gamma_tau", [0.034, 0.19])
     def test_count_pmf_matches_population_oracle_at_experimental_point(self, gamma_tau):
         # n0 = 55, eta = 0.02 on FockBasis(110), whose coherent tail is about
-        # 2e-11; the asymmetric channel damps d given p, which is all that
-        # the d counts see.  The population path and the number measurement
+        # 2e-11; the d damping of the mutual decay is all that the d counts
+        # see.  The population path and the number measurement
         # keep the peak far below the 309 MB of one dim^2 float array at
         # this size.
         n0, eta = 55.0, 0.02
@@ -446,7 +445,7 @@ class TestOracleEquivalence:
         worst = []
 
         def run():
-            channel = interaction_channel_kraus(basis, gamma_tau, symmetric=False)
+            channel = d_damping_channel(basis, gamma_tau)
             for order in (LOSS_AFTER, LOSS_BEFORE):
                 scale = math.sqrt(n0 * (eta if order == LOSS_BEFORE else 1.0))
                 for theta in (0.6, 1.14, 2.0):
