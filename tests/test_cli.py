@@ -91,16 +91,13 @@ class TestToyFi:
         assert run_cli("toy-fi", cfg) == 0
         _, rows = read_csv(out)
         thetas = np.linspace(-1.0, 3.1, 9)
+        fi_without = error_prevention.fi_without_prevention(0.3, thetas)
+        fi_with = error_prevention.fi_with_prevention(0.3, thetas)
+        nd_with, _, nd_without, _ = error_prevention.expectation_curves(0.3, thetas)
+        bound = np.full(9, error_prevention.optimality_bound(0.3))
         expected = np.column_stack(
-            [
-                np.full(9, 0.3),
-                thetas,
-                error_prevention.fi_without_prevention(0.3, thetas),
-                error_prevention.fi_with_prevention(0.3, thetas),
-                np.full(9, error_prevention.optimality_bound(0.3)),
-                error_prevention.fi_with_prevention(0.3, thetas) / 0.6,
-                *error_prevention.expectation_curves(0.3, thetas)[::2],
-            ]
+            [np.full(9, 0.3), thetas, fi_without, fi_with, bound, fi_with / fi_without,
+             nd_with, nd_without]
         )
         np.testing.assert_allclose(np.array(rows, dtype=float), expected, rtol=1e-11, atol=1e-15)
 
