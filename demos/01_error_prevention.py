@@ -30,7 +30,7 @@ print()
 
 grid = np.linspace(0.2, np.pi - 0.2, 9)
 fi_bare, fi_op = enhancement_curve(eta, grid)
-nd_with, _, nd_without, _ = expectation_curves(eta, grid)
+nd_with, nd_without = expectation_curves(eta, grid)
 bound = optimality_bound(eta)
 
 print(f"{'theta':>8} {'FI bare':>10} {'FI with op':>11} {'bound':>9} "

@@ -2,9 +2,10 @@
 
 Each subcommand reads a flat JSON config file (``--config``), applies
 ``--set key=value`` overrides, runs the corresponding study and writes a
-CSV or JSON table (``sensitivity`` writes one JSON record).  Outputs are pure functions of (config, seed): re-runs
-produce byte-identical files.  Relative output paths resolve under
-``$RYDSENSE_OUTPUT_DIR`` (default: current directory).
+CSV table (``sensitivity`` writes one JSON record).  Outputs are pure
+functions of (config, seed): re-runs produce byte-identical files.
+Relative output paths resolve under ``$RYDSENSE_OUTPUT_DIR`` (default:
+current directory).
 
 Exit codes: 0 success, 2 config validation error, 3 numerical failure
 (Poisson-mixture truncation, zero ML variance, exact and finite-difference
@@ -47,10 +48,7 @@ class _Key:
     choices: tuple | None = None
 
 
-_COMMON = {
-    "output_path": _Key("str", required=True),
-    "format": _Key("str", default="csv", choices=("csv", "json")),
-}
+_COMMON = {"output_path": _Key("str", required=True)}
 
 SCHEMAS = {
     "toy-fi": {
@@ -101,14 +99,13 @@ SCHEMAS = {
         "seed": _Key("int", default=0),
     },
     "sensitivity": {
-        "output_path": _Key("str", required=True),
+        **_COMMON,
         "n0": _Key("float", required=True),
         "eta": _Key("float", required=True),
         "gamma_tau": _Key("float", required=True),
         "loss_order": _Key("str", default=LOSS_AFTER, choices=(LOSS_AFTER, LOSS_BEFORE)),
         "rabi_frequency_hz": _Key("float", required=True),
-        "dipole_moment_cm": _Key("float"),
-        "dipole_moment_ea0": _Key("float"),
+        "dipole_moment_ea0": _Key("float", required=True),
         "grid_points": _Key("int", default=512),
         "fisher_override": _Key("float"),
     },
@@ -203,29 +200,15 @@ def _write_output(cfg: dict, text: str) -> Path:
     return path
 
 
-def _write_json(cfg: dict, payload: dict) -> Path:
-    return _write_output(cfg, json.dumps(payload, indent=1) + "\n")
+def write_table(cfg: dict, columns: list, rows: list) -> Path:
+    """Write ``columns`` and ``rows`` as a CSV table; returns its path.
 
-
-def write_table(cfg: dict, schema_name: str, columns: list, rows: list) -> Path:
-    """Write ``columns`` and ``rows`` as a CSV or JSON table; returns its path.
-
-    A CSV table is written at once as one string with ``\\r\\n`` line
+    The table is written at once as one string with ``\\r\\n`` line
     ends, byte-identical to ``csv.writer`` on rows of two or more cells.
     Floats print with 12 significant digits.  A string cell that
     ``csv.QUOTE_MINIMAL`` would quote (one holding a comma, a double quote
     or a line break) raises ``ValueError``.
     """
-    if cfg["format"] == "json":
-        return _write_json(
-            cfg,
-            {
-                "schema": schema_name,
-                "version": SCHEMA_VERSION,
-                "columns": columns,
-                "rows": [list(row) for row in rows],
-            },
-        )
     lines = [",".join(map(_fmt, row)) for row in [columns, *rows]]
     return _write_output(cfg, "\r\n".join(lines) + "\r\n")
 
@@ -246,11 +229,11 @@ def cmd_toy_fi(cfg: dict) -> Path:
     for eta in cfg["etas"]:
         without, with_op = error_prevention.enhancement_curve(eta, thetas)
         bound = error_prevention.optimality_bound(eta)
-        nd_with, _, nd_without, _ = error_prevention.expectation_curves(eta, thetas)
+        nd_with, nd_without = error_prevention.expectation_curves(eta, thetas)
         curves = (thetas, without, with_op, with_op / without, nd_with, nd_without)
         for theta, a, b, ratio, nd_w, nd_wo in zip(*(c.tolist() for c in curves)):
             rows.append((eta, theta, a, b, bound, ratio, nd_w, nd_wo))
-    return write_table(cfg, "rydsense.toy_fi", columns, rows)
+    return write_table(cfg, columns, rows)
 
 
 def cmd_decay_scan(cfg: dict) -> Path:
@@ -276,7 +259,7 @@ def cmd_decay_scan(cfg: dict) -> Path:
         p_pop = cfg["n0"] * math.sin(theta / 2.0) ** 2
         for tau, mean in zip(taus.tolist(), theta_means.tolist()):
             rows.append((theta, tau, mean, rate, p_pop))
-    return write_table(cfg, "rydsense.decay_scan", columns, rows)
+    return write_table(cfg, columns, rows)
 
 
 def cmd_super_rabi(cfg: dict) -> Path:
@@ -287,7 +270,7 @@ def cmd_super_rabi(cfg: dict) -> Path:
     means = multiparticle.super_rabi_means(params, thetas)
     means += multiparticle.super_rabi_means(reference, thetas)
     rows = list(zip(thetas.tolist(), *(m.tolist() for m in means)))
-    return write_table(cfg, "rydsense.super_rabi", columns, rows)
+    return write_table(cfg, columns, rows)
 
 
 def cmd_fi_scan(cfg: dict) -> Path:
@@ -301,7 +284,7 @@ def cmd_fi_scan(cfg: dict) -> Path:
             fis = multiparticle.fisher_information(params, thetas)
             for theta, fi in zip(thetas.tolist(), fis.tolist()):
                 rows.append((gamma_tau, order, theta, fi, fi / scale))
-    return write_table(cfg, "rydsense.fi_scan", columns, rows)
+    return write_table(cfg, columns, rows)
 
 
 def cmd_ml_experiment(cfg: dict) -> Path:
@@ -336,28 +319,17 @@ def cmd_ml_experiment(cfg: dict) -> Path:
                 result.bias,
             )
         )
-    return write_table(cfg, "rydsense.ml_experiment", columns, rows)
+    return write_table(cfg, columns, rows)
 
 
 def cmd_sensitivity(cfg: dict) -> Path:
-    has_cm = cfg["dipole_moment_cm"] is not None
-    has_ea0 = cfg["dipole_moment_ea0"] is not None
-    if has_cm == has_ea0:
-        raise ConfigError(
-            "exactly one of dipole_moment_cm or dipole_moment_ea0 is required"
-        )
-    dipole = (
-        cfg["dipole_moment_cm"]
-        if has_cm
-        else estimation.dipole_moment_si(cfg["dipole_moment_ea0"])
-    )
     params = ProtocolParams(
         cfg["n0"], cfg["eta"], cfg["gamma_tau"], loss_order=cfg["loss_order"]
     )
     report = estimation.sensitivity_from_model(
         params,
         rabi_frequency=2.0 * math.pi * cfg["rabi_frequency_hz"],
-        dipole_moment=dipole,
+        dipole_moment=estimation.dipole_moment_si(cfg["dipole_moment_ea0"]),
         grid_points=cfg["grid_points"],
         fisher_override=cfg["fisher_override"],
     )
@@ -374,7 +346,7 @@ def cmd_sensitivity(cfg: dict) -> Path:
         "fisher_information": report.fisher_information,
         "normalized_fi": report.fisher_information / params.detected_mean,
     }
-    return _write_json(cfg, payload)
+    return _write_output(cfg, json.dumps(payload, indent=1) + "\n")
 
 
 def cmd_dipolar(cfg: dict) -> Path:
@@ -382,9 +354,7 @@ def cmd_dipolar(cfg: dict) -> Path:
     params = DipolarParams.from_tabulated(cfg["c3_over_2pi_hbar_ghz_um3"], cloud)
     ts = np.asarray(cfg["t_values_us"], dtype=float)
     a_values = [dipolar.excluded_volume_integral(t, params) for t in ts]
-    re_a = np.array([a.real for a in a_values])
-    t_seconds = ts * 1e-6
-    q_fit = float(np.sum(t_seconds * re_a) / np.sum(t_seconds**2))
+    q = dipolar.volumetric_rate_q(params)
     gamma = dipolar.decay_rate_gamma(params)
     columns = [
         "t_us",
@@ -395,10 +365,10 @@ def cmd_dipolar(cfg: dict) -> Path:
         "gamma_no_2pi_per_s",
     ]
     rows = [
-        (float(t), float(a.real), float(a.imag), q_fit, gamma, gamma / (2.0 * math.pi))
+        (float(t), float(a.real), float(a.imag), q, gamma, gamma / (2.0 * math.pi))
         for t, a in zip(ts, a_values)
     ]
-    return write_table(cfg, "rydsense.dipolar", columns, rows)
+    return write_table(cfg, columns, rows)
 
 
 _COMMANDS = {

@@ -8,12 +8,12 @@ per shot is 2 eta for every angle; with it the peak value rises to
 2 eta (2 - eta) at theta = pi/2, which saturates the known optimality bound
 eta (2 - eta) times the quantum Fisher information of the pure state.
 
-Both Fisher informations and the detected means are closed forms over
-arrays of angles (no events are post-selected), and the curves are plain
-arrays in the shape of the angle grid.  The Kraus pipeline (rotated state,
-operation, detection-loss channel, number measurement, finite-difference
-FI) remains their oracle: :func:`enhancement_curve` checks its peak row
-against it on every call.
+Both Fisher informations and the detected means of mode d are closed
+forms over arrays of angles (no events are post-selected), and the curves
+are plain arrays in the shape of the angle grid.  The Kraus pipeline
+(rotated state, operation, detection-loss channel, number measurement,
+finite-difference FI) remains their oracle: :func:`enhancement_curve`
+checks its peak row against it on every call.
 """
 
 from __future__ import annotations
@@ -177,17 +177,14 @@ def enhancement_curve(eta: float, thetas) -> tuple[np.ndarray, np.ndarray]:
     return without, with_op
 
 
-def expectation_curves(eta: float, thetas) -> tuple[np.ndarray, ...]:
-    """Detected mean excitation numbers in both modes versus angle.
+def expectation_curves(eta: float, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Detected mean excitation number of mode d versus angle.
 
-    Returns ``(nd_with, np_with, nd_without, np_without)`` in the shape of
-    ``thetas``: with the operation the means are 2 eta cos^4(theta/2) and
-    2 eta sin^4(theta/2); without it 2 eta cos^2(theta/2) and
-    2 eta sin^2(theta/2).
+    Returns ``(nd_with, nd_without)`` in the shape of ``thetas``: with the
+    operation the mean is 2 eta cos^4(theta/2), without it
+    2 eta cos^2(theta/2).  Mode p at theta is mode d at pi - theta.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    theta = np.asarray(thetas, dtype=float)
-    c2 = np.cos(theta / 2.0) ** 2
-    s2 = np.sin(theta / 2.0) ** 2
-    return 2.0 * eta * c2**2, 2.0 * eta * s2**2, 2.0 * eta * c2, 2.0 * eta * s2
+    c2 = np.cos(np.asarray(thetas, dtype=float) / 2.0) ** 2
+    return 2.0 * eta * c2**2, 2.0 * eta * c2

@@ -370,14 +370,14 @@ def _variance(theta_hats: np.ndarray) -> np.ndarray:
 def run_estimation(
     params: ProtocolParams,
     theta_true: float,
-    n_total: int,
+    n_shots_total: int,
     shots_per_realization: int,
     seed: int | None = None,
     n_bootstrap: int = DEFAULT_BOOTSTRAP,
 ) -> EstimationResult:
     """Full synthetic estimation experiment at one true angle.
 
-    Samples ``n_total`` shots, divides them into k = n_total / N
+    Samples ``n_shots_total`` shots, divides them into k = n_shots_total / N
     realizations of N = ``shots_per_realization`` shots, estimates the
     angle in each on :func:`default_theta_grid`, and converts the variance
     across realizations into a per-shot Fisher information F = 1 / (N var).
@@ -386,11 +386,11 @@ def run_estimation(
     :func:`_bootstrap_histograms` draws each re-partition's realization
     histograms: by recursive hypergeometric halving of the count histogram
     when it is narrow, n >= ``_SPLIT_SHOTS_PER_VALUE`` (w_eff - 1) for the
-    w_eff count values that occur (and n_total below numpy's hypergeometric
-    limit of 10**9), and by permuting the shots otherwise; both draw from
-    the same law.  The histograms of the realizations and of all draws are
-    collected first and each distinct one is evaluated once, with the same
-    results as one likelihood evaluation per partition.  Each estimate is the argmax of the log-likelihood
+    w_eff count values that occur (and ``n_shots_total`` below numpy's
+    hypergeometric limit of 10**9), and by permuting the shots otherwise;
+    both draw from the same law.  The histograms of the realizations and
+    of all draws are collected first and each distinct one is evaluated
+    once, with the same results as one likelihood evaluation per partition.  Each estimate is the argmax of the log-likelihood
     over the whole grid, found by a search that evaluates only the grid
     intervals whose upper bound reaches a lower bound of the maximum; it
     returns the full grid's estimates bit for bit, ties to the smaller
@@ -405,14 +405,14 @@ def run_estimation(
     if not 0.0 <= theta_true <= math.pi:
         raise ValueError(f"theta_true must lie in [0, pi], got {theta_true}")
     n = shots_per_realization
-    if n < 1 or n_total < 1 or n_total % n != 0:
-        raise ValueError("shots_per_realization must divide n_total")
+    if n < 1 or n_shots_total < 1 or n_shots_total % n != 0:
+        raise ValueError("shots_per_realization must divide n_shots_total")
     if n_bootstrap < 2:
         raise ValueError("n_bootstrap must be at least 2")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     _informative_mean(params)
-    k = n_total // n
+    k = n_shots_total // n
     if k < 10:
         warnings.warn(
             f"only k={k} realizations; the variance estimate is unreliable",
@@ -420,7 +420,7 @@ def run_estimation(
         )
     seed_seq = np.random.SeedSequence(seed)
     shot_seq, boot_seq = seed_seq.spawn(2)
-    counts = _draw_counts(params, theta_true, n_total, np.random.default_rng(shot_seq))
+    counts = _draw_counts(params, theta_true, n_shots_total, np.random.default_rng(shot_seq))
 
     grid = default_theta_grid()
     log_table = _log_likelihood_table(params, grid, int(counts.max()))
@@ -474,9 +474,10 @@ def field_precision(
     """Convert an angle variance into microwave-field precision figures.
 
     Delta E = (sqrt(delta2_theta) / T) (hbar / d) in V/cm and the
-    sensitivity S = Delta E sqrt(T) at 100% duty cycle.
+    sensitivity S = Delta E sqrt(T) at 100% duty cycle.  An input of the
+    three that is not positive (NaN included) raises ``ValueError``.
     """
-    if delta2_theta <= 0 or pulse_time_T <= 0 or dipole_moment <= 0:
+    if not (delta2_theta > 0 and pulse_time_T > 0 and dipole_moment > 0):
         raise ValueError("variance, pulse time and dipole moment must be positive")
     delta_theta = math.sqrt(delta2_theta)
     delta_e_v_per_m = (delta_theta / pulse_time_T) * (HBAR / dipole_moment)
@@ -509,11 +510,12 @@ def sensitivity_from_model(
     finite-difference FI there; a relative gap above ``FI_CROSS_CHECK_MAX``
     raises :class:`NumericalError`.  ``fisher_override`` substitutes an
     externally measured F while keeping the model's theta*.  A
-    non-positive ``rabi_frequency`` or ``dipole_moment`` and a zero
-    detected mean n0 eta raise ``ValueError`` before the scan.
+    ``rabi_frequency`` or ``dipole_moment`` that is not positive (NaN
+    included) and a zero detected mean n0 eta raise ``ValueError`` before
+    the scan.
     """
-    if rabi_frequency <= 0:
-        raise ValueError("rabi_frequency must be positive")
+    if not rabi_frequency > 0:
+        raise ValueError(f"rabi_frequency must be positive, got {rabi_frequency}")
     if not dipole_moment > 0:
         raise ValueError(f"dipole_moment must be positive, got {dipole_moment}")
     if fisher_override is not None and not fisher_override > 0:

@@ -93,7 +93,7 @@ class TestToyFi:
         thetas = np.linspace(-1.0, 3.1, 9)
         fi_without = error_prevention.fi_without_prevention(0.3, thetas)
         fi_with = error_prevention.fi_with_prevention(0.3, thetas)
-        nd_with, _, nd_without, _ = error_prevention.expectation_curves(0.3, thetas)
+        nd_with, nd_without = error_prevention.expectation_curves(0.3, thetas)
         bound = np.full(9, error_prevention.optimality_bound(0.3))
         expected = np.column_stack(
             [np.full(9, 0.3), thetas, fi_without, fi_with, bound, fi_with / fi_without,
@@ -188,13 +188,12 @@ class TestDecayScan:
         assert slope == pytest.approx(gamma, rel=2e-2)
 
     def test_means_equal_super_rabi_means_at_each_time(self, tmp_path):
-        out = tmp_path / "decay.json"
+        out = tmp_path / "decay.csv"
         n0, eta, gamma = 55.0, 0.02, 4250.0
         cfg = write_config(
             tmp_path / "c.json",
             {
                 "output_path": str(out),
-                "format": "json",
                 "n0": n0,
                 "eta": eta,
                 "gamma_per_s": gamma,
@@ -203,11 +202,12 @@ class TestDecayScan:
             },
         )
         assert run_cli("decay-scan", cfg) == 0
-        rows = json.loads(out.read_text())["rows"]
+        _, rows = read_csv(out)
         assert len(rows) == 4 * 21
         for theta, tau, mean, _, _ in rows:
-            params = multiparticle.ProtocolParams(n0, eta, gamma * tau)
-            assert mean == multiparticle.super_rabi_means(params, theta)[0]
+            params = multiparticle.ProtocolParams(n0, eta, gamma * float(tau))
+            nd, _ = multiparticle.super_rabi_means(params, float(theta))
+            assert mean == cli._fmt(nd)
 
     def test_theta_at_pi_rejected(self, tmp_path):
         cfg = write_config(
@@ -369,7 +369,7 @@ class TestMlExperiment:
         out = tmp_path / "x.csv"
         cfg = write_config(tmp_path / "c.json", {**self.CONFIG, "output_path": str(out), **split})
         assert run_cli("ml-experiment", cfg) == 2
-        assert "shots_per_realization must divide" in capsys.readouterr().err
+        assert "shots_per_realization must divide n_shots_total" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("thetas", [[4.0], [1.0, -1.0]])
@@ -421,13 +421,6 @@ class TestSensitivity:
         assert run_cli("sensitivity", cfg) == 2
         assert "detected mean" in capsys.readouterr().err
 
-    def test_format_is_not_a_key(self, tmp_path, capsys):
-        out = tmp_path / "s.json"
-        cfg = write_config(tmp_path / "c.json", {**self.BASE, "output_path": str(out)})
-        assert run_cli("sensitivity", cfg, extra=["--set", "format=json"]) == 2
-        assert "unknown config keys for sensitivity: format" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_fisher_override(self, tmp_path):
         out = tmp_path / "sens.json"
         cfg = write_config(
@@ -457,17 +450,6 @@ class TestSensitivity:
         assert run_cli("sensitivity", cfg) == 2
         assert "dipole" in capsys.readouterr().err
 
-    def test_both_dipole_keys_rejected(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {
-                **self.BASE,
-                "output_path": str(tmp_path / "x.json"),
-                "dipole_moment_cm": 1.65e-26,
-            },
-        )
-        assert run_cli("sensitivity", cfg) == 2
-
 
 class TestDipolar:
     BASE = {
@@ -490,8 +472,10 @@ class TestDipolar:
             "gamma_per_s",
             "gamma_no_2pi_per_s",
         ]
-        q_fit = float(rows[0][3])
-        assert q_fit == pytest.approx(5.902e10, rel=5e-3)
+        cloud = dipolar.CloudGeometry("box", (80.0, 80.0, 4000.0))
+        q = dipolar.volumetric_rate_q(dipolar.DipolarParams.from_tabulated(3.709, cloud))
+        assert [row[3] for row in rows] == [cli._fmt(q)] * 4
+        assert q == pytest.approx(5.902e10, rel=5e-3)
         gamma = float(rows[0][4])
         assert gamma == pytest.approx(4.61e3, rel=1e-3)
         assert float(rows[0][5]) == pytest.approx(gamma / (2 * math.pi), rel=1e-12)
@@ -618,7 +602,7 @@ class TestCommonMachinery:
         assert len(over_rows) == 2
         assert over_rows[0] != ref_rows[0]  # seed 11, not the config's 7
 
-    def test_seed_and_format_only_through_set(self, tmp_path, capsys):
+    def test_no_seed_or_format_flag(self, capsys):
         # a key's one way in besides the config file is --set (output_path
         # also has --output); --set seed= is exercised above
         for study, flag in (("ml-experiment", "--seed"), ("super-rabi", "--format")):
@@ -626,11 +610,21 @@ class TestCommonMachinery:
                 run_cli(study, extra=[flag, "1"])
             assert info.value.code == 2
             assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-        out = tmp_path / "rabi.json"
-        extra = ["--output", str(out), "--set", "n0=2.0", "--set", "eta=0.5",
-                 "--set", "gamma_tau=0.1", "--set", "theta_points=3", "--set", "format=json"]
-        assert run_cli("super-rabi", extra=extra) == 0
-        assert len(json.loads(out.read_text())["rows"]) == 3
+
+    @pytest.mark.parametrize(
+        "study,setting",
+        [(study, "format=json") for study in cli.SCHEMAS]
+        + [("sensitivity", "dipole_moment_cm=1.65e-26")],
+    )
+    def test_removed_key_is_unknown(self, tmp_path, capsys, study, setting):
+        # every table is CSV, and the dipole moment goes in in e a0 only
+        # (the sensitivity report still gives it in C m)
+        out = tmp_path / "x.out"
+        cfg = write_config(tmp_path / "c.json", {**self.SMALL[study], "output_path": str(out)})
+        assert run_cli(study, cfg, extra=["--set", setting]) == 2
+        key = setting.partition("=")[0]
+        assert f"unknown config keys for {study}: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_flag_and_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RYDSENSE_OUTPUT_DIR", str(tmp_path / "outputs"))
@@ -675,9 +669,7 @@ class TestCommonMachinery:
             (np.float64(1e20), "two words", np.int64(0), -0.0),
             (math.nan, "", 12345678901234567890, math.inf),
         ]
-        path = cli.write_table(
-            {"output_path": str(tmp_path / "t.csv"), "format": "csv"}, "t", columns, rows
-        )
+        path = cli.write_table({"output_path": str(tmp_path / "t.csv")}, columns, rows)
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -688,33 +680,12 @@ class TestCommonMachinery:
 
     @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "carriage\rreturn"])
     def test_csv_cell_needing_quotes_rejected(self, tmp_path, cell):
-        cfg = {"output_path": str(tmp_path / "t.csv"), "format": "csv"}
+        cfg = {"output_path": str(tmp_path / "t.csv")}
         with pytest.raises(ValueError, match="CSV quoting"):
-            cli.write_table(cfg, "t", ["theta_rad", "loss_order"], [(0.5, cell)])
+            cli.write_table(cfg, ["theta_rad", "loss_order"], [(0.5, cell)])
         with pytest.raises(ValueError, match="CSV quoting"):
-            cli.write_table(cfg, "t", ["theta_rad", cell], [(0.5, "after_interaction")])
+            cli.write_table(cfg, ["theta_rad", cell], [(0.5, "after_interaction")])
         assert not (tmp_path / "t.csv").exists()
-
-    def test_json_format_table(self, tmp_path):
-        out = tmp_path / "rabi.json"
-        cfg = write_config(
-            tmp_path / "c.json",
-            {
-                "output_path": str(out),
-                "format": "json",
-                "n0": 2.0,
-                "eta": 0.5,
-                "gamma_tau": 0.1,
-                "theta_min": 0.5,
-                "theta_max": 1.5,
-                "theta_points": 3,
-            },
-        )
-        assert run_cli("super-rabi", cfg) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "rydsense.super_rabi"
-        assert payload["version"] == 1
-        assert len(payload["rows"]) == 3
 
     # the required keys of each study, with small grids and sample sizes
     SMALL = {

@@ -202,19 +202,22 @@ class TestCurves:
 
     def test_detected_means_at_reference_angles(self):
         eta = 0.4
-        nd_with, _, nd_without, _ = expectation_curves(eta, [0.0, math.pi / 2])
+        nd_with, nd_without = expectation_curves(eta, [0.0, math.pi / 2])
         assert nd_with[0] == pytest.approx(2 * eta, abs=1e-12)
         assert nd_without[0] == pytest.approx(2 * eta, abs=1e-12)
-        ones = expectation_curves(1.0, [math.pi / 2])
-        assert ones[0][0] == pytest.approx(0.5, abs=1e-12)
+        nd_with, _ = expectation_curves(1.0, [math.pi / 2])
+        assert nd_with[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matrix_oracle_agrees(self):
-        thetas = [0.0, 0.6, math.pi / 2, 2.4]
+        # mode d at theta, and mode p at theta as mode d at pi - theta
+        thetas = np.array([0.0, 0.6, math.pi / 2, 2.4])
         eta = 0.27
-        curves = expectation_curves(eta, thetas)
+        nd_with, nd_without = expectation_curves(eta, thetas)
+        np_with, np_without = expectation_curves(eta, math.pi - thetas)
         for i, theta in enumerate(thetas):
-            for curve, expected in zip(curves, expectation_oracle(eta, theta)):
-                assert curve[i] == pytest.approx(expected, abs=1e-10)
+            curves = (nd_with[i], np_with[i], nd_without[i], np_without[i])
+            for value, expected in zip(curves, expectation_oracle(eta, theta)):
+                assert value == pytest.approx(expected, abs=1e-10)
 
 
 class TestInputChecks:

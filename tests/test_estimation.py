@@ -637,13 +637,13 @@ class TestFieldPrecision:
             report.delta_E * math.sqrt(report.pulse_time_T), rel=1e-12
         )
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            field_precision(0.0, 1e-6, REFERENCE_DIPOLE)
-        with pytest.raises(ValueError):
-            field_precision(0.1, -1e-6, REFERENCE_DIPOLE)
-        with pytest.raises(ValueError):
-            field_precision(0.1, 1e-6, 0.0)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["delta2_theta", "pulse_time_T", "dipole"])
+    def test_validation(self, position, bad):
+        args = [0.1, 1e-6, REFERENCE_DIPOLE]
+        args[position] = bad
+        with pytest.raises(ValueError, match="must be positive"):
+            field_precision(*args)
 
     def test_unit_roundtrip_field_rabi_angle(self):
         field = 1.234e-3  # V/m
@@ -705,9 +705,14 @@ class TestSensitivityPipeline:
                 ProtocolParams(55.0, 0.0, 0.03), REFERENCE_RABI, REFERENCE_DIPOLE
             )
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sensitivity_from_model(EXPERIMENT, -1.0, REFERENCE_DIPOLE)
+    @pytest.mark.parametrize("rabi", [0.0, -1.0, math.nan])
+    def test_rabi_frequency_is_checked_before_the_scan(self, monkeypatch, rabi):
+        def scan(*args):
+            raise AssertionError("the FI scan ran")
+
+        monkeypatch.setattr(estimation, "fisher_information", scan)
+        with pytest.raises(ValueError, match="rabi_frequency must be positive"):
+            sensitivity_from_model(EXPERIMENT, rabi, REFERENCE_DIPOLE)
 
     @pytest.mark.parametrize("dipole", [0.0, -1.0, math.nan])
     def test_dipole_moment_is_checked_before_the_scan(self, monkeypatch, dipole):

@@ -131,6 +131,33 @@ def test_mismatch_reports_largest_move_per_column():
     ]
 
 
+def readme_study_rows() -> dict:
+    """README's subcommand table: study -> (required keys, output columns)."""
+    readme = (REFERENCE.parents[1] / "README.md").read_text()
+    section = readme.split("### Subcommands and output schemas", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        study, required, columns = (re.findall(r"`([^`]*)`", cell) for cell in line.split(" | "))
+        rows[study[0]] = (required, columns[0].split(", "))
+    return rows
+
+
+def test_readme_table_matches_schemas_and_references():
+    rows = readme_study_rows()
+    assert sorted(rows) == sorted(cli.SCHEMAS) == sorted(STUDIES)
+    for study, (required, columns) in rows.items():
+        schema = cli.SCHEMAS[study]
+        assert required == [key for key, spec in schema.items() if spec.required], study
+        text = (REFERENCE / STUDIES[study]["output"]).read_text()
+        if study == "sensitivity":
+            header = [key for key in json.loads(text) if key not in ("schema", "version")]
+        else:
+            header = text.splitlines()[0].split(",")
+        assert columns == header, study
+
+
 def regenerate():
     """Rewrite every reference file from the current code."""
     with tempfile.TemporaryDirectory() as directory:
