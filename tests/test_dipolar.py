@@ -421,3 +421,32 @@ class TestShardPool:
         with pytest.raises(FloatingPointError, match="pair phase failed"):
             readout_expectation_mc(0.025, 16, self.PARAMS, samples=20_000, seed=5, method="direct")
         assert threading.enumerate() == before
+
+
+class TestRecordedReadout:
+    """The read-out's value and stderr, bit for bit, as the code gave them.
+
+    The hex strings are ``float.hex`` of the results of the phase-sum
+    read-out before its shard kept the read-out positions only as component
+    rows.  20 000 samples make two full shards and a short one.  A rewrite
+    of the pair phase or of the shard that reorders one floating-point
+    operation moves the last bits and fails here.
+    """
+
+    # (t in us, n_p, seed, cloud, value, stderr)
+    CASES = [
+        (0.02, 16, 31, "oracle", "0x1.cfaa3a9882756p-1", "0x1.1a1ddd1adec80p-9"),
+        (0.03, 40, 32, "oracle", "0x1.670bc0df2f131p-1", "0x1.e5c5042d1fd88p-9"),
+        (0.5, 3, 33, "anisotropic", "0x1.3d9ee6d24567dp-1", "0x1.0c3cc8bad3b12p-8"),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t,n_p,seed,cloud,value,stderr", CASES)
+    def test_value_and_stderr_are_recorded_bits(
+        self, t, n_p, seed, cloud, value, stderr, workers, monkeypatch
+    ):
+        sizes = TestShardPool.force_workers(monkeypatch, workers)
+        params = TestPhaseSumReadout().params(cloud)
+        r = readout_expectation_mc(t, n_p, params, samples=20_000, seed=seed, method="direct")
+        assert sizes == [workers]
+        assert (r.value.hex(), r.stderr.hex()) == (value, stderr)
