@@ -19,7 +19,6 @@ from .fockspace import (
     detection_loss_channel,
     measure,
     number_povm,
-    rabi_rotation,
 )
 from .error_prevention import (
     enhancement_curve,

@@ -154,17 +154,25 @@ class McReadout:
 
     value: float
     stderr: float
-    samples: int
 
 
 def _pair_phase(delta: np.ndarray, t: float, c3_int: float) -> np.ndarray:
     # accumulated phase t V/hbar for separations with components as rows
-    # (delta[0], delta[1], delta[2] in um), t in us; the angular factor is
-    # (3 cos^2 - 1)/2 with cos^2 = z^2 / r^2
-    z2 = delta[2] ** 2
-    r2 = delta[0] ** 2 + delta[1] ** 2 + z2
-    f = 1.5 * z2 / r2 - 0.5
-    return t * c3_int * f / (r2 * np.sqrt(r2))
+    # (um), t in us: t c3_int f / (r^2 sqrt(r^2)), f = 1.5 z^2 / r^2 - 0.5,
+    # in that order of operations.  The rows are the scratch, so the phase
+    # is returned in delta[1].
+    z2, r2, phase = delta[2], delta[0], delta[1]
+    np.square(delta, out=delta)
+    r2 += phase
+    r2 += z2
+    np.multiply(z2, 1.5, out=phase)
+    phase /= r2
+    phase -= 0.5
+    phase *= t * c3_int
+    np.sqrt(r2, out=z2)
+    z2 *= r2
+    phase /= z2
+    return phase
 
 
 def _mc_shard(child, n, t, n_p, sigma, c3_int):
@@ -173,13 +181,13 @@ def _mc_shard(child, n, t, n_p, sigma, c3_int):
     Runs in a worker thread, so it calls only private helpers.
     """
     rng = np.random.default_rng(child)
-    # the same draws as rng.normal(scale=sigma, size=(n, 3)), bit for bit
-    x = rng.standard_normal((n, 3)) * sigma
-    # per control: draw in place, then form x - y with the components as
-    # contiguous rows
+    # the read-out positions as contiguous component rows, the same draws as
+    # rng.normal(scale=sigma, size=(n, 3)) bit for bit; per control, draw
+    # in place and form x - y in delta
     sigma_col = sigma[:, None]
-    x_rows = x.T.copy()
-    draw = np.empty((n, 3))
+    draw = rng.standard_normal((n, 3))
+    x_rows = np.empty((3, n))
+    np.multiply(draw.T, sigma_col, out=x_rows)
     delta = np.empty((3, n))
 
     def control_phase():
@@ -195,8 +203,10 @@ def _mc_shard(child, n, t, n_p, sigma, c3_int):
         phase -= control_phase()
     for _ in range(n_p):
         phase += control_phase()
-    est = np.cos(phase)
-    return float(np.sum(est)), float(np.sum(est**2))
+    np.cos(phase, out=phase)  # est, then est^2, in place
+    total = float(np.sum(phase))
+    np.square(phase, out=phase)
+    return total, float(np.sum(phase))
 
 
 def readout_expectation_mc(
@@ -233,7 +243,7 @@ def readout_expectation_mc(
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be non-negative and finite")
     if t == 0 or n_p == 0:
-        return McReadout(1.0, 0.0, samples)
+        return McReadout(1.0, 0.0)
 
     sigma = np.asarray(params.cloud.dimensions)
     c3_int = params.c3_over_hbar * 1e-6  # rad/us um^3
@@ -256,4 +266,4 @@ def readout_expectation_mc(
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     stderr = math.sqrt(var / samples)
-    return McReadout(mean, stderr, samples)
+    return McReadout(mean, stderr)

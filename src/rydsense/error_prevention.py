@@ -13,10 +13,13 @@ forms over arrays of angles (no events are post-selected), and the curves
 are plain arrays in the shape of the angle grid.  The Kraus pipeline
 (rotated state, operation, detection-loss channel, number measurement,
 finite-difference FI) remains their oracle: :func:`enhancement_curve`
-checks its peak row against it on every call.
+checks its peak row against it on every call.  Its rotated state is the
+closed-form pair of :func:`rotated_state`, so no dense rotation is formed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .fockspace import (
     detection_loss_channel,
     measure,
     number_povm,
-    rabi_rotation,
 )
 
 __all__ = [
@@ -48,12 +50,21 @@ PURE_STATE_QFI = 2.0
 
 # the six-dimensional basis with at most two total excitations
 _BASIS = FockBasis(2)
+_ROTATED_PAIR = [_BASIS.index_of(2 - k, k) for k in range(3)]  # |2,0>, |1,1>, |0,2>
 
 
 def rotated_state(theta: float) -> TwoModeFockState:
-    """|2,0> Rabi-rotated by ``theta``, carrying the angle in its amplitudes."""
-    u = rabi_rotation(_BASIS, theta)
-    return TwoModeFockState(_BASIS, u @ _BASIS.state(2, 0).amplitudes)
+    """|2,0> Rabi-rotated by ``theta``, carrying the angle in its amplitudes.
+
+    exp(i (theta/2) G), G = d^dag p + p^dag d, gives the closed form
+    cos^2(theta/2)|2,0> + (i/sqrt(2)) sin(theta)|1,1> - sin^2(theta/2)|0,2>.
+    """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    amp = np.zeros(_BASIS.dim, dtype=complex)
+    amp[_ROTATED_PAIR] = (c * c, 1j * math.sin(theta) / math.sqrt(2.0), -s * s)
+    return TwoModeFockState(_BASIS, amp)
 
 
 def error_prevention_channel() -> KrausChannel:

@@ -42,7 +42,6 @@ __all__ = [
     "DensityOperator",
     "KrausChannel",
     "CountDistribution",
-    "rabi_rotation",
     "apply_channel",
     "detection_loss_channel",
     "number_povm",
@@ -258,30 +257,6 @@ class CountDistribution:
     def tv_distance(self, other: "CountDistribution") -> float:
         labels = set(self.probabilities) | set(other.probabilities)
         return 0.5 * sum(abs(self.get(l) - other.get(l)) for l in labels)
-
-
-def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
-    """Unitary of a microwave Rabi rotation by ``theta`` between the modes.
-
-    Implemented as exp(i (theta/2) G) with G = d^dag p + p^dag d; the sign
-    fixes the phase convention in which |2,0> rotates to
-    cos^2(theta/2)|2,0> + (i/sqrt(2)) sin(theta)|1,1> - sin^2(theta/2)|0,2>.
-    G couples |n_d, n_p> and |n_d + 1, n_p - 1> with the entry
-    sqrt(n_d + 1) sqrt(n_p) and is built from those pairs directly.  G is
-    real symmetric, so one ``eigh`` G = V diag(w) V^T gives the exponential
-    as V diag(e^(i theta w / 2)) V^T.  The generator conserves total
-    excitation number, so the matrix stays exactly unitary on the truncated
-    space.
-    """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    occ = np.array(basis.occupations)
-    src = np.flatnonzero(occ[:, 1] > 0)
-    dest = basis._index_table[occ[src, 0] + 1, occ[src, 1] - 1]
-    g = np.zeros((basis.dim, basis.dim), dtype=complex)
-    g[dest, src] = g[src, dest] = np.sqrt(occ[src, 0] + 1) * np.sqrt(occ[src, 1])
-    w, v = np.linalg.eigh(g)
-    return (v * np.exp(0.5j * theta * w)) @ v.T
 
 
 def apply_channel(rho: DensityOperator, channel: KrausChannel) -> DensityOperator:

@@ -1,15 +1,15 @@
 """Reference computations that only the tests use.
 
 None of these has a caller in the package, the demos or the benchmark, so
-they live next to the tests: dense ladder and number operators (the
-reference for the Rabi generator), dense density matrices, the dense Kraus
-operators and Kraus sums that the channels' entry tables and the
-population path are checked against, the mode-d damping that gives the
-d counts of the mutual decay on large bases, entry tables assembled from
-per-operator triples, random entry tables and diagonal POVMs, lossy
-counting through the detection-loss channel, the finite-difference
-quantum Fisher information, the matrix-pipeline means of the
-error-prevention toy, shot sampling, the full-grid ML search that the
+they live next to the tests: dense ladder and number operators, the dense
+Rabi rotation that pins the toy's closed-form rotated pair, dense density
+matrices, the dense Kraus operators and Kraus sums that the channels'
+entry tables and the population path are checked against, the mode-d
+damping that gives the d counts of the mutual decay on large bases, entry
+tables assembled from per-operator triples, random entry tables and
+diagonal POVMs, lossy counting through the detection-loss channel, the
+finite-difference quantum Fisher information, the matrix-pipeline means of
+the error-prevention toy, shot sampling, the full-grid ML search that the
 pruned one is checked against, the closed-form eta -> 0 limit of the
 normalized Fisher information, the field / Rabi-frequency conversions and
 the quadrature of the excluded-volume constant J.
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import binom
 
-from rydsense.error_prevention import error_prevention_channel, rotated_state
+from rydsense.error_prevention import error_prevention_channel
 from rydsense.estimation import HBAR, _draw_counts, _refine_argmax
 from rydsense.fockspace import (
     FI_STEP,
@@ -86,6 +86,24 @@ def mode_operator(basis: FockBasis, mode: str, kind: str) -> np.ndarray:
                 target[axis] = n + 1
                 op[basis.index_of(*target), i] = math.sqrt(n + 1)
     return op
+
+
+def rabi_rotation(basis: FockBasis, theta: float) -> np.ndarray:
+    """Dense unitary of a microwave Rabi rotation by ``theta`` between the modes.
+
+    exp(i (theta/2) G) with the generator G = d^dag p + p^dag d from the
+    dense ladder operators; the sign fixes the phase convention in which
+    |2,0> rotates to cos^2(theta/2)|2,0> + (i/sqrt(2)) sin(theta)|1,1>
+    - sin^2(theta/2)|0,2>.  G is real symmetric, so one ``eigh``
+    G = V diag(w) V^T gives the exponential as V diag(e^(i theta w / 2)) V^T.
+    G conserves the total excitation number, so the matrix stays exactly
+    unitary on the truncated space.
+    """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    hop = mode_operator(basis, "d", "create") @ mode_operator(basis, "p", "annihilate")
+    w, v = np.linalg.eigh((hop + hop.T).real)
+    return (v * np.exp(0.5j * theta * w)) @ v.T
 
 
 def random_density(rng, d):
@@ -251,13 +269,14 @@ def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, f
     """Matrix-pipeline evaluation of the four detected means at one angle.
 
     Independent check for ``expectation_curves``: builds the dense density
-    matrix of the rotated state, applies the dense error-prevention Kraus
+    matrix of |2,0> rotated by the dense :func:`rabi_rotation`, applies the dense error-prevention Kraus
     sum, and takes eta-scaled number-operator expectations tr(rho N).
     """
     basis = FockBasis(2)
     nd_op = mode_operator(basis, "d", "number")
     np_op = mode_operator(basis, "p", "number")
-    rho_bare = dense_density(rotated_state(theta))
+    psi = rabi_rotation(basis, theta) @ basis.state(2, 0).amplitudes
+    rho_bare = dense_density(TwoModeFockState(basis, psi))
     rho_prev, _ = dense_kraus_sums(error_prevention_channel(), rho_bare)
     return tuple(
         eta * float(np.trace(rho @ op).real) for rho in (rho_prev, rho_bare) for op in (nd_op, np_op)

@@ -1,10 +1,11 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydsense import error_prevention
+from rydsense import cli, error_prevention
 from rydsense.error_prevention import (
     enhancement_curve,
     error_prevention_channel,
@@ -31,9 +32,11 @@ from helpers import (
     expectation_oracle,
     lossy_counts,
     populations,
+    rabi_rotation,
 )
 
 GRID = np.linspace(0.07, math.pi - 0.07, 50)
+REFERENCE = Path(__file__).resolve().parent / "reference"
 
 
 class TestLossyDetection:
@@ -242,6 +245,39 @@ class TestInputChecks:
     def test_rotation_starts_from_two_zero(self):
         expected = FockBasis(2).state(2, 0).amplitudes
         np.testing.assert_allclose(rotated_state(0.0).amplitudes, expected, rtol=0, atol=1e-15)
+
+
+class TestRotatedPair:
+    # 0, pi, negative angles and angles beyond 2 pi
+    ANGLES = [0.0, 0.7, math.pi / 2, math.pi, -0.3, -math.pi, -2.5, 2 * math.pi,
+              7.0, -7.5, 3 * math.pi, 12.5, -4 * math.pi, 20.0]
+
+    @pytest.mark.parametrize("theta", ANGLES)
+    def test_closed_form_equals_dense_rotation(self, theta):
+        # the dense reference's eigenvalues carry about 1e-15 of rounding,
+        # which its exponential turns into a phase error growing with |theta|
+        basis = FockBasis(2)
+        dense = rabi_rotation(basis, theta) @ basis.state(2, 0).amplitudes
+        gap = np.max(np.abs(rotated_state(theta).amplitudes - dense))
+        assert gap <= 1e-15 * max(1.0, abs(theta))
+
+    def test_nonfinite_angle_rejected(self):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            rotated_state(math.inf)
+
+    def test_toy_runs_without_eigendecomposition(self, tmp_path, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        _, with_op = enhancement_curve(0.3, GRID)
+        assert with_op.max() <= optimality_bound(0.3)
+        # the toy-fi study of the reference outputs, byte for byte
+        config = tmp_path / "toy.json"
+        config.write_text('{"etas": [0.02, 0.3, 1.0]}')
+        output = tmp_path / "toy_fi.csv"
+        assert cli.main(["toy-fi", "--config", str(config), "--output", str(output)]) == 0
+        assert output.read_bytes() == (REFERENCE / "toy_fi.csv").read_bytes()
 
 
 def dense_fi(eta, theta, with_prevention):

@@ -20,7 +20,6 @@ from rydsense.fockspace import (
     detection_loss_channel,
     measure,
     number_povm,
-    rabi_rotation,
 )
 
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     populations,
     povm_fi,
     qfi,
+    rabi_rotation,
     random_density,
     random_diagonal_povm,
     random_entries,
@@ -184,16 +184,18 @@ class TestRabiRotation:
             rabi_rotation(FockBasis(1), math.nan)
 
     @pytest.mark.parametrize("n_max", range(15))
-    def test_bit_identical_to_dense_generator(self, n_max):
-        # G = d^dag p + p^dag d from the dense ladder operators, through the
-        # same eigh and exponential
+    def test_top_state_rotates_to_binomial_amplitudes(self, n_max):
+        # |n, 0> -> sum_k sqrt(C(n, k)) cos^(n-k)(theta/2) (i sin(theta/2))^k |n-k, k>,
+        # the phase convention for every basis size
         basis = FockBasis(n_max)
-        create = {m: mode_operator(basis, m, "create") for m in "dp"}
-        lower = {m: mode_operator(basis, m, "annihilate") for m in "dp"}
-        w, v = np.linalg.eigh(create["d"] @ lower["p"] + create["p"] @ lower["d"])
+        psi0 = basis.state(n_max, 0).amplitudes
         for theta in np.linspace(-8.0, 8.0, 21):
-            reference = (v * np.exp(0.5j * theta * w)) @ v.T
-            assert np.array_equal(rabi_rotation(basis, theta), reference)
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            expected = np.zeros(basis.dim, dtype=complex)
+            for k in range(n_max + 1):
+                amplitude = math.sqrt(math.comb(n_max, k)) * c ** (n_max - k) * (1j * s) ** k
+                expected[basis.index_of(n_max - k, k)] = amplitude
+            assert np.max(np.abs(rabi_rotation(basis, theta) @ psi0 - expected)) < 1e-12
 
 
 class TestApplyChannel:

@@ -33,3 +33,10 @@ def test_package_reexports_only_public_names():
         public = importlib.import_module(f"rydsense.{node.module}").__all__
         for alias in node.names:
             assert alias.asname is None and alias.name in public, alias.name
+
+
+def test_no_dense_linear_algebra_in_the_package():
+    # closed forms in the package; dense algebra (eigh, inv, ...) only in
+    # tests/helpers.py
+    for path in Path(rydsense.__file__).parent.glob("*.py"):
+        assert "linalg" not in path.read_text(), path.name

@@ -27,6 +27,7 @@ from rydsense import cli
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 STUDIES = json.loads((REFERENCE / "configs.json").read_text())
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -133,8 +134,8 @@ def test_mismatch_reports_largest_move_per_column():
 
 def readme_study_rows() -> dict:
     """README's subcommand table: study -> (required keys, output columns)."""
-    readme = (REFERENCE.parents[1] / "README.md").read_text()
-    section = readme.split("### Subcommands and output schemas", 1)[1].split("\n## ", 1)[0]
+    section = README.read_text().split("### Subcommands and output schemas", 1)[1]
+    section = section.split("\n## ", 1)[0]
     rows = {}
     for line in section.splitlines():
         if not line.startswith("| `"):
@@ -156,6 +157,15 @@ def test_readme_table_matches_schemas_and_references():
         else:
             header = text.splitlines()[0].split(",")
         assert columns == header, study
+
+
+def test_readme_quickstart_runs():
+    # the python block of README's "Library quickstart" runs, as the demos do
+    section = README.read_text().split("## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md (Library quickstart)", "exec"), namespace)
+    assert namespace["result"].fi_per_shot > 0.0
 
 
 def regenerate():
