@@ -269,8 +269,9 @@ def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, f
     """Matrix-pipeline evaluation of the four detected means at one angle.
 
     Independent check for ``expectation_curves``: builds the dense density
-    matrix of |2,0> rotated by the dense :func:`rabi_rotation`, applies the dense error-prevention Kraus
-    sum, and takes eta-scaled number-operator expectations tr(rho N).
+    matrix of |2,0> rotated by the dense :func:`rabi_rotation`, applies the
+    dense error-prevention Kraus sum, and takes eta-scaled number-operator
+    expectations tr(rho N).
     """
     basis = FockBasis(2)
     nd_op = mode_operator(basis, "d", "number")

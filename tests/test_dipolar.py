@@ -424,13 +424,12 @@ class TestShardPool:
 
 
 class TestRecordedReadout:
-    """The read-out's value and stderr, bit for bit, as the code gave them.
+    """The read-out's value and stderr, bit for bit, as recorded.
 
-    The hex strings are ``float.hex`` of the results of the phase-sum
-    read-out before its shard kept the read-out positions only as component
-    rows.  20 000 samples make two full shards and a short one.  A rewrite
-    of the pair phase or of the shard that reorders one floating-point
-    operation moves the last bits and fails here.
+    The hex strings are ``float.hex`` of recorded results.  20 000 samples
+    make two full shards and a short one.  A rewrite of the pair phase or
+    of the shard must keep every floating-point operation in its order:
+    one reordered operation moves the last bits and fails here.
     """
 
     # (t in us, n_p, seed, cloud, value, stderr)
