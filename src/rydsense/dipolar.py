@@ -21,7 +21,9 @@ GHz um^3 number), returns Q in um^3/s and gamma in 1/s.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -175,38 +177,61 @@ def _pair_phase(delta: np.ndarray, t: float, c3_int: float) -> np.ndarray:
     return phase
 
 
-def _mc_shard(child, n, t, n_p, sigma, c3_int):
-    """(sum est, sum est^2) over one shard of ``n`` samples.
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-    Runs in a worker thread, so it calls only private helpers.
+
+class _Shard:
+    """One shard between controls: its stream, read-out rows and phase sum.
+
+    ``rng``, ``x_rows`` and ``phase`` are made by the first control and
+    dropped by the last, which leaves the (sum est, sum est^2) in ``sums``.
     """
-    rng = np.random.default_rng(child)
-    # the read-out positions as contiguous component rows, the same draws as
-    # rng.normal(scale=sigma, size=(n, 3)) bit for bit; per control, draw
-    # in place and form x - y in delta
-    sigma_col = sigma[:, None]
-    draw = rng.standard_normal((n, 3))
-    x_rows = np.empty((3, n))
-    np.multiply(draw.T, sigma_col, out=x_rows)
-    delta = np.empty((3, n))
 
-    def control_phase():
-        rng.standard_normal(out=draw)
-        np.multiply(draw.T, sigma_col, out=delta)
-        np.subtract(x_rows, delta, out=delta)
-        return _pair_phase(delta, t, c3_int)
+    def __init__(self, child, n):
+        self.child = child
+        self.n = n
+        self.done = 0  # controls applied
+        self.held = False
+        self.rng = self.x_rows = self.phase = self.sums = None
 
+
+def _advance(shard, n_p, draw, delta, t, sigma_col, c3_int):
+    """Apply the next control to ``shard``, drawing into a worker's scratch.
+
+    ``draw`` and ``delta`` are flat buffers of at least 3 n; their first
+    3 n entries hold the draws and the separations.  Runs in a worker
+    thread that holds the shard, so it calls only private helpers.
+    """
+    n = shard.n
+    draw = draw[: 3 * n].reshape(n, 3)
+    delta = delta[: 3 * n].reshape(3, n)
+    if shard.rng is None:
+        # the read-out positions as contiguous component rows, the same
+        # draws as rng.normal(scale=sigma, size=(n, 3)) bit for bit
+        shard.rng = np.random.default_rng(shard.child)
+        shard.rng.standard_normal(out=draw)
+        shard.x_rows = np.empty((3, n))
+        np.multiply(draw.T, sigma_col, out=shard.x_rows)
+        shard.phase = np.zeros(n)
+    # draw in place and form x - y in delta
+    shard.rng.standard_normal(out=draw)
+    np.multiply(draw.T, sigma_col, out=delta)
+    np.subtract(shard.x_rows, delta, out=delta)
     # the product of exp(-i phi) over the first n_p controls and
     # exp(+i phi) over the next n_p, as one real phase sum
-    phase = np.zeros(n)
-    for _ in range(n_p):
-        phase -= control_phase()
-    for _ in range(n_p):
-        phase += control_phase()
-    np.cos(phase, out=phase)  # est, then est^2, in place
-    total = float(np.sum(phase))
-    np.square(phase, out=phase)
-    return total, float(np.sum(phase))
+    if shard.done < n_p:
+        shard.phase -= _pair_phase(delta, t, c3_int)
+    else:
+        shard.phase += _pair_phase(delta, t, c3_int)
+    shard.done += 1
+    if shard.done == 2 * n_p:
+        phase = shard.phase
+        np.cos(phase, out=phase)  # est, then est^2, in place
+        total = float(np.sum(phase))
+        np.square(phase, out=phase)
+        shard.sums = (total, float(np.sum(phase)))
+        shard.rng = shard.x_rows = shard.phase = None
 
 
 def readout_expectation_mc(
@@ -227,40 +252,83 @@ def readout_expectation_mc(
 
     Sampling is split into shards of ``MC_SHARD_SIZE`` (8192) samples, the
     last one shorter, each drawing from its own seed spawned from ``seed``.
-    The shards run concurrently on a thread pool that lives for the call
-    (one worker per CPU, at most one per shard), and their sums are
-    combined in shard order, so the result does not depend on the number
-    of workers or on the order in which shards finish.
+    A thread pool that lives for the call runs one worker per CPU, at most
+    one per shard.  Workers take the next control of any free shard, the
+    one with the most work left, so the load evens out across them.  A
+    shard is held by one worker at a time and applies its controls in
+    order, and the shards' sums are combined in shard order, so the result
+    does not depend on the worker count or the interleaving.  The first
+    error in a worker stops the others after their current control and
+    reaches the caller.
+
+    ``n_p`` and ``samples`` must be integers (not bool), and ``seed``
+    non-negative; otherwise ``ValueError`` is raised.
     """
     if method != "direct":
         raise ValueError(f"method must be 'direct', got {method!r}")
     if params.cloud.kind != "gaussian":
         raise ValueError("Monte-Carlo read-out requires a gaussian cloud")
+    if not _is_integer(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"at least {MIN_MC_SAMPLES} samples required, got {samples}")
-    if n_p < 0:
-        raise ValueError("n_p must be non-negative")
+    if not _is_integer(n_p) or n_p < 0:
+        raise ValueError(f"n_p must be a non-negative integer, got {n_p!r}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be non-negative and finite")
     if t == 0 or n_p == 0:
         return McReadout(1.0, 0.0)
 
-    sigma = np.asarray(params.cloud.dimensions)
+    sigma_col = np.asarray(params.cloud.dimensions)[:, None]
     c3_int = params.c3_over_hbar * 1e-6  # rad/us um^3
+    shard_size = MC_SHARD_SIZE
+    children = np.random.SeedSequence(seed).spawn(math.ceil(samples / shard_size))
+    shards = [
+        _Shard(child, min(shard_size, samples - i * shard_size))
+        for i, child in enumerate(children)
+    ]
+    controls = 2 * n_p
+    lock = threading.Lock()
+    stop = threading.Event()
 
-    children = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_SHARD_SIZE))
-    sizes = [min(MC_SHARD_SIZE, samples - i * MC_SHARD_SIZE) for i in range(len(children))]
+    def work_left(shard):
+        return shard.n * (controls - shard.done)
 
-    def shard(child, n):
-        return _mc_shard(child, n, t, n_p, sigma, c3_int)
+    def worker():
+        # per-worker scratch for the draws and separations of one control
+        draw = np.empty(3 * shards[0].n)
+        delta = np.empty(3 * shards[0].n)
+        shard = None
+        try:
+            while True:
+                with lock:
+                    if shard is not None:
+                        shard.held = False
+                    shard = max(
+                        (s for s in shards if not s.held and s.done < controls),
+                        key=work_left, default=None,
+                    )
+                    if stop.is_set() or shard is None:
+                        return
+                    shard.held = True
+                _advance(shard, n_p, draw, delta, t, sigma_col, c3_int)
+        except BaseException:
+            stop.set()
+            raise
 
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(children))) as pool:
-        parts = list(pool.map(shard, children, sizes))
+    workers = min(os.cpu_count() or 1, len(shards))
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(worker) for _ in range(workers)]
+    for future in futures:
+        future.result()
     # summed in shard order by a plain loop: sum() of floats is compensated
     # from Python 3.12 on, which would change the last bits
     total = 0.0
     total_sq = 0.0
-    for part_sum, part_sq in parts:
+    for shard in shards:
+        part_sum, part_sq = shard.sums
         total += part_sum
         total_sq += part_sq
     mean = total / samples

@@ -150,7 +150,7 @@ def test_criterion_06_experimental_fi_reproduction():
         assert 2.64 <= best <= 3.96, (
             f"max normalized FI {best:.3f} outside [2.64, 3.96]; the documented "
             "count-statistics model at the published parameters peaks near 1 "
-            "(it reaches 3.3 only near gamma_tau ~ 0.19)"
+            "(it enters the window only for gamma_tau ~ 0.135-0.215 at n0 = 55)"
         )
 
 

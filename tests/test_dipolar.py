@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,29 @@ class TestMonteCarloReadout:
         with pytest.raises(ValueError):
             readout_expectation_mc(-0.1, 1, MC_PARAMS, samples=20_000)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_p": 2.5}, "n_p"),
+        ({"n_p": 16.0}, "n_p"),
+        ({"n_p": True}, "n_p"),
+        ({"samples": 20_000.0}, "samples"),
+        ({"samples": np.float64(20_000)}, "samples"),
+        ({"samples": True}, "samples"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_bad_integer_inputs_rejected_before_any_thread(self, kwargs, name, monkeypatch):
+        sizes = TestShardPool.force_workers(monkeypatch, 2)
+        args = {"t": 0.025, "n_p": 16, "params": MC_PARAMS, "samples": 20_000, "seed": 1}
+        with pytest.raises(ValueError, match=name):
+            readout_expectation_mc(**{**args, **kwargs})
+        assert sizes == []
+
+    def test_numpy_integer_inputs_accepted(self):
+        plain = readout_expectation_mc(0.025, 16, MC_PARAMS, samples=10_000, seed=6)
+        numpy_ints = readout_expectation_mc(
+            0.025, np.int64(16), MC_PARAMS, samples=np.int32(10_000), seed=6
+        )
+        assert plain == numpy_ints
+
     @pytest.mark.parametrize("t,n_p", [(0.0, 3), (0.3, 0)])
     def test_unknown_method_rejected_without_decay(self, t, n_p):
         # t = 0 or n_p = 0 returns 1 without sampling; the method is
@@ -421,6 +445,69 @@ class TestShardPool:
         with pytest.raises(FloatingPointError, match="pair phase failed"):
             readout_expectation_mc(0.025, 16, self.PARAMS, samples=20_000, seed=5, method="direct")
         assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("samples", [
+        10_000,  # one full shard and a short one
+        2 * dipolar.MC_SHARD_SIZE + 3616,
+        4 * dipolar.MC_SHARD_SIZE + 1234,
+    ])
+    def test_bit_identical_for_any_worker_count_and_layout(self, samples, monkeypatch):
+        shards = math.ceil(samples / dipolar.MC_SHARD_SIZE)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # make the workers interleave often
+        try:
+            for workers in (1, 2, 3):
+                sizes = self.force_workers(monkeypatch, workers)
+                results.append(readout_expectation_mc(
+                    0.025, 23, self.PARAMS, samples=samples, seed=22, method="direct"
+                ))
+                assert sizes == [min(workers, shards)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_error_stops_the_other_workers(self, workers, monkeypatch):
+        # the 5th pair phase raises; each other worker may finish the
+        # control it holds, and no worker starts another one
+        self.force_workers(monkeypatch, workers)
+        pair_phase = dipolar._pair_phase
+        calls_lock = threading.Lock()
+        started_after_error = []
+        failed = threading.Event()
+
+        def failing_phase(*args):
+            with calls_lock:
+                started_after_error.append(failed.is_set())
+                call = len(started_after_error)
+            if call == 5:
+                failed.set()
+                raise FloatingPointError("pair phase failed at call 5")
+            return pair_phase(*args)
+
+        monkeypatch.setattr(dipolar, "_pair_phase", failing_phase)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError, match="call 5"):
+            readout_expectation_mc(0.025, 16, self.PARAMS, samples=20_000, seed=7, method="direct")
+        assert threading.enumerate() == before
+        assert sum(started_after_error) <= workers - 1
+
+    def test_traced_peak_holds_scratch_per_worker_not_per_shard(self, monkeypatch):
+        # each worker has a draw and a separation buffer of 3 MC_SHARD_SIZE
+        # doubles each; each shard keeps only its read-out rows (3 n) and
+        # its phase sum (n)
+        workers, samples = 2, 20_000
+        self.force_workers(monkeypatch, workers)
+        readout_expectation_mc(0.025, 16, self.PARAMS, samples=samples, seed=8, method="direct")
+        tracemalloc.start()
+        try:
+            readout_expectation_mc(0.025, 16, self.PARAMS, samples=samples, seed=8, method="direct")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (workers * 6 * dipolar.MC_SHARD_SIZE + 4 * samples) + 64 * 1024
+        assert peak < bound
 
 
 class TestRecordedReadout:
