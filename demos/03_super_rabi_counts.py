@@ -45,9 +45,9 @@ state = coherent_state(
     np.sqrt(small.n0) * np.cos(theta / 2),
     1j * np.sqrt(small.n0) * np.sin(theta / 2),
 )
-rho = apply_channel(state.to_density(), interaction_channel_kraus(basis, 0.5))
-rho = apply_channel(rho, detection_loss_channel(basis, small.eta))
-oracle = measure(rho, number_povm(basis)).marginal("d")
+pops = apply_channel(state.to_density(), interaction_channel_kraus(basis, 0.5))
+pops = apply_channel(pops, detection_loss_channel(basis, small.eta))
+oracle = measure(pops, number_povm(basis)).marginal("d")
 
 print("analytic Poisson mixture vs exact Fock-space pipeline (n0 = 2):")
 print(f"{'n':>3} {'analytic':>12} {'oracle':>12}")

@@ -9,7 +9,6 @@ sensitivity figures.
 
 from .fockspace import (
     CountDistribution,
-    DensityOperator,
     FockBasis,
     KrausChannel,
     TwoModeFockState,

@@ -429,11 +429,13 @@ def main(argv=None) -> int:
         if args.config:
             try:
                 with open(args.config) as fh:
-                    raw.update(json.load(fh))
+                    raw = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from None
+            if not isinstance(raw, dict):
+                raise ConfigError("config file must hold a JSON object")
         raw.update(_parse_set(args.set))
         if args.output is not None:
             raw["output_path"] = args.output

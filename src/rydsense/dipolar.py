@@ -21,13 +21,14 @@ GHz um^3 number), returns Q in um^3/s and gamma in 1/s.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import _check_seed, _is_integer
 
 __all__ = [
     "CloudGeometry",
@@ -177,10 +178,6 @@ def _pair_phase(delta: np.ndarray, t: float, c3_int: float) -> np.ndarray:
     return phase
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 class _Shard:
     """One shard between controls: its stream, read-out rows and phase sum.
 
@@ -261,8 +258,8 @@ def readout_expectation_mc(
     error in a worker stops the others after their current control and
     reaches the caller.
 
-    ``n_p`` and ``samples`` must be integers (not bool), and ``seed``
-    non-negative; otherwise ``ValueError`` is raised.
+    ``n_p``, ``samples`` and ``seed`` must be integers (not bool), and
+    ``seed`` non-negative; otherwise ``ValueError`` is raised.
     """
     if method != "direct":
         raise ValueError(f"method must be 'direct', got {method!r}")
@@ -274,8 +271,7 @@ def readout_expectation_mc(
         raise ValueError(f"at least {MIN_MC_SAMPLES} samples required, got {samples}")
     if not _is_integer(n_p) or n_p < 0:
         raise ValueError(f"n_p must be a non-negative integer, got {n_p!r}")
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be non-negative and finite")
     if t == 0 or n_p == 0:

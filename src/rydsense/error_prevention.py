@@ -13,8 +13,9 @@ forms over arrays of angles (no events are post-selected), and the curves
 are plain arrays in the shape of the angle grid.  The Kraus pipeline
 (rotated state, operation, detection-loss channel, number measurement,
 finite-difference FI) remains their oracle: :func:`enhancement_curve`
-checks its peak row against it on every call.  Its rotated state is the
-closed-form pair of :func:`rotated_state`, so no dense rotation is formed.
+checks its peak row against it on every call.  It starts from the
+closed-form populations of :func:`rotated_populations`, so no amplitude or
+dense rotation is formed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .fockspace import (
     CountDistribution,
     FockBasis,
     KrausChannel,
-    TwoModeFockState,
     apply_channel,
     classical_fi,
     detection_loss_channel,
@@ -53,18 +53,20 @@ _BASIS = FockBasis(2)
 _ROTATED_PAIR = [_BASIS.index_of(2 - k, k) for k in range(3)]  # |2,0>, |1,1>, |0,2>
 
 
-def rotated_state(theta: float) -> TwoModeFockState:
-    """|2,0> Rabi-rotated by ``theta``, carrying the angle in its amplitudes.
+def rotated_populations(theta: float) -> np.ndarray:
+    """Populations of |2,0> Rabi-rotated by ``theta``, on ``FockBasis(2)``.
 
     exp(i (theta/2) G), G = d^dag p + p^dag d, gives the closed form
-    cos^2(theta/2)|2,0> + (i/sqrt(2)) sin(theta)|1,1> - sin^2(theta/2)|0,2>.
+    cos^2(theta/2)|2,0> + (i/sqrt(2)) sin(theta)|1,1> - sin^2(theta/2)|0,2>,
+    so the populations are cos^4(theta/2), sin^2(theta)/2 and sin^4(theta/2).
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    amp = np.zeros(_BASIS.dim, dtype=complex)
-    amp[_ROTATED_PAIR] = (c * c, 1j * math.sin(theta) / math.sqrt(2.0), -s * s)
-    return TwoModeFockState(_BASIS, amp)
+    c, s, v = math.cos(theta / 2.0), math.sin(theta / 2.0), math.sin(theta) / math.sqrt(2.0)
+    pops = np.zeros(_BASIS.dim)
+    # each population is its amplitude squared, so the bits equal |psi|^2
+    pops[_ROTATED_PAIR] = ((c * c) * (c * c), v * v, (s * s) * (s * s))
+    return pops
 
 
 def error_prevention_channel() -> KrausChannel:
@@ -99,8 +101,8 @@ def _fi_brute_force(eta, theta):
     channel = error_prevention_channel()
 
     def family(t: float) -> CountDistribution:
-        rho = apply_channel(rotated_state(t).to_density(), channel)
-        return measure(apply_channel(rho, loss), povm)
+        pops = apply_channel(rotated_populations(t), channel)
+        return measure(apply_channel(pops, loss), povm)
 
     return classical_fi(family, theta)
 

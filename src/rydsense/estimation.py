@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _check_seed, _is_integer
 from .fockspace import FI_CROSS_CHECK_MAX, classical_fi
 from .multiparticle import (
     BLOCK_ELEMENTS,
@@ -398,19 +398,23 @@ def run_estimation(
     per-stage random streams are spawned from the master seed, so the
     outcome does not depend on evaluation order.  A ``theta_true``
     outside [0, pi], which the estimator's grid cannot reach, raises
-    ``ValueError``, as does a negative ``seed``.  Raises
+    ``ValueError``, as do a negative ``seed`` and a bool or non-integral
+    count or seed.  Raises
     :class:`NumericalError` if the estimates of the realizations, or of any
     bootstrap re-partition, are all equal (zero variance).
     """
     if not 0.0 <= theta_true <= math.pi:
         raise ValueError(f"theta_true must lie in [0, pi], got {theta_true}")
     n = shots_per_realization
+    names = ("n_shots_total", "shots_per_realization", "n_bootstrap")
+    for name, value in zip(names, (n_shots_total, n, n_bootstrap)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1 or n_shots_total < 1 or n_shots_total % n != 0:
         raise ValueError("shots_per_realization must divide n_shots_total")
     if n_bootstrap < 2:
         raise ValueError("n_bootstrap must be at least 2")
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     _informative_mean(params)
     k = n_shots_total // n
     if k < 10:

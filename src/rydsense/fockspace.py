@@ -1,11 +1,11 @@
 """Exact Kraus channels and number measurements of two bosonic modes on a truncated Fock space.
 
 The two collective spinwave modes are labelled ``d`` and ``p``.  States are
-plain complex vectors over the occupation basis {|n_d, n_p>, n_d + n_p <=
-n_max}, quantum operations are explicit Kraus lists and the measurement
-counts both occupation numbers.  Nothing is approximated, so this module
-serves as the brute-force oracle for the analytic photon statistics
-implemented elsewhere in the package.
+plain float arrays of populations, aligned with the occupation basis
+{|n_d, n_p>, n_d + n_p <= n_max} of ``basis.occupations``; quantum
+operations are explicit Kraus lists and the measurement counts both
+occupation numbers.  Nothing is approximated, so this module serves as the
+brute-force oracle for the analytic photon statistics elsewhere.
 
 Every operation of the protocol maps number states to number states, and
 every read-out counts photons, so channels and measurements each have one
@@ -23,9 +23,9 @@ population of that state and a measurement labels the populations by
 their occupations.  These identities are exact, so the results are those
 of the dense density-matrix formulas.
 
-All values are immutable after construction and all operations are pure
-functions, so parameter sweeps can be evaluated in parallel without shared
-state.
+Bases, states and channels are immutable after construction, and all
+operations are pure functions that return new population arrays, so
+parameter sweeps can be evaluated in parallel without shared state.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 __all__ = [
     "FockBasis",
     "TwoModeFockState",
-    "DensityOperator",
     "KrausChannel",
     "CountDistribution",
     "apply_channel",
@@ -96,18 +95,6 @@ class FockBasis:
                 return index
         raise ValueError(f"occupation ({n_d}, {n_p}) outside basis with n_max={self.n_max}")
 
-    def state(self, n_d: int, n_p: int) -> "TwoModeFockState":
-        """Basis ket |n_d, n_p> as a normalized state."""
-        amp = np.zeros(self.dim, dtype=complex)
-        amp[self.index_of(n_d, n_p)] = 1.0
-        return TwoModeFockState(self, amp)
-
-    def __eq__(self, other):
-        return isinstance(other, FockBasis) and other.n_max == self.n_max
-
-    def __hash__(self):
-        return hash(("FockBasis", self.n_max))
-
     def __repr__(self):
         return f"FockBasis(n_max={self.n_max}, dim={self.dim})"
 
@@ -127,34 +114,9 @@ class TwoModeFockState:
             )
         object.__setattr__(self, "amplitudes", amp)
 
-    def to_density(self) -> "DensityOperator":
-        """Number-basis populations |amplitudes|^2 of the state."""
-        return DensityOperator(self.basis, (self.amplitudes * self.amplitudes.conj()).real)
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Number-basis populations of a state over a :class:`FockBasis`.
-
-    ``populations`` is the diagonal of the density matrix.  The channels
-    and measurements of this module never read its coherences, so they are
-    not kept.  Construction checks the shape and that every entry is finite
-    and at least -1e-10.  The populations need not sum to one: a channel
-    that is not trace preserving lowers their total.
-    """
-
-    basis: FockBasis
-    populations: np.ndarray
-
-    def __post_init__(self):
-        pops = np.asarray(self.populations, dtype=float)
-        if pops.shape != (self.basis.dim,):
-            raise ValueError(
-                f"populations have shape {pops.shape}, expected ({self.basis.dim},)"
-            )
-        if not np.all(np.isfinite(pops)) or pops.min() < -PSD_TOL:
-            raise ValueError("populations must be finite and at least -1e-10")
-        object.__setattr__(self, "populations", pops)
+    def to_density(self) -> np.ndarray:
+        """Number-basis populations |amplitudes|^2, aligned with ``basis.occupations``."""
+        return (self.amplitudes * self.amplitudes.conj()).real
 
 
 @dataclass(frozen=True)
@@ -259,20 +221,31 @@ class CountDistribution:
         return 0.5 * sum(abs(self.get(l) - other.get(l)) for l in labels)
 
 
-def apply_channel(rho: DensityOperator, channel: KrausChannel) -> DensityOperator:
+def _checked_populations(populations, basis: FockBasis) -> np.ndarray:
+    """``populations`` as a float array of shape ``(basis.dim,)``, each entry finite and >= -1e-10.
+
+    Anything else raises ``ValueError``; populations on another basis have
+    another length.  Any total passes: a lossy channel lowers it.
+    """
+    pops = np.asarray(populations, dtype=float)
+    if pops.shape != (basis.dim,):
+        raise ValueError(f"populations have shape {pops.shape}, expected ({basis.dim},)")
+    if not np.all(np.isfinite(pops)) or pops.min() < -PSD_TOL:
+        raise ValueError("populations must be finite and at least -1e-10")
+    return pops
+
+
+def apply_channel(populations, channel: KrausChannel) -> np.ndarray:
     """Apply a Kraus channel to populations: P -> diag(sum_k K rho K^dag).
 
     Every operator maps number states one-to-one, so the diagonal of
     sum_k K rho K^dag is sum_e |c_e|^2 P[src_e] placed at dest_e, over the
     channel's entries: one weighted ``bincount``, exact for any rho with
-    populations P.
+    populations P.  ``populations`` are checked as in :func:`measure`.
     """
-    if channel.basis != rho.basis:
-        raise ValueError("channel and state are defined on different bases")
+    pops = _checked_populations(populations, channel.basis)
     _, dest, src, _ = channel.entries
-    moved = channel.weights * rho.populations[src]
-    out = np.bincount(dest, weights=moved, minlength=rho.basis.dim)
-    return DensityOperator(rho.basis, out)
+    return np.bincount(dest, weights=channel.weights * pops[src], minlength=channel.basis.dim)
 
 
 def _lowered_destinations(basis: FockBasis, lowered, op, src) -> np.ndarray:
@@ -329,15 +302,16 @@ def number_povm(basis: FockBasis) -> FockBasis:
     return basis
 
 
-def measure(rho: DensityOperator, povm: FockBasis) -> CountDistribution:
+def measure(populations, povm: FockBasis) -> CountDistribution:
     """Outcome distribution p(n_d, n_p) = <n_d, n_p| rho |n_d, n_p> of ``number_povm``.
 
     Each outcome's probability is the population of its basis state, so
-    the populations are labelled by their occupations.
+    the populations are labelled by their occupations.  Populations of
+    another shape than ``(povm.dim,)``, or below -1e-10, NaN or infinite,
+    raise ``ValueError``; rounding-level negatives count as 0.
     """
-    if povm != rho.basis:
-        raise ValueError("POVM and state are defined on different bases")
-    return CountDistribution(dict(zip(povm.occupations, rho.populations.tolist())))
+    pops = np.maximum(_checked_populations(populations, povm), 0.0)
+    return CountDistribution(dict(zip(povm.occupations, pops.tolist())))
 
 
 def classical_fi(dist_family, theta: float) -> float:

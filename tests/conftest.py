@@ -42,10 +42,10 @@ def kraus_pipeline_family(n0, eta, gamma_tau, n_max=14, loss_order=LOSS_AFTER, m
         if loss_order == LOSS_BEFORE:
             alpha_d *= np.sqrt(eta)
             alpha_p *= np.sqrt(eta)
-        rho = coherent_state(basis, alpha_d, alpha_p).to_density()
+        pops = coherent_state(basis, alpha_d, alpha_p).to_density()
         for channel in channels:
-            rho = apply_channel(rho, channel)
-        return measure(rho, povm).marginal(mode)
+            pops = apply_channel(pops, channel)
+        return measure(pops, povm).marginal(mode)
 
     return distribution
 

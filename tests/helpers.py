@@ -1,18 +1,19 @@
 """Reference computations that only the tests use.
 
 None of these has a caller in the package, the demos or the benchmark, so
-they live next to the tests: dense ladder and number operators, the dense
-Rabi rotation that pins the toy's closed-form rotated pair, dense density
-matrices, the dense Kraus operators and Kraus sums that the channels'
-entry tables and the population path are checked against, the mode-d
-damping that gives the d counts of the mutual decay on large bases, entry
-tables assembled from per-operator triples, random entry tables and
-diagonal POVMs, lossy counting through the detection-loss channel, the
-finite-difference quantum Fisher information, the matrix-pipeline means of
-the error-prevention toy, shot sampling, the full-grid ML search that the
-pruned one is checked against, the closed-form eta -> 0 limit of the
-normalized Fisher information, the field / Rabi-frequency conversions and
-the quadrature of the excluded-volume constant J.
+they live next to the tests: basis kets, dense ladder and number
+operators, the dense Rabi rotation that pins the toy's closed-form rotated
+pair, dense density matrices and their populations, the dense Kraus
+operators and Kraus sums that the channels' entry tables and the
+population path are checked against, the mode-d damping that gives the d
+counts of the mutual decay on large bases, entry tables assembled from
+per-operator triples, random entry tables and diagonal POVMs, lossy
+counting through the detection-loss channel, the finite-difference quantum
+Fisher information, the matrix-pipeline means of the error-prevention toy,
+shot sampling, the full-grid ML search that the pruned one is checked
+against, the closed-form eta -> 0 limit of the normalized Fisher
+information, the field / Rabi-frequency conversions and the quadrature of
+the excluded-volume constant J.
 """
 
 import functools
@@ -30,7 +31,6 @@ from rydsense.fockspace import (
     FI_STEP,
     MODES,
     CountDistribution,
-    DensityOperator,
     FockBasis,
     KrausChannel,
     TwoModeFockState,
@@ -56,6 +56,13 @@ PANEL_ORDER = 10
 S_MAX = 1200.0
 QUAD_LIMIT = 800
 J_RE_MAX_REL_ERROR = 5e-3
+
+
+def basis_state(basis: FockBasis, n_d: int, n_p: int) -> TwoModeFockState:
+    """Basis ket |n_d, n_p> as a normalized state."""
+    amp = np.zeros(basis.dim, dtype=complex)
+    amp[basis.index_of(n_d, n_p)] = 1.0
+    return TwoModeFockState(basis, amp)
 
 
 def mode_operator(basis: FockBasis, mode: str, kind: str) -> np.ndarray:
@@ -118,9 +125,9 @@ def dense_density(state: TwoModeFockState) -> np.ndarray:
     return np.outer(state.amplitudes, state.amplitudes.conj())
 
 
-def populations(basis: FockBasis, rho: np.ndarray) -> DensityOperator:
+def populations(rho: np.ndarray) -> np.ndarray:
     """The populations of a dense density matrix, its diagonal."""
-    return DensityOperator(basis, np.diagonal(rho).real)
+    return np.diagonal(rho).real
 
 
 def tracemalloc_peak(call) -> int:
@@ -259,10 +266,9 @@ def qfi(rho_family, theta: float):
     return float(np.sum(2.0 * np.abs(m[mask]) ** 2 / pair_sums[mask]))
 
 
-def lossy_counts(rho: DensityOperator, eta: float):
+def lossy_counts(basis: FockBasis, pops: np.ndarray, eta: float):
     """Counts of both modes at efficiency ``eta``: the loss channel, then ``number_povm``."""
-    basis = rho.basis
-    return measure(apply_channel(rho, detection_loss_channel(basis, eta)), number_povm(basis))
+    return measure(apply_channel(pops, detection_loss_channel(basis, eta)), number_povm(basis))
 
 
 def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, float]:
@@ -276,7 +282,7 @@ def expectation_oracle(eta: float, theta: float) -> tuple[float, float, float, f
     basis = FockBasis(2)
     nd_op = mode_operator(basis, "d", "number")
     np_op = mode_operator(basis, "p", "number")
-    psi = rabi_rotation(basis, theta) @ basis.state(2, 0).amplitudes
+    psi = rabi_rotation(basis, theta) @ basis_state(basis, 2, 0).amplitudes
     rho_bare = dense_density(TwoModeFockState(basis, psi))
     rho_prev, _ = dense_kraus_sums(error_prevention_channel(), rho_bare)
     return tuple(

@@ -747,6 +747,17 @@ class TestCommonMachinery:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload", [[1, 2], 3, None, [["etas", [0.3]]], "text"],
+        ids=["list", "number", "null", "pairs", "string"],
+    )
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, payload):
+        out = tmp_path / "toy.csv"
+        config = write_config(tmp_path / "c.json", payload)
+        assert run_cli("toy-fi", config, ["--output", str(out)]) == 2
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert run_cli("toy-fi", "/nonexistent/path.json") == 2
         assert "config" in capsys.readouterr().err

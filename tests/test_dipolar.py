@@ -293,10 +293,20 @@ class TestMonteCarloReadout:
             readout_expectation_mc(**{**args, **kwargs})
         assert sizes == []
 
+    @pytest.mark.parametrize(
+        "seed", [True, False, 1.5, 6.0, np.float64(6)],
+        ids=["true", "false", "fraction", "float", "float64"],
+    )
+    def test_bool_or_non_integral_seed_rejected(self, seed, monkeypatch):
+        sizes = TestShardPool.force_workers(monkeypatch, 2)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            readout_expectation_mc(0.025, 16, MC_PARAMS, samples=20_000, seed=seed)
+        assert sizes == []
+
     def test_numpy_integer_inputs_accepted(self):
         plain = readout_expectation_mc(0.025, 16, MC_PARAMS, samples=10_000, seed=6)
         numpy_ints = readout_expectation_mc(
-            0.025, np.int64(16), MC_PARAMS, samples=np.int32(10_000), seed=6
+            0.025, np.int64(16), MC_PARAMS, samples=np.int32(10_000), seed=np.uint8(6)
         )
         assert plain == numpy_ints
 

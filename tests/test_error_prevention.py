@@ -13,7 +13,7 @@ from rydsense.error_prevention import (
     fi_with_prevention,
     fi_without_prevention,
     optimality_bound,
-    rotated_state,
+    rotated_populations,
 )
 from rydsense.errors import NumericalError
 from rydsense.fockspace import (
@@ -26,6 +26,7 @@ from rydsense.fockspace import (
 )
 
 from helpers import (
+    basis_state,
     dense_density,
     dense_kraus_sums,
     dense_operators,
@@ -35,6 +36,7 @@ from helpers import (
     rabi_rotation,
 )
 
+BASIS = FockBasis(2)
 GRID = np.linspace(0.07, math.pi - 0.07, 50)
 REFERENCE = Path(__file__).resolve().parent / "reference"
 
@@ -52,7 +54,7 @@ class TestLossyDetection:
             (0, 2): {(0, 2): kept, (0, 1): 2 * one_lost, (0, 0): both_lost},
         }
         for occ, weights in expected.items():
-            dist = lossy_counts(basis.state(*occ).to_density(), eta)
+            dist = lossy_counts(basis, basis_state(basis, *occ).to_density(), eta)
             for label in basis.occupations:
                 assert dist.get(label) == pytest.approx(weights.get(label, 0.0), abs=1e-12)
 
@@ -67,19 +69,19 @@ class TestErrorPreventionChannel:
         basis = FockBasis(2)
         channel = error_prevention_channel()
         for theta in (math.pi / 2, 0.9):
-            rho = apply_channel(rotated_state(theta).to_density(), channel)
+            pops = apply_channel(rotated_populations(theta), channel)
             i00 = basis.index_of(0, 0)
-            assert rho.populations[i00] == pytest.approx(
+            assert pops[i00] == pytest.approx(
                 0.5 * math.sin(theta) ** 2, abs=1e-12
             )
 
     def test_preserves_zero_two(self):
         basis = FockBasis(2)
         channel = error_prevention_channel()
-        rho = dense_density(basis.state(0, 2))
+        rho = dense_density(basis_state(basis, 0, 2))
         assert np.allclose(dense_kraus_sums(channel, rho)[0], rho)
-        rho = basis.state(0, 2).to_density()
-        assert np.allclose(apply_channel(rho, channel).populations, rho.populations)
+        pops = basis_state(basis, 0, 2).to_density()
+        assert np.allclose(apply_channel(pops, channel), pops)
 
     def test_idempotent_as_channel(self, rng):
         basis = FockBasis(2)
@@ -93,10 +95,10 @@ class TestErrorPreventionChannel:
             dense_once = dense_kraus_sums(channel, rho)[0]
             dense_twice = dense_kraus_sums(channel, dense_once)[0]
             assert np.max(np.abs(dense_twice - dense_once)) < 1e-12
-            once = apply_channel(populations(basis, rho), channel)
-            assert np.max(np.abs(once.populations - np.diagonal(dense_once).real)) <= 1e-15
+            once = apply_channel(populations(rho), channel)
+            assert np.max(np.abs(once - np.diagonal(dense_once).real)) <= 1e-15
             twice = apply_channel(once, channel)
-            assert np.max(np.abs(twice.populations - once.populations)) < 1e-12
+            assert np.max(np.abs(twice - once)) < 1e-12
 
     def test_trace_preserving(self):
         assert error_prevention_channel().completeness_defect < 1e-12
@@ -138,7 +140,7 @@ class TestFiWithoutPrevention:
         eta, theta = 0.41, 1.37
 
         def family(t):
-            return lossy_counts(rotated_state(t).to_density(), eta)
+            return lossy_counts(BASIS, rotated_populations(t), eta)
 
         manual = classical_fi(family, theta)
         assert fi_without_prevention(eta, theta) == pytest.approx(manual, abs=1e-6)
@@ -167,8 +169,8 @@ class TestFiWithPrevention:
     def test_probabilities_sum_to_one_no_postselection(self):
         channel = error_prevention_channel()
         for theta in GRID[::7]:
-            rho = apply_channel(rotated_state(theta).to_density(), channel)
-            dist = lossy_counts(rho, 0.23)
+            pops = apply_channel(rotated_populations(theta), channel)
+            dist = lossy_counts(BASIS, pops, 0.23)
             assert len(dist.probabilities) == 6
             assert dist.total() == pytest.approx(1.0, abs=1e-10)
 
@@ -180,8 +182,7 @@ class TestFiWithPrevention:
             loss = detection_loss_channel(basis, eta)
 
             def family(t):
-                rho = rotated_state(t).to_density()
-                return apply_channel(apply_channel(rho, loss), channel)
+                return apply_channel(apply_channel(rotated_populations(t), loss), channel)
 
             povm = number_povm(basis)
             fi = classical_fi(lambda t: measure(family(t), povm), math.pi / 2)
@@ -243,8 +244,8 @@ class TestInputChecks:
             enhancement_curve(0.0, (0.1, 0.2))
 
     def test_rotation_starts_from_two_zero(self):
-        expected = FockBasis(2).state(2, 0).amplitudes
-        np.testing.assert_allclose(rotated_state(0.0).amplitudes, expected, rtol=0, atol=1e-15)
+        expected = basis_state(BASIS, 2, 0).to_density()
+        assert np.array_equal(rotated_populations(0.0), expected)
 
 
 class TestRotatedPair:
@@ -256,14 +257,14 @@ class TestRotatedPair:
     def test_closed_form_equals_dense_rotation(self, theta):
         # the dense reference's eigenvalues carry about 1e-15 of rounding,
         # which its exponential turns into a phase error growing with |theta|
-        basis = FockBasis(2)
-        dense = rabi_rotation(basis, theta) @ basis.state(2, 0).amplitudes
-        gap = np.max(np.abs(rotated_state(theta).amplitudes - dense))
-        assert gap <= 1e-15 * max(1.0, abs(theta))
+        dense = rabi_rotation(BASIS, theta) @ basis_state(BASIS, 2, 0).amplitudes
+        pops = rotated_populations(theta)
+        assert pops.dtype == np.float64 and pops.shape == (BASIS.dim,)
+        assert np.max(np.abs(pops - np.abs(dense) ** 2)) <= 1e-15 * max(1.0, abs(theta))
 
     def test_nonfinite_angle_rejected(self):
         with pytest.raises(ValueError, match="theta must be finite"):
-            rotated_state(math.inf)
+            rotated_populations(math.inf)
 
     def test_toy_runs_without_eigendecomposition(self, tmp_path, monkeypatch):
         def eigh(*args, **kwargs):
@@ -285,10 +286,10 @@ def dense_fi(eta, theta, with_prevention):
     channel = error_prevention_channel()
 
     def family(t):
-        rho = rotated_state(t).to_density()
+        pops = rotated_populations(t)
         if with_prevention:
-            rho = apply_channel(rho, channel)
-        return lossy_counts(rho, eta)
+            pops = apply_channel(pops, channel)
+        return lossy_counts(BASIS, pops, eta)
 
     return classical_fi(family, theta)
 

@@ -183,6 +183,31 @@ class TestRunEstimation:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             run_estimation(EXPERIMENT, 1.0, 1000, 100, seed=-1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("n_shots_total", 1000.0),
+        ("n_shots_total", True),
+        ("shots_per_realization", 100.0),
+        ("shots_per_realization", True),
+        ("n_bootstrap", 5.5),
+        ("n_bootstrap", np.float64(5)),
+        ("n_bootstrap", True),
+        ("seed", 1.5),
+        ("seed", True),
+    ])
+    def test_bool_or_non_integral_sizes_and_seed_rejected(self, name, value):
+        args = {"n_shots_total": 1000, "shots_per_realization": 100, "seed": 1, "n_bootstrap": 2}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_estimation(EXPERIMENT, 1.2, **{**args, name: value})
+
+    def test_numpy_integer_sizes_and_seed_accepted(self):
+        plain = run_estimation(EXPERIMENT, 1.2, 1000, 100, seed=3, n_bootstrap=5)
+        numpy_ints = run_estimation(
+            EXPERIMENT, 1.2, np.int64(1000), np.int32(100), seed=np.uint16(3),
+            n_bootstrap=np.int8(5),
+        )
+        assert np.array_equal(plain.theta_hats, numpy_ints.theta_hats)
+        assert plain.fi_error == numpy_ints.fi_error
+
     def test_zero_variance_raises_numerical_error(self):
         # n0 eta = 1e-3: every shot detects nothing, so every realization
         # gives the same estimate
