@@ -157,9 +157,19 @@ def _log_likelihood_table(
     return table
 
 
+def _count_dtype(total: int) -> type:
+    """int32 for histograms of fewer than 2**31 shots, else int64.
+
+    The estimates take the histograms only through exact conversions to
+    float, so the narrower type changes no result.
+    """
+    return np.int32 if total < 2**31 else np.int64
+
+
 def _histograms(bins: np.ndarray, rows: int, width: int) -> np.ndarray:
     """(rows, width) count histograms of shots already offset into their row's bins."""
-    return np.bincount(bins, minlength=rows * width).reshape(rows, width)
+    hists = np.bincount(bins, minlength=rows * width).reshape(rows, width)
+    return hists.astype(_count_dtype(bins.size), copy=False)
 
 
 def _split_compositions(
@@ -173,10 +183,12 @@ def _split_compositions(
     so its composition is multivariate hypergeometric given the parent's,
     and it is drawn value by value, each value hypergeometric given the
     values before it.  Every level draws all nodes of all draws in one call
-    per value, ceil(log2 k) levels of (w - 1) calls in all.
+    per value, ceil(log2 k) levels of (w - 1) calls in all.  The node tables
+    are int32 below 2**31 shots; the hypergeometric calls see the same values.
     """
     # value-major layout: comp[j, b, node] counts value j in a node of draw b
-    comp = np.repeat(totals[:, None, None], n_bootstrap, axis=1)
+    dtype = _count_dtype(k * n)
+    comp = np.repeat(totals.astype(dtype)[:, None, None], n_bootstrap, axis=1)
     sizes = np.array([k])
     while sizes.size < k:
         split = sizes > 1
@@ -207,11 +219,12 @@ def _bootstrap_histograms(
     cost that grows with k w_eff; a wide one permutes the shots of each draw
     and histograms them, at a cost that grows with k n.  numpy's
     hypergeometric takes populations below 10**9, so larger inputs permute.
+    The tables are int32 below 2**31 shots.
     """
     n = counts.size // k
     totals = np.bincount(counts, minlength=width)
     values = np.flatnonzero(totals)
-    hists = np.zeros((n_bootstrap, k, width), dtype=np.int64)
+    hists = np.zeros((n_bootstrap, k, width), dtype=_count_dtype(counts.size))
     if (
         _SPLIT_SHOTS_PER_VALUE * (values.size - 1) <= n
         and counts.size < _HYPERGEOMETRIC_MAX

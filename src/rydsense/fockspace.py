@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,15 @@ COHERENT_TAIL_TOL = 1e-8
 MODES = ("d", "p")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool.
+
+    The rule of ``rydsense.errors._is_integer``, restated here because the
+    oracle imports nothing from the package.
+    """
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class FockBasis:
     """Occupation basis for two modes truncated at ``n_max`` total excitations.
 
@@ -72,7 +82,7 @@ class FockBasis:
     """
 
     def __init__(self, n_max: int):
-        if n_max < 0 or int(n_max) != n_max:
+        if not _is_integer(n_max) or n_max < 0:
             raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
         self.n_max = int(n_max)
         self.occupations = tuple(
@@ -87,9 +97,11 @@ class FockBasis:
         self._index_table[occ[:, 0], occ[:, 1]] = np.arange(self.dim)
 
     def index_of(self, n_d: int, n_p: int) -> int:
-        """Basis index of |n_d, n_p>."""
+        """Basis index of |n_d, n_p>; ``ValueError`` for a non-integer occupation."""
+        if not (_is_integer(n_d) and _is_integer(n_p)):
+            raise ValueError(f"occupations must be integers, got ({n_d!r}, {n_p!r})")
         # range first: the table would wrap negative occupations around
-        if 0 <= min(n_d, n_p) and max(n_d, n_p) <= self.n_max and n_d % 1 == n_p % 1 == 0:
+        if 0 <= min(n_d, n_p) and max(n_d, n_p) <= self.n_max:
             index = int(self._index_table[int(n_d), int(n_p)])
             if index >= 0:
                 return index

@@ -218,7 +218,11 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
 
     Count blocks keep every (row, k) and (row, n) temporary within
     ``BLOCK_ELEMENTS``, and row blocks within a quarter of it, so that the
-    k windows of a grid follow B.
+    k windows of a grid follow B.  Besides one row block, the output table
+    is the only (rows, counts) array: it is filled with n log D - log n!,
+    each block adds its alpha and then its log S in place, and the pmf is
+    exponentiated in place (a full-window ``log`` call alone forms P beside
+    log P, for the mass check).
     """
     k_cut = _window(float(b.max(initial=0.0)))
     full_window = n_cut is None
@@ -234,10 +238,12 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
     neg_damp = -np.exp(-gt * k)
     with np.errstate(divide="ignore"):
         log_b, log_d = np.log(b)[:, None], np.log(d)[:, None]
-    # n log D - log n!, with n log D = 0 at n = 0 also where D = 0
-    head = np.zeros((b.size, n.size))
-    np.multiply(log_d, n[1:], out=head[:, 1:])
-    head -= log_fact[: n.size]
+    # the table starts as n log D - log n!, with n log D = 0 at n = 0 also
+    # where D = 0; each block adds its alpha and log S in place
+    table = np.empty((b.size, n.size))
+    table[:, 0] = 0.0
+    np.multiply(log_d, n[1:], out=table[:, 1:])
+    table -= log_fact[: n.size]
     width = min(n.size, max(1, BLOCK_ELEMENTS // k.size))
     if gt * k_cut * (width - 1) > _EXP_SPAN:
         width = 1 + int(_EXP_SPAN / (gt * k_cut))
@@ -245,7 +251,6 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
     # log Pois and the weights of one row block share a quarter of the
     # budget, so that the blocks' k windows can follow B along the grid
     rows = max(1, BLOCK_ELEMENTS // (8 * max(k.size, width)))
-    table = np.empty((b.size, n.size))
     buffer = np.empty(min(rows, b.size) * 2 * k.size)
     for r0 in range(0, b.size, rows):
         rs = slice(r0, r0 + rows)
@@ -259,16 +264,21 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
             )
         kb = k[: block_cut + 1]
         m = b[rs].size
-        # log Pois(k; B), with k log B = 0 at k = 0 also where B = 0
+        # log Pois(k; B), with k log B = 0 at k = 0 also where B = 0.  The
+        # products are taken in place on the contiguous block, because numpy
+        # gives each broadcast or strided ufunc operand a 64 kB buffer
         log_pois = buffer[: m * kb.size].reshape(m, kb.size)
+        log_pois[...] = kb
+        with np.errstate(invalid="ignore"):
+            log_pois *= log_b[rs]
         log_pois[:, 0] = 0.0
-        np.multiply(log_b[rs], kb[1:], out=log_pois[:, 1:])
         log_pois -= b[rs, None]
         log_pois -= log_fact[: kb.size]
         a = buffer[m * kb.size : 2 * m * kb.size].reshape(m, kb.size)
         for n0 in range(0, n.size, width):
             cs = slice(n0, n0 + width)
-            np.multiply(d[rs, None], neg_damp[: kb.size], out=a)
+            a[...] = neg_damp[: kb.size]
+            a *= d[rs, None]
             if n0:
                 a -= (gt * n0) * kb
             a += log_pois
@@ -276,10 +286,13 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
             a -= alpha
             np.exp(a, out=a)
             s = a @ shared[: kb.size, : n[cs].size]
-            table[rs, cs] = alpha + head[rs, cs] + np.log(s)
+            block = table[rs, cs]
+            block += alpha
+            block += np.log(s, out=s)
     if log and not full_window:
         return table
-    p = np.exp(table)
+    # the mass check of a full-window log table needs P beside log P
+    p = np.exp(table) if log else np.exp(table, out=table)
     if full_window:
         defect = float(np.max(1.0 - p.sum(axis=1), initial=0.0))
         if defect > ROW_MASS_DEFECT_MAX:
@@ -395,9 +408,13 @@ def fisher_information(params: ProtocolParams, theta):
     (the second from Pois(k; B) c^k = e^(-B (1 - c)) Pois(k; c B)) divide by
     neither B nor D, so one kernel call on the stacked rows (B, D),
     (B, c D) and (c B, D) of all angles gives F; every row keeps the
-    kernel's mass check.  Outcomes whose P underflows to 0 add nothing.  A
-    scalar ``theta`` gives a float, an array an array of its shape.  With
-    n0 eta = 0 nothing is detected and F is exactly 0.
+    kernel's mass check.  dP/dB and dP/dD overwrite the shifted rows of
+    the kernel's table, and B' dP/dB + D' dP/dD, its square and its
+    quotient by P overwrite dP/dB, so besides one row block of the kernel
+    the table is the only (rows, counts) array.  Outcomes whose P
+    underflows to 0 add nothing.  A scalar ``theta`` gives a float, an
+    array an array of its shape.  With n0 eta = 0 nothing is detected and
+    F is exactly 0.
     """
     thetas = np.asarray(theta, dtype=float)
     column = thetas.reshape(-1, 1)
@@ -415,11 +432,21 @@ def fisher_information(params: ProtocolParams, theta):
             params.gamma_tau,
         )
         p, p_lower_d, p_lower_b = rows.reshape(b.size, 3, -1).transpose(1, 0, 2)
-        dp_db = p_lower_d - p
-        dp_dd = np.diff(p_lower_b, prepend=0.0, axis=1)
+        # dP/dB and dP/dD overwrite the shifted rows, and the gradient, its
+        # square and its quotient by P overwrite dP/dB
+        grad = np.subtract(p_lower_d, p, out=p_lower_d)
+        grad *= db
+        # P(n) - P(n - 1) in place, with P(-1) = 0
+        dp_dd = p_lower_b
+        np.subtract(dp_dd[:, 1:], dp_dd[:, :-1], out=dp_dd[:, 1:])
         dp_dd *= -np.exp(np.expm1(-params.gamma_tau) * b)[:, None]
-        grad = db * dp_db + dd * dp_dd
-        fi = np.sum(np.divide(grad**2, p, out=np.zeros_like(p), where=p > 0.0), axis=1)
+        dp_dd *= dd
+        grad += dp_dd
+        grad *= grad
+        informative = p > 0.0
+        np.divide(grad, p, out=grad, where=informative)
+        grad[~informative] = 0.0
+        fi = np.sum(grad, axis=1)
     return float(fi[0]) if thetas.ndim == 0 else fi.reshape(thetas.shape)
 
 

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from rydsense.dipolar import (
     volumetric_rate_q,
 )
 
-from helpers import angular_abs_integral, quadrature_j
+from helpers import angular_abs_integral, quadrature_j, tracemalloc_peak
 
 BOX_CLOUD = CloudGeometry("box", (80.0, 80.0, 4000.0))
 TABULATED_C3_GHZ_UM3 = 3.709
@@ -509,13 +508,14 @@ class TestShardPool:
         # its phase sum (n)
         workers, samples = 2, 20_000
         self.force_workers(monkeypatch, workers)
-        readout_expectation_mc(0.025, 16, self.PARAMS, samples=samples, seed=8, method="direct")
-        tracemalloc.start()
-        try:
-            readout_expectation_mc(0.025, 16, self.PARAMS, samples=samples, seed=8, method="direct")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        def readout():
+            readout_expectation_mc(
+                0.025, 16, self.PARAMS, samples=samples, seed=8, method="direct"
+            )
+
+        readout()
+        peak = tracemalloc_peak(readout)
         bound = 8 * (workers * 6 * dipolar.MC_SHARD_SIZE + 4 * samples) + 64 * 1024
         assert peak < bound
 

@@ -91,10 +91,25 @@ class TestFockBasis:
         with pytest.raises(ValueError):
             FockBasis(-1)
         basis = FockBasis(2)
-        for occ in ((2, 1), (3, 0), (0, 3), (-1, 0), (0, -1), (-1, 3), (0.5, 0)):
+        for occ in ((2, 1), (3, 0), (0, 3), (-1, 0), (0, -1), (-1, 3)):
             with pytest.raises(ValueError, match="outside basis"):
                 basis.index_of(*occ)
-        assert basis.index_of(1.0, np.int64(1)) == basis.index_of(1, 1)
+        assert basis.index_of(1, np.int64(1)) == basis.index_of(1, 1)
+
+    @pytest.mark.parametrize("occ", [(1.0, 1), (1, 1.0), (0.5, 0), (True, 0), (0, np.float64(1))])
+    def test_non_integer_occupation_rejected(self, occ):
+        with pytest.raises(ValueError, match="occupations must be integers"):
+            FockBasis(2).index_of(*occ)
+
+    @pytest.mark.parametrize("n_max", [True, 2.0, 1.5, np.float64(3)])
+    def test_non_integer_n_max_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+            FockBasis(n_max)
+
+    def test_numpy_integer_n_max(self):
+        basis = FockBasis(np.int64(3))
+        assert type(basis.n_max) is int
+        assert basis.n_max == 3 and basis.dim == FockBasis(3).dim
 
 
 class TestModeOperators:
