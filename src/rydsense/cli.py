@@ -4,12 +4,15 @@ Each subcommand reads a flat JSON config file (``--config``), applies
 ``--set key=value`` overrides, runs the corresponding study and writes a
 CSV table (``sensitivity`` writes one JSON record).  Outputs are pure
 functions of (config, seed): re-runs produce byte-identical files.
-Relative output paths resolve under ``$RYDSENSE_OUTPUT_DIR`` (default:
-current directory).
+Outputs are ASCII written as UTF-8, so their bytes do not depend on the
+locale.  An existing output is overwritten in place and cut to the new
+length.  Relative output paths resolve under ``$RYDSENSE_OUTPUT_DIR``
+(default: current directory).
 
-Exit codes: 0 success, 2 config validation error, 3 numerical failure
-(Poisson-mixture truncation, zero ML variance, exact and finite-difference
-F(theta*) disagreeing, a toy FI outside its bound).
+Exit codes: 0 success, 2 config validation error or an output path that
+cannot be written, 3 numerical failure (Poisson-mixture truncation, zero
+ML variance, exact and finite-difference F(theta*) disagreeing, a toy FI
+outside its bound).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,10 +197,24 @@ def resolve_output_path(path_str: str) -> Path:
 
 
 def _write_output(cfg: dict, text: str) -> Path:
+    """Write ``text`` as UTF-8 to the output path; returns the path.
+
+    An existing file is overwritten in place and then cut to the new
+    length, since emptying it first (``O_TRUNC``) costs more than the whole
+    write on a disk that frees and discards its blocks.  A target that is
+    not a regular file (``/dev/null``, a FIFO) is only written.  An
+    ``OSError`` becomes a ``ConfigError`` naming the path.
+    """
     path = resolve_output_path(cfg["output_path"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode())
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from None
     return path
 
 

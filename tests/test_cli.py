@@ -641,6 +641,30 @@ class TestCommonMachinery:
         assert run_cli("toy-fi", cfg, extra=["--output", "relative.csv"]) == 0
         assert (tmp_path / "outputs" / "relative.csv").exists()
 
+    @pytest.mark.parametrize("target", ["directory", "below_a_file", "empty_path"])
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, monkeypatch, target):
+        # an existing directory, a path below a regular file, and an empty
+        # output_path (which resolves to the output directory itself)
+        monkeypatch.setenv("RYDSENSE_OUTPUT_DIR", str(tmp_path))
+        blocker = tmp_path / "table.csv"
+        blocker.write_text("kept")
+        output, path = {
+            "directory": (str(tmp_path), tmp_path),
+            "below_a_file": (str(blocker / "out.csv"), blocker / "out.csv"),
+            "empty_path": ("", tmp_path),
+        }[target]
+        cfg = write_config(tmp_path / "c.json", {**self.SMALL["toy-fi"], "output_path": output})
+        assert run_cli("toy-fi", cfg) == 2
+        assert f"config error: cannot write output {path}: " in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("study", ["toy-fi", "sensitivity"])
+    def test_output_to_a_device_is_not_cut(self, tmp_path, capsys, study):
+        # only a regular file is cut to length: ftruncate on /dev/null fails
+        cfg = write_config(tmp_path / "c.json", {**self.SMALL[study], "output_path": "x"})
+        assert run_cli(study, cfg, extra=["--output", os.devnull]) == 0
+        assert capsys.readouterr().out == f"{os.devnull}\n"
+
     def test_csv_numbers_have_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "rabi.csv"
         cfg = write_config(

@@ -35,7 +35,7 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 def run_study(name: str, directory: Path) -> bytes:
     study = STUDIES[name]
-    config = directory / f"{name}.json"
+    config = directory / "config.json"  # named apart from every output
     config.write_text(json.dumps(study["config"]))
     output = directory / study["output"]
     assert cli.main([name, "--config", str(config), "--output", str(output)]) == 0
@@ -105,6 +105,14 @@ def assert_matches_reference(actual: bytes, filename: str):
 
 @pytest.mark.parametrize("name", sorted(STUDIES))
 def test_study_table_matches_reference(name, tmp_path):
+    assert_matches_reference(run_study(name, tmp_path), STUDIES[name]["output"])
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_rewrite_of_a_longer_file_leaves_no_stale_tail(name, tmp_path):
+    # an existing output is overwritten in place, so it must be cut to the
+    # new length; 64 KiB of ASCII junk is longer than every reference
+    (tmp_path / STUDIES[name]["output"]).write_bytes(b"9," * 32768)
     assert_matches_reference(run_study(name, tmp_path), STUDIES[name]["output"])
 
 
