@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -178,57 +179,42 @@ def _pair_phase(delta: np.ndarray, t: float, c3_int: float) -> np.ndarray:
     return phase
 
 
-class _Shard:
-    """One shard between controls: its stream, read-out rows and phase sum.
+def _shard(child, n, n_p, t, sigma_col, c3_int):
+    """One shard of ``n`` samples, applying its next control on each send.
 
-    ``rng``, ``x_rows`` and ``phase`` are made by the first control and
-    dropped by the last, which leaves the (sum est, sum est^2) in ``sums``.
+    ``send((draw, delta))`` takes a worker's scratch: flat buffers whose
+    first 3 n entries hold the draws and the separations.  The first send
+    also draws the read-out positions; the one that applies the last
+    control raises ``StopIteration`` with (sum est, sum est^2) as its
+    value.  Runs in the worker thread that holds the shard, so it calls
+    only private helpers.
     """
-
-    def __init__(self, child, n):
-        self.child = child
-        self.n = n
-        self.done = 0  # controls applied
-        self.held = False
-        self.rng = self.x_rows = self.phase = self.sums = None
-
-
-def _advance(shard, n_p, draw, delta, t, sigma_col, c3_int):
-    """Apply the next control to ``shard``, drawing into a worker's scratch.
-
-    ``draw`` and ``delta`` are flat buffers of at least 3 n; their first
-    3 n entries hold the draws and the separations.  Runs in a worker
-    thread that holds the shard, so it calls only private helpers.
-    """
-    n = shard.n
-    draw = draw[: 3 * n].reshape(n, 3)
-    delta = delta[: 3 * n].reshape(3, n)
-    if shard.rng is None:
-        # the read-out positions as contiguous component rows, the same
-        # draws as rng.normal(scale=sigma, size=(n, 3)) bit for bit
-        shard.rng = np.random.default_rng(shard.child)
-        shard.rng.standard_normal(out=draw)
-        shard.x_rows = np.empty((3, n))
-        np.multiply(draw.T, sigma_col, out=shard.x_rows)
-        shard.phase = np.zeros(n)
-    # draw in place and form x - y in delta
-    shard.rng.standard_normal(out=draw)
-    np.multiply(draw.T, sigma_col, out=delta)
-    np.subtract(shard.x_rows, delta, out=delta)
-    # the product of exp(-i phi) over the first n_p controls and
-    # exp(+i phi) over the next n_p, as one real phase sum
-    if shard.done < n_p:
-        shard.phase -= _pair_phase(delta, t, c3_int)
-    else:
-        shard.phase += _pair_phase(delta, t, c3_int)
-    shard.done += 1
-    if shard.done == 2 * n_p:
-        phase = shard.phase
-        np.cos(phase, out=phase)  # est, then est^2, in place
-        total = float(np.sum(phase))
-        np.square(phase, out=phase)
-        shard.sums = (total, float(np.sum(phase)))
-        shard.rng = shard.x_rows = shard.phase = None
+    for control in range(2 * n_p):
+        draw, delta = yield
+        draw = draw[: 3 * n].reshape(n, 3)
+        delta = delta[: 3 * n].reshape(3, n)
+        if control == 0:
+            # the read-out positions as contiguous component rows, the same
+            # draws as rng.normal(scale=sigma, size=(n, 3)) bit for bit
+            rng = np.random.default_rng(child)
+            rng.standard_normal(out=draw)
+            x_rows = np.empty((3, n))
+            np.multiply(draw.T, sigma_col, out=x_rows)
+            phase = np.zeros(n)
+        # draw in place and form x - y in delta
+        rng.standard_normal(out=draw)
+        np.multiply(draw.T, sigma_col, out=delta)
+        np.subtract(x_rows, delta, out=delta)
+        # the product of exp(-i phi) over the first n_p controls and
+        # exp(+i phi) over the next n_p, as one real phase sum
+        if control < n_p:
+            phase -= _pair_phase(delta, t, c3_int)
+        else:
+            phase += _pair_phase(delta, t, c3_int)
+    np.cos(phase, out=phase)  # est, then est^2, in place
+    total = float(np.sum(phase))
+    np.square(phase, out=phase)
+    return total, float(np.sum(phase))
 
 
 def readout_expectation_mc(
@@ -249,14 +235,14 @@ def readout_expectation_mc(
 
     Sampling is split into shards of ``MC_SHARD_SIZE`` (8192) samples, the
     last one shorter, each drawing from its own seed spawned from ``seed``.
-    A thread pool that lives for the call runs one worker per CPU, at most
-    one per shard.  Workers take the next control of any free shard, the
-    one with the most work left, so the load evens out across them.  A
-    shard is held by one worker at a time and applies its controls in
-    order, and the shards' sums are combined in shard order, so the result
-    does not depend on the worker count or the interleaving.  The first
-    error in a worker stops the others after their current control and
-    reaches the caller.
+    Each shard is a generator that applies one control per send.  A thread
+    pool that lives for the call runs one worker per CPU, at most one per
+    shard: a worker takes the shard at the head of a FIFO queue, applies
+    its next control and puts it back unless that was its last, and returns
+    when the queue is empty.  A shard applies its controls in order and the
+    sums are combined in shard order, so the result does not depend on the
+    worker count or the interleaving.  The first error in a worker stops
+    the others after their current control and reaches the caller.
 
     ``n_p``, ``samples`` and ``seed`` must be integers (not bool), and
     ``seed`` non-negative; otherwise ``ValueError`` is raised.
@@ -281,40 +267,39 @@ def readout_expectation_mc(
     c3_int = params.c3_over_hbar * 1e-6  # rad/us um^3
     shard_size = MC_SHARD_SIZE
     children = np.random.SeedSequence(seed).spawn(math.ceil(samples / shard_size))
-    shards = [
-        _Shard(child, min(shard_size, samples - i * shard_size))
-        for i, child in enumerate(children)
-    ]
-    controls = 2 * n_p
-    lock = threading.Lock()
+    pending = queue.SimpleQueue()
+    for i, child in enumerate(children):
+        shard = _shard(child, min(shard_size, samples - i * shard_size), n_p, t, sigma_col, c3_int)
+        next(shard)  # run to the first send
+        pending.put((i, shard))
+    sums = [0.0] * len(children)
+    squares = [0.0] * len(children)
     stop = threading.Event()
-
-    def work_left(shard):
-        return shard.n * (controls - shard.done)
 
     def worker():
         # per-worker scratch for the draws and separations of one control
-        draw = np.empty(3 * shards[0].n)
-        delta = np.empty(3 * shards[0].n)
-        shard = None
+        draw = np.empty(3 * min(shard_size, samples))
+        delta = np.empty(3 * min(shard_size, samples))
         try:
-            while True:
-                with lock:
-                    if shard is not None:
-                        shard.held = False
-                    shard = max(
-                        (s for s in shards if not s.held and s.done < controls),
-                        key=work_left, default=None,
-                    )
-                    if stop.is_set() or shard is None:
-                        return
-                    shard.held = True
-                _advance(shard, n_p, draw, delta, t, sigma_col, c3_int)
+            # an unfinished shard is in the queue or held by a live
+            # worker, so a worker that finds the queue empty leaves none
+            while not stop.is_set():
+                try:
+                    i, shard = pending.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    shard.send((draw, delta))
+                except StopIteration as finished:
+                    # a finished shard sent to again gives None and fails here
+                    sums[i], squares[i] = finished.value
+                else:
+                    pending.put((i, shard))
         except BaseException:
             stop.set()
             raise
 
-    workers = min(os.cpu_count() or 1, len(shards))
+    workers = min(os.cpu_count() or 1, len(children))
     with ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(worker) for _ in range(workers)]
     for future in futures:
@@ -323,8 +308,7 @@ def readout_expectation_mc(
     # from Python 3.12 on, which would change the last bits
     total = 0.0
     total_sq = 0.0
-    for shard in shards:
-        part_sum, part_sq = shard.sums
+    for part_sum, part_sq in zip(sums, squares):
         total += part_sum
         total_sq += part_sq
     mean = total / samples

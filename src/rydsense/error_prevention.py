@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _finite_angles
 from .fockspace import (
     FI_CROSS_CHECK_MAX,
     CountDistribution,
@@ -60,8 +60,7 @@ def rotated_populations(theta: float) -> np.ndarray:
     cos^2(theta/2)|2,0> + (i/sqrt(2)) sin(theta)|1,1> - sin^2(theta/2)|0,2>,
     so the populations are cos^4(theta/2), sin^2(theta)/2 and sin^4(theta/2).
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    _finite_angles(theta)
     c, s, v = math.cos(theta / 2.0), math.sin(theta / 2.0), math.sin(theta) / math.sqrt(2.0)
     pops = np.zeros(_BASIS.dim)
     # each population is its amplitude squared, so the bits equal |psi|^2
@@ -125,7 +124,7 @@ def fi_without_prevention(eta: float, theta):
     ``theta`` gives a float, an array an array of its shape.
     """
     _check_eta(eta)
-    return _shaped_like(theta, np.full(np.shape(theta), 2.0 * eta))
+    return _shaped_like(theta, np.full(_finite_angles(theta).shape, 2.0 * eta))
 
 
 def fi_with_prevention(eta: float, theta):
@@ -143,7 +142,7 @@ def fi_with_prevention(eta: float, theta):
     as in :func:`fi_without_prevention`.
     """
     _check_eta(eta)
-    thetas = np.asarray(theta, dtype=float)
+    thetas = _finite_angles(theta)
     g = eta * (2.0 - eta)
     sin2 = np.sin(thetas) ** 2
     cos2 = np.cos(thetas) ** 2
@@ -158,15 +157,15 @@ def enhancement_curve(eta: float, thetas) -> tuple[np.ndarray, np.ndarray]:
 
     Both arrays have the shape of the angle grid, which may hold any
     angles in any order; the bound they obey is :func:`optimality_bound`.
-    An empty grid raises ``ValueError``.  Each closed form runs once over
-    the grid, and their values are checked together: an FI below -1e-9,
-    an ``fi_with`` above the bound by more than 1e-6, or a NaN raises
-    :class:`NumericalError`.  The peak row of ``fi_with`` is checked
+    An empty grid or a non-finite angle raises ``ValueError``.  Each
+    closed form runs once over the grid, and their values are checked
+    together: an FI below -1e-9, an ``fi_with`` above the bound by more
+    than 1e-6, or a NaN raises :class:`NumericalError`.  The peak row of ``fi_with`` is checked
     against the Kraus pipeline; a gap above ``FI_CROSS_CHECK_MAX`` of the
     bound (the peak value, or the scale of the curve where the grid misses
     the peak) raises :class:`NumericalError` too.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = _finite_angles(thetas)
     if thetas.size == 0:
         raise ValueError("the angle grid must not be empty")
     without = np.asarray(fi_without_prevention(eta, thetas))
@@ -199,5 +198,5 @@ def expectation_curves(eta: float, thetas) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    c2 = np.cos(np.asarray(thetas, dtype=float) / 2.0) ** 2
+    c2 = np.cos(_finite_angles(thetas) / 2.0) ** 2
     return 2.0 * eta * c2**2, 2.0 * eta * c2

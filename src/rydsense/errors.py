@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 __all__ = ["NumericalError"]
 
 
@@ -20,3 +22,11 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _finite_angles(theta) -> np.ndarray:
+    """``theta`` as a float array; ``ValueError`` unless every angle is finite."""
+    thetas = np.asarray(theta, dtype=float)
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta must be finite")
+    return thetas

@@ -112,7 +112,12 @@ class SensitivityReport:
 
 
 def default_theta_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Uniform grid of ``points`` interior angles of (0, pi), exclusive."""
+    """Uniform grid of ``points`` interior angles of (0, pi), exclusive.
+
+    ``ValueError`` unless ``points`` is an integer (not bool) of at least 3.
+    """
+    if not _is_integer(points):
+        raise ValueError(f"the number of grid points must be an integer, got {points!r}")
     if points < 3:
         raise ValueError("grid needs at least 3 points")
     return np.linspace(0.0, math.pi, points + 2)[1:-1]
@@ -151,7 +156,7 @@ def _log_likelihood_table(
 ) -> np.ndarray:
     """log P(n | theta) for n = 0..n_cut on every grid angle, from the log-domain kernel."""
     b, d = _mixture_means(params, grid)
-    table = _mixture_table(b, d, params.gamma_tau, n_cut=n_cut, log=True)
+    table = _mixture_table(b, d, params.gamma_tau, n_cut=n_cut)
     if not table.min() > -np.inf:
         raise ValueError("likelihood vanished on the angle grid; requires eta > 0")
     return table
@@ -492,10 +497,10 @@ def field_precision(
 
     Delta E = (sqrt(delta2_theta) / T) (hbar / d) in V/cm and the
     sensitivity S = Delta E sqrt(T) at 100% duty cycle.  An input of the
-    three that is not positive (NaN included) raises ``ValueError``.
+    three that is not finite and positive (NaN too) raises ``ValueError``.
     """
-    if not (delta2_theta > 0 and pulse_time_T > 0 and dipole_moment > 0):
-        raise ValueError("variance, pulse time and dipole moment must be positive")
+    if not all(0 < x < math.inf for x in (delta2_theta, pulse_time_T, dipole_moment)):
+        raise ValueError("variance, pulse time and dipole moment must be positive and finite")
     delta_theta = math.sqrt(delta2_theta)
     delta_e_v_per_m = (delta_theta / pulse_time_T) * (HBAR / dipole_moment)
     delta_e = delta_e_v_per_m / 100.0  # V/cm
@@ -527,16 +532,16 @@ def sensitivity_from_model(
     finite-difference FI there; a relative gap above ``FI_CROSS_CHECK_MAX``
     raises :class:`NumericalError`.  ``fisher_override`` substitutes an
     externally measured F while keeping the model's theta*.  A
-    ``rabi_frequency`` or ``dipole_moment`` that is not positive (NaN
-    included) and a zero detected mean n0 eta raise ``ValueError`` before
-    the scan.
+    ``rabi_frequency``, ``dipole_moment`` or ``fisher_override`` that is not
+    finite and positive (NaN too), a non-integer ``grid_points`` and a zero
+    detected mean n0 eta raise ``ValueError`` before the scan.
     """
-    if not rabi_frequency > 0:
-        raise ValueError(f"rabi_frequency must be positive, got {rabi_frequency}")
-    if not dipole_moment > 0:
-        raise ValueError(f"dipole_moment must be positive, got {dipole_moment}")
-    if fisher_override is not None and not fisher_override > 0:
-        raise ValueError(f"fisher_override must be positive, got {fisher_override}")
+    if not 0 < rabi_frequency < math.inf:
+        raise ValueError(f"rabi_frequency must be positive and finite, got {rabi_frequency}")
+    if not 0 < dipole_moment < math.inf:
+        raise ValueError(f"dipole_moment must be positive and finite, got {dipole_moment}")
+    if fisher_override is not None and not 0 < fisher_override < math.inf:
+        raise ValueError(f"fisher_override must be positive and finite, got {fisher_override}")
     _informative_mean(params)
     grid = default_theta_grid(grid_points)
     fis = fisher_information(params, grid)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _finite_angles
 from .fockspace import CountDistribution, FockBasis, KrausChannel, _lowered_destinations
 
 __all__ = [
@@ -151,7 +151,7 @@ def super_rabi_means(params: ProtocolParams, theta):
     A scalar ``theta`` gives two floats, an array two arrays of its shape;
     every element equals the scalar call.
     """
-    thetas = np.asarray(theta, dtype=float)
+    thetas = _finite_angles(theta)
     decay = 1.0 - math.exp(-params.gamma_tau)
     cos2, sin2 = _populations(thetas)
     means = []
@@ -193,8 +193,8 @@ def _tail_bound(mean: float, cut: int) -> float:
     return math.exp(log_head) / (1.0 - mean / (cut + 2))
 
 
-def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool = False):
-    """Mixture pmfs P(n; B, D) for n = 0..n_cut on every row, shape (T, n_cut + 1).
+def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None):
+    """Mixture pmfs P(n; B, D) on every row, or log P for n = 0..n_cut.
 
     ``b`` and ``d`` are 1-D arrays of T means: B of the decay-driving mode
     and D of the detected read-out mode.  Rows run in blocks, and in each
@@ -212,8 +212,8 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
     log P = alpha + n log D - log n! + log S.  Count blocks are narrow
     enough that gamma_tau k j stays below ``_EXP_SPAN``, so the largest
     term of S never underflows, and D = 0 or B = 0 give exact point
-    masses.  ``log`` returns log P, which is -inf only where P is exactly 0.
-    Without ``n_cut`` each row must hold its mass: a shortfall beyond
+    masses.  Given ``n_cut`` the table is log P, -inf only where P is 0;
+    without it, it is P, and each row must hold its mass: a shortfall beyond
     ``ROW_MASS_DEFECT_MAX`` raises :class:`NumericalError`.
 
     Count blocks keep every (row, k) and (row, n) temporary within
@@ -221,8 +221,7 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
     k windows of a grid follow B.  Besides one row block, the output table
     is the only (rows, counts) array: it is filled with n log D - log n!,
     each block adds its alpha and then its log S in place, and the pmf is
-    exponentiated in place (a full-window ``log`` call alone forms P beside
-    log P, for the mass check).
+    exponentiated in place.
     """
     k_cut = _window(float(b.max(initial=0.0)))
     full_window = n_cut is None
@@ -289,18 +288,16 @@ def _mixture_table(b, d, gamma_tau: float, n_cut: int | None = None, log: bool =
             block = table[rs, cs]
             block += alpha
             block += np.log(s, out=s)
-    if log and not full_window:
+    if not full_window:
         return table
-    # the mass check of a full-window log table needs P beside log P
-    p = np.exp(table) if log else np.exp(table, out=table)
-    if full_window:
-        defect = float(np.max(1.0 - p.sum(axis=1), initial=0.0))
-        if defect > ROW_MASS_DEFECT_MAX:
-            raise NumericalError(
-                f"Poisson-mixture rows lost mass {defect:.3e} > "
-                f"{ROW_MASS_DEFECT_MAX:.0e} on the full count window"
-            )
-    return table if log else p
+    p = np.exp(table, out=table)
+    defect = float(np.max(1.0 - p.sum(axis=1), initial=0.0))
+    if defect > ROW_MASS_DEFECT_MAX:
+        raise NumericalError(
+            f"Poisson-mixture rows lost mass {defect:.3e} > "
+            f"{ROW_MASS_DEFECT_MAX:.0e} on the full count window"
+        )
+    return p
 
 
 def count_pmf(params: ProtocolParams, theta: float) -> np.ndarray:
@@ -309,7 +306,7 @@ def count_pmf(params: ProtocolParams, theta: float) -> np.ndarray:
     n_cut is the kernel's window of the read-out mean D, so the neglected
     tail stays below 1e-12.
     """
-    b, d = _mixture_means(params, np.atleast_1d(np.asarray(theta, dtype=float)))
+    b, d = _mixture_means(params, np.atleast_1d(_finite_angles(theta)))
     return _mixture_table(b, d, params.gamma_tau)[0]
 
 
@@ -416,7 +413,7 @@ def fisher_information(params: ProtocolParams, theta):
     array an array of its shape.  With n0 eta = 0 nothing is detected and
     F is exactly 0.
     """
-    thetas = np.asarray(theta, dtype=float)
+    thetas = _finite_angles(theta)
     column = thetas.reshape(-1, 1)
     if params.detected_mean == 0:
         fi = np.zeros(column.shape[0])
@@ -460,12 +457,15 @@ def fit_exponential_decay(times, values) -> tuple[float, float]:
     """Least-squares fit of values ~ amplitude * exp(-rate * times).
 
     Closed-form least-squares line through (times, log values); exact on
-    noiseless exponential data.  Returns (rate, amplitude).
+    noiseless exponential data.  Returns (rate, amplitude).  ``ValueError``
+    unless the times and values are finite and the values positive.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.size < 2:
         raise ValueError("need matching time/value arrays with at least two points")
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("exponential fit requires finite times and values")
     if np.any(values <= 0):
         raise ValueError("exponential fit requires positive values")
     offsets = times - times.mean()

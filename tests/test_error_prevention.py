@@ -243,6 +243,17 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\], got 0.0"):
             enhancement_curve(0.0, (0.1, 0.2))
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    @pytest.mark.parametrize(
+        "curve",
+        [fi_without_prevention, fi_with_prevention, enhancement_curve, expectation_curves],
+        ids=lambda curve: curve.__name__,
+    )
+    def test_non_finite_angle_rejected(self, curve, theta):
+        # a bad input is a ValueError, not a NumericalError or a NaN curve
+        with pytest.raises(ValueError, match="theta must be finite"):
+            curve(0.5, theta)
+
     def test_rotation_starts_from_two_zero(self):
         expected = basis_state(BASIS, 2, 0).to_density()
         assert np.array_equal(rotated_populations(0.0), expected)

@@ -683,7 +683,7 @@ class TestFieldPrecision:
             report.delta_E * math.sqrt(report.pulse_time_T), rel=1e-12
         )
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["delta2_theta", "pulse_time_T", "dipole"])
     def test_validation(self, position, bad):
         args = [0.1, 1e-6, REFERENCE_DIPOLE]
@@ -705,6 +705,22 @@ class TestFieldPrecision:
 
     def test_constants_precision(self):
         assert HBAR == pytest.approx(6.62607015e-34 / (2 * math.pi), rel=1e-11)
+
+
+class TestThetaGrid:
+    @pytest.mark.parametrize(
+        "points", [512.0, True, np.float64(64), 3.5], ids=["float", "bool", "numpy_float", "half"]
+    )
+    def test_non_integer_points_rejected(self, points):
+        with pytest.raises(ValueError, match="grid points must be an integer"):
+            default_theta_grid(points)
+
+    def test_numpy_integer_points_accepted(self):
+        assert np.array_equal(default_theta_grid(np.int64(64)), default_theta_grid(64))
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 points"):
+            default_theta_grid(2)
 
 
 class TestSensitivityPipeline:
@@ -751,7 +767,7 @@ class TestSensitivityPipeline:
                 ProtocolParams(55.0, 0.0, 0.03), REFERENCE_RABI, REFERENCE_DIPOLE
             )
 
-    @pytest.mark.parametrize("rabi", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("rabi", [0.0, -1.0, math.nan, math.inf])
     def test_rabi_frequency_is_checked_before_the_scan(self, monkeypatch, rabi):
         def scan(*args):
             raise AssertionError("the FI scan ran")
@@ -760,7 +776,7 @@ class TestSensitivityPipeline:
         with pytest.raises(ValueError, match="rabi_frequency must be positive"):
             sensitivity_from_model(EXPERIMENT, rabi, REFERENCE_DIPOLE)
 
-    @pytest.mark.parametrize("dipole", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("dipole", [0.0, -1.0, math.nan, math.inf])
     def test_dipole_moment_is_checked_before_the_scan(self, monkeypatch, dipole):
         def scan(*args):
             raise AssertionError("the FI scan ran")
@@ -769,7 +785,29 @@ class TestSensitivityPipeline:
         with pytest.raises(ValueError, match="dipole_moment must be positive"):
             sensitivity_from_model(EXPERIMENT, REFERENCE_RABI, dipole)
 
-    @pytest.mark.parametrize("override", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "points", [64.0, True, np.float64(64), "64"], ids=["float", "bool", "numpy_float", "str"]
+    )
+    def test_grid_points_must_be_an_integer(self, monkeypatch, points):
+        def scan(*args):
+            raise AssertionError("the FI scan ran")
+
+        monkeypatch.setattr(estimation, "fisher_information", scan)
+        with pytest.raises(ValueError, match="grid points must be an integer"):
+            sensitivity_from_model(
+                EXPERIMENT, REFERENCE_RABI, REFERENCE_DIPOLE, grid_points=points
+            )
+
+    def test_numpy_integer_grid_points_accepted(self):
+        report = sensitivity_from_model(
+            EXPERIMENT, REFERENCE_RABI, REFERENCE_DIPOLE, grid_points=np.int64(128)
+        )
+        expected = sensitivity_from_model(
+            EXPERIMENT, REFERENCE_RABI, REFERENCE_DIPOLE, grid_points=128
+        )
+        assert report == expected
+
+    @pytest.mark.parametrize("override", [0.0, -1.0, math.nan, math.inf])
     def test_fisher_override_must_be_positive(self, override):
         with pytest.raises(ValueError, match="fisher_override must be positive"):
             sensitivity_from_model(
@@ -784,7 +822,9 @@ def digest(array) -> str:
 def full_window_log_table():
     params = ProtocolParams(55.0, 1.0, 0.034)
     b, d = multiparticle._mixture_means(params, default_theta_grid(59))
-    return multiparticle._mixture_table(b, d, params.gamma_tau, log=True)
+    return multiparticle._mixture_table(
+        b, d, params.gamma_tau, n_cut=multiparticle._window(d.max())
+    )
 
 
 class TestRecordedDigests:

@@ -83,6 +83,23 @@ class TestProtocolParams:
         assert EXPERIMENT.detected_mean == pytest.approx(1.1)
 
 
+class TestNonFiniteAngles:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, np.array([0.5, math.nan])])
+    @pytest.mark.parametrize(
+        "function",
+        [count_pmf, count_distribution, fisher_information, normalized_fi, super_rabi_means],
+        ids=lambda function: function.__name__,
+    )
+    def test_rejected(self, function, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            function(EXPERIMENT, theta)
+
+    def test_rejected_where_nothing_is_detected(self):
+        # F is exactly 0 for n0 eta = 0, but only at an angle
+        with pytest.raises(ValueError, match="theta must be finite"):
+            fisher_information(ProtocolParams(55.0, 0.0, 0.03), math.nan)
+
+
 class TestSuperRabiMeans:
     def test_no_interaction_is_plain_rabi(self):
         params = ProtocolParams(55.0, 0.02, 0.0)
@@ -230,7 +247,8 @@ class TestMixtureKernel:
         # same k window as the kernel, so only the log-domain arithmetic is
         # compared; entries far below the linear table's range stay finite
         params = ProtocolParams(n0, eta, gamma_tau, loss_order=order)
-        log_p = kernel(params, theta, log=True)[0]
+        d = multiparticle._mixture_means(params, theta)[1]
+        log_p = kernel(params, theta, n_cut=multiparticle._window(d))[0]
         expected = reference_log_pmf(params, theta, log_p.size - 1)
         assert np.array_equal(np.isneginf(log_p), np.isneginf(expected))
         finite = np.isfinite(expected)
@@ -239,7 +257,7 @@ class TestMixtureKernel:
     def test_log_table_keeps_entries_the_linear_table_underflows(self):
         params = ProtocolParams(55.0, 1.0, 0.0)
         thetas = [0.1, math.pi - 1e-3]
-        log_p = kernel(params, thetas, n_cut=200, log=True)
+        log_p = kernel(params, thetas, n_cut=200)
         assert np.all(np.isfinite(log_p))
         assert np.exp(log_p[1, 200]) == 0.0
         expected = reference_log_pmf(params, thetas[1], 200)
@@ -284,11 +302,11 @@ class TestMixtureKernel:
         b, _ = multiparticle._mixture_means(params, thetas)
         for i, theta in enumerate(thetas):
             # a single angle sums k over its own, narrower window: the terms
-            # it leaves out hold at most this mass
+            # it leaves out hold at most this mass.  Given n_cut the kernel
+            # returns log P
             neglected = multiparticle._tail_bound(b[i], window(b[i]))
-            np.testing.assert_allclose(
-                table[i], kernel(params, theta, n_cut=n_cut)[0], rtol=1e-13, atol=neglected
-            )
+            single = np.exp(kernel(params, theta, n_cut=n_cut)[0])
+            np.testing.assert_allclose(table[i], single, rtol=1e-13, atol=neglected)
             assert fis[i] == pytest.approx(fisher_information(params, theta), rel=1e-12, abs=0)
 
     def test_truncation_checked_per_angle_block(self, monkeypatch):
@@ -686,3 +704,14 @@ class TestDecayFit:
             fit_exponential_decay([1.0], [2.0])
         with pytest.raises(ValueError):
             fit_exponential_decay([1.0, 2.0], [0.5, -0.1])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="finite times and values"):
+            fit_exponential_decay([1.0, 2.0, 3.0], [0.5, value, 0.3])
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, time):
+        # an infinite time is no case of equal times
+        with pytest.raises(ValueError, match="finite times and values"):
+            fit_exponential_decay([1.0, time, 3.0], [0.5, 0.4, 0.3])
